@@ -1,14 +1,22 @@
 """Basins of attraction of sets, fixed points, orbits and omega-limit sets.
 
-Existential ("p") basins come with constructive witness schedules: a
-reported membership can always be replayed through the schedule module
-and checked against the claimed omega-limit relation.  Universal ("n")
-basins are decided by graph conditions alone and carry no witnesses.
+Every basin is one backward closure over the implicit edge relation of
+`graph`: the states that can reach some set of fair SCCs, by multi-source
+BFS on reversed edges.  basin_p(A) closes over the fair SCCs of the
+subgraph induced on A; basin_n(A) is the complement of the closure of
+every full-graph fair SCC not contained in A.
+
+Existential ("p") basins come with constructive witness schedules taken
+from the same BFS tree: its next-hop pointers give every member a
+shortest walk to a source, and one covering cycle per source is shared
+by every member that ends there.  A reported membership can always be
+replayed through the schedule module and checked against the claimed
+omega-limit relation.  Universal ("n") basins are decided by graph
+conditions alone and carry no witnesses.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -40,9 +48,10 @@ def _classify(members: frozenset[int], n: int) -> str:
     return "partial"
 
 
-def _check_nonempty(states: frozenset[int]) -> None:
+def _check_target(net: Network, states: frozenset[int]) -> None:
     if not states:
         raise ValueError("basins are defined for nonempty sets only")
+    graph._check_states(net, states)
 
 
 def _bfs_path(net: Network, start: int, goals: frozenset[int], domain=None):
@@ -50,34 +59,37 @@ def _bfs_path(net: Network, start: int, goals: frozenset[int], domain=None):
     `domain` when given.  Returns (word, end state) or None."""
     if start in goals:
         return [], start
-    parent: dict[int, tuple[int, int]] = {start: (-1, -1)}
-    queue = deque([start])
-    while queue:
-        state = queue.popleft()
-        for fire, target in graph.proper_successors(net, state):
-            if domain is not None and target not in domain:
+    table = net.table
+    parent = {start: start}
+    queue = [start]
+    for state in queue:  # the loop also visits states appended while it runs
+        for target in graph._targets(table, state):
+            if target in parent or (domain is not None and target not in domain):
                 continue
-            if target in parent:
-                continue
-            parent[target] = (state, fire)
+            parent[target] = state
             if target in goals:
-                word = []
-                node = target
-                while node != start:
-                    prev, f = parent[node]
-                    word.append(f)
-                    node = prev
-                word.reverse()
-                return word, target
+                return _hop_word(parent, target)[0][::-1], target
             queue.append(target)
     return None
+
+
+def _hop_word(hop: dict[int, int], mu: int) -> tuple[list[int], int]:
+    """Fire-set word following `hop` pointers from mu until a state that
+    points to itself; returns the word and that state."""
+    word = []
+    while hop[mu] != mu:
+        word.append(mu ^ hop[mu])
+        mu = hop[mu]
+    return word, mu
 
 
 def covering_walk(net: Network, target: frozenset[int], anchor: int) -> list[int]:
     """A closed walk from `anchor` through every state of `target` that also
     traverses, for every coordinate unstable throughout `target`, an internal
     edge firing it.  Returns the fire-set word of the walk (possibly empty)."""
-    assert anchor in target
+    graph._check_states(net, target)
+    if anchor not in target:
+        raise ValueError("anchor must lie in the target")
     # coordinates stable somewhere in target are covered by co-firing
     fired_somewhere = 0
     for mu in target:
@@ -87,7 +99,8 @@ def covering_walk(net: Network, target: frozenset[int], anchor: int) -> list[int
     for mu in target:
         if not needed:
             break
-        for fire, nxt in graph.proper_successors(net, mu):
+        for nxt in graph._targets(net.table, mu):
+            fire = mu ^ nxt
             if nxt in target and fire & needed:
                 required_edges.append((mu, fire, nxt))
                 needed &= ~fire
@@ -120,9 +133,11 @@ def covering_walk(net: Network, target: frozenset[int], anchor: int) -> list[int
     return word
 
 
-def _cycle_from_walk(net: Network, anchor: int, word: list[int]):
-    """Timed cycle events replaying `word` from `anchor`, co-firing the
-    coordinates stable at each source so that every coordinate appears."""
+def _covering_cycle(net: Network, target: frozenset[int], anchor: int):
+    """Timed cycle events replaying a covering walk of `target` from
+    `anchor`, co-firing the coordinates stable at each source so that every
+    coordinate appears."""
+    word = covering_walk(net, target, anchor)
     if not word:
         return ((Fraction(0), full_mask(net.n)),), Fraction(1)
     events = []
@@ -131,6 +146,42 @@ def _cycle_from_walk(net: Network, anchor: int, word: list[int]):
         events.append((Fraction(k), fire | stable_set(net, state)))
         state = apply_fire_set(net, state, fire)
     return tuple(events), Fraction(len(word))
+
+
+def _walk_then_cycle(n: int, word: list[int], cycle, period: Fraction) -> Schedule:
+    """Fire `word` at times 0, 1, 2, ..., then repeat `cycle` forever."""
+    prefix = tuple((Fraction(k), fire) for k, fire in enumerate(word))
+    return Schedule(n, prefix, cycle, period, Fraction(len(word)))
+
+
+def _splicer(n: int, trace, rho: Schedule):
+    """Where a witness joins the reference flow of `trace` under `rho`.
+
+    Returns a state the reference flow holds during the first segment of
+    its periodic tail, and a function turning a walk to that state into a
+    witness whose flow coincides pointwise with the reference flow from
+    some time on: the walk ends just before a time t2 strictly inside that
+    segment, after which the reference schedule is copied verbatim.
+    """
+    seg_state, seg_dwell = trace.loop[0]
+    t2 = trace.loop_entry + seg_dwell / 2
+    # whole cycle occurrences after t2 become the new cycle, the cut
+    # occurrence joins the prefix
+    periods_past = (t2 - rho.cycle_start) // rho.period + 1
+    new_start = rho.cycle_start + periods_past * rho.period
+    tail = []
+    for time, fire in rho.events():
+        if time >= new_start:
+            break
+        if time > t2:
+            tail.append((time, fire))
+    tail = tuple(tail)
+
+    def witness(word: list[int]) -> Schedule:
+        prefix = tuple((t2 - len(word) + k, fire) for k, fire in enumerate(word))
+        return Schedule(n, prefix + tail, rho.cycle, rho.period, new_start)
+
+    return seg_state, witness
 
 
 def witness_schedule(
@@ -153,71 +204,46 @@ def witness_schedule(
         raise ValueError("target is not achievable from the given state")
 
     if align_to is None:
-        path = _bfs_path(net, mu_from, target)
-        assert path is not None
-        word, anchor = path
-        prefix = tuple((Fraction(k), fire) for k, fire in enumerate(word))
-        cycle, period = _cycle_from_walk(net, anchor, covering_walk(net, target, anchor))
-        return Schedule(net.n, prefix, cycle, period, Fraction(len(word)))
+        word, anchor = _bfs_path(net, mu_from, target)
+        return _walk_then_cycle(net.n, word, *_covering_cycle(net, target, anchor))
 
     ref_mu, ref_rho = align_to
     trace, _ = orbit_trace(net, ref_mu, ref_rho)
     if trace.loop_states != target:
         raise ValueError("align_to flow does not have the target as omega-limit set")
-    # pick a segment of the periodic tail and a time strictly inside it
-    seg_start = trace.loop_entry
-    seg_state, seg_dwell = trace.loop[0]
-    t2 = seg_start + seg_dwell / 2
-    path = _bfs_path(net, mu_from, frozenset({seg_state}))
-    assert path is not None
-    word, _ = path
-    prefix = [(t2 - len(word) + k, fire) for k, fire in enumerate(word)]
-    # copy the reference schedule after t2: whole occurrences become the new
-    # cycle, the cut occurrence joins the prefix
-    periods_past = (t2 - ref_rho.cycle_start) // ref_rho.period + 1
-    new_start = ref_rho.cycle_start + periods_past * ref_rho.period
-    for time, fire in ref_rho.events():
-        if time >= new_start:
-            break
-        if time > t2:
-            prefix.append((time, fire))
-    return Schedule(net.n, tuple(prefix), ref_rho.cycle, ref_rho.period, new_start)
+    seg_state, witness = _splicer(net.n, trace, ref_rho)
+    word, _ = _bfs_path(net, mu_from, frozenset({seg_state}))
+    return witness(word)
 
 
 def basin_p(net: Network, attractor: frozenset[int], with_witnesses: bool = True) -> BasinResult:
     """States from which some fair schedule drives the omega-limit set
     inside `attractor`."""
-    _check_nonempty(attractor)
-    fair = graph.fair_sccs(net, attractor)
-    targets = frozenset().union(*fair) if fair else frozenset()
-    members = set()
+    _check_target(net, attractor)
+    fair = graph._fair_sccs(net, attractor)
+    # each fair SCC is strongly connected, so one anchor per SCC has the
+    # same backward closure as the whole SCC
+    anchors = {min(scc): scc for scc in fair}
+    hop = graph._backward_closure(net, list(anchors))
     witnesses: dict[int, Schedule] = {}
-    for mu in net.states():
-        reach = graph.reachable_set(net, mu)
-        hit = reach & targets
-        if not hit:
-            continue
-        members.add(mu)
-        if with_witnesses:
-            chosen = next(f for f in fair if f & hit)
-            witnesses[mu] = witness_schedule(net, mu, chosen)
-    return BasinResult(frozenset(members), witnesses)
+    if with_witnesses:
+        cycles = {a: _covering_cycle(net, scc, a) for a, scc in anchors.items()}
+        for mu in hop:
+            word, anchor = _hop_word(hop, mu)
+            witnesses[mu] = _walk_then_cycle(net.n, word, *cycles[anchor])
+    return BasinResult(frozenset(hop), witnesses)
 
 
 def basin_n(net: Network, attractor: frozenset[int]) -> BasinResult:
     """States from which every fair schedule drives the omega-limit set
-    inside `attractor`."""
-    _check_nonempty(attractor)
-    members = frozenset(
-        mu
-        for mu in net.states()
-        if all(scc <= attractor for scc in graph.reachable_fair_sccs(net, mu))
-    )
-    return BasinResult(members)
+    inside `attractor`: those that reach no fair SCC leaving it."""
+    _check_target(net, attractor)
+    escapes = [min(scc) for scc in graph._fair_sccs(net) if not scc <= attractor]
+    doomed = graph._backward_closure(net, escapes)
+    return BasinResult(frozenset(mu for mu in net.states() if mu not in doomed))
 
 
 def attractivity_class(net: Network, attractor: frozenset[int]) -> AttractivityClass:
-    _check_nonempty(attractor)
     return AttractivityClass(
         _classify(basin_p(net, attractor, with_witnesses=False).members, net.n),
         _classify(basin_n(net, attractor).members, net.n),
@@ -229,15 +255,14 @@ def orbit_basin_p(
 ) -> BasinResult:
     """States whose flow can be made to coincide pointwise with the given
     flow from some time on: the predecessors of its omega-limit set."""
-    omega = omega_limit(net, mu, rho)
-    members = set()
-    witnesses: dict[int, Schedule] = {}
-    for mu2 in net.states():
-        if graph.reachable_set(net, mu2) & omega:
-            members.add(mu2)
-            if with_witnesses:
-                witnesses[mu2] = witness_schedule(net, mu2, omega, align_to=(mu, rho))
-    return BasinResult(frozenset(members), witnesses)
+    trace, _ = orbit_trace(net, mu, rho)
+    seg_state, witness = _splicer(net.n, trace, rho)
+    # omega is the periodic tail of one flow, so it is strongly connected
+    # and its backward closure is that of the splice state; the BFS tree
+    # toward that state gives every member its walk to the splice
+    hop = graph._backward_closure(net, [seg_state])
+    witnesses = {mu2: witness(_hop_word(hop, mu2)[0]) for mu2 in hop} if with_witnesses else {}
+    return BasinResult(frozenset(hop), witnesses)
 
 
 def orbit_basin_n(net: Network, mu: int, rho: Schedule) -> BasinResult:
@@ -268,15 +293,11 @@ def omega_basin_n(net: Network, mu: int, rho: Schedule) -> BasinResult:
     if len(omega) == 1 and is_fixed_point(net, next(iter(omega))):
         return basin_n(net, omega)
     # nonempty only when omega is a maximal fair SCC admitting no proper
-    # fair strongly connected subset
-    sccs = graph.reachable_fair_sccs(net, next(iter(omega)))
-    if omega not in sccs:
+    # fair strongly connected subset; the members then reach omega and no
+    # other fair SCC
+    fair = graph._fair_sccs(net)
+    if omega not in fair or any(sub != omega for sub in graph.fair_subsets(net, omega)):
         return BasinResult(frozenset())
-    if any(sub != omega for sub in graph.fair_subsets(net, omega)):
-        return BasinResult(frozenset())
-    members = frozenset(
-        mu2
-        for mu2 in net.states()
-        if graph.reachable_fair_sccs(net, mu2) == [omega]
-    )
-    return BasinResult(members)
+    inside = graph._backward_closure(net, [min(omega)])
+    outside = graph._backward_closure(net, [min(scc) for scc in fair if scc != omega])
+    return BasinResult(frozenset(mu2 for mu2 in inside if mu2 not in outside))

@@ -13,7 +13,7 @@ import os
 import sys
 
 from . import basins, graph, oracle
-from .core import DimensionError, Network, fixed_points, format_bits, parse_bits
+from .core import Network, fixed_points, format_bits, parse_bits
 from .formats import (
     ParseError,
     export_dot,
@@ -24,7 +24,7 @@ from .formats import (
     render_schedule,
     render_state_set,
 )
-from .schedule import NotProgressiveError, omega_limit, orbit_trace
+from .schedule import omega_limit, orbit_trace
 
 
 class _Output:
@@ -290,10 +290,9 @@ def main(argv=None) -> int:
             return _COMMANDS[args.command](args, net, out)
         finally:
             out.close()
-    except (ParseError, DimensionError, NotProgressiveError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, graph.CapExceededError) as exc:
+    except (OSError, ValueError) as exc:
+        # ValueError covers ParseError, DimensionError, NotProgressiveError
+        # and CapExceededError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -7,18 +7,27 @@ counting no-op firings of coordinates that are stable at the source) and
 reachable from mu.  The construction direction of this equivalence lives
 in basins.witness_schedule; the oracle module validates both directions
 by bounded schedule enumeration.
+
+The graph is never stored.  Firing a nonempty fire set nu inside the
+unstable coordinates of mu flips exactly those bits, so the proper edges
+are mu -> mu ^ nu and the internal loops enumerate them from the truth
+table with bit arithmetic (`_targets`).  Whole-state-space questions are
+single linear passes: Tarjan's SCCs over an induced subgraph, and
+backward closures by multi-source BFS over predecessor lists that live
+only for the duration of one call.
 """
 
 from __future__ import annotations
 
+from typing import Iterable
+
 from .core import (
     GRAPH_CAP,
     SUBSET_CAP,
-    DimensionError,
     Network,
     apply_fire_set,
+    check_state,
     full_mask,
-    stable_set,
     unstable_set,
 )
 
@@ -34,6 +43,15 @@ def _check_graph_cap(net: Network) -> None:
         )
 
 
+def _check_states(net: Network, states: Iterable[int]) -> None:
+    """Validate a state set at a public entry point, before any loop indexes
+    the table with its members: a negative member would index from the
+    end and make the subset enumeration in `_targets` run forever."""
+    _check_graph_cap(net)
+    for mu in states:
+        check_state(mu, net.n)
+
+
 def _subsets_of_mask(mask: int):
     """All subsets of a bit mask, the empty set first."""
     sub = 0
@@ -42,6 +60,18 @@ def _subsets_of_mask(mask: int):
         if sub == mask:
             return
         sub = (sub - mask) & mask
+
+
+def _targets(table: tuple[int, ...], mu: int) -> list[int]:
+    """Proper successors of a validated state: mu ^ nu for every nonempty
+    nu inside the coordinates unstable at mu."""
+    unstable = mu ^ table[mu]
+    out = []
+    nu = unstable
+    while nu:
+        out.append(mu ^ nu)
+        nu = (nu - 1) & unstable
+    return out
 
 
 def successors(net: Network, mu: int) -> list[tuple[int, int]]:
@@ -60,14 +90,43 @@ def proper_successors(net: Network, mu: int) -> list[tuple[int, int]]:
     return [(nu, target) for nu, target in successors(net, mu) if nu]
 
 
+def _adjacency(net: Network, domain) -> dict[int, list[int]]:
+    """Successor lists of the subgraph induced on a validated domain."""
+    table = net.table
+    return {mu: [t for t in _targets(table, mu) if t in domain] for mu in domain}
+
+
+def _backward_closure(net: Network, sources, domain=None) -> dict[int, int]:
+    """Multi-source BFS over reversed proper edges, restricted to `domain`
+    when given.  Maps every state that reaches a source to its next hop on
+    a shortest path there; sources map to themselves."""
+    if not sources:
+        return {}
+    table = net.table
+    pred: list[list[int]] = [[] for _ in table]
+    for mu in range(len(table)) if domain is None else domain:
+        for t in _targets(table, mu):
+            if domain is None or t in domain:
+                pred[t].append(mu)
+    hop = {s: s for s in sources}
+    queue = list(hop)
+    for state in queue:  # the loop also visits states appended while it runs
+        for p in pred[state]:
+            if p not in hop:
+                hop[p] = state
+                queue.append(p)
+    return hop
+
+
 def reachable_set(net: Network, mu: int) -> frozenset[int]:
     """Forward closure of mu; the union of all orbits from mu."""
     _check_graph_cap(net)
+    check_state(mu, net.n)
+    table = net.table
     seen = {mu}
     stack = [mu]
     while stack:
-        state = stack.pop()
-        for _, target in proper_successors(net, state):
+        for target in _targets(table, stack.pop()):
             if target not in seen:
                 seen.add(target)
                 stack.append(target)
@@ -78,9 +137,9 @@ def is_n_invariant(net: Network, states: frozenset[int]) -> bool:
     """No fire set can take any member outside the set."""
     if not states:
         raise ValueError("invariance is defined for nonempty sets only")
-    return all(
-        target in states for mu in states for _, target in proper_successors(net, mu)
-    )
+    _check_states(net, states)
+    table = net.table
+    return all(t in states for mu in states for t in _targets(table, mu))
 
 
 def _tarjan_sccs(adjacency: dict[int, list[int]]) -> list[list[int]]:
@@ -131,15 +190,6 @@ def _tarjan_sccs(adjacency: dict[int, list[int]]) -> list[list[int]]:
     return sccs
 
 
-def _induced_adjacency(net: Network, domain: frozenset[int]) -> dict[int, list[int]]:
-    return {
-        mu: sorted(
-            {target for _, target in proper_successors(net, mu) if target in domain}
-        )
-        for mu in sorted(domain)
-    }
-
-
 def _is_fair(net: Network, states: frozenset[int]) -> bool:
     """Every coordinate is coverable by an edge internal to `states`.
 
@@ -148,50 +198,55 @@ def _is_fair(net: Network, states: frozenset[int]) -> bool:
     edge-locally.  The empty-fire self-loop contributes stable(source).
     """
     needed = full_mask(net.n)
+    table = net.table
     covered = 0
     for mu in states:
-        covered |= stable_set(net, mu)
+        unstable = mu ^ table[mu]
+        covered |= needed & ~unstable
+        if unstable & ~covered:
+            for t in _targets(table, mu):
+                if t in states:
+                    covered |= mu ^ t
         if covered == needed:
             return True
-    for mu in states:
-        for nu, target in proper_successors(net, mu):
-            if target in states:
-                covered |= nu
-                if covered == needed:
-                    return True
-    return covered == needed
+    return False
 
 
-def _is_strongly_connected(net: Network, states: frozenset[int]) -> bool:
-    # singletons count via their empty-fire self-loop
-    if len(states) == 1:
-        return True
-    adjacency = _induced_adjacency(net, states)
-    return len(_tarjan_sccs(adjacency)) == 1
+def _is_fair_set(net: Network, states: frozenset[int]) -> bool:
+    # singletons are strongly connected via their empty-fire self-loop
+    if len(states) > 1 and len(_tarjan_sccs(_adjacency(net, states))) != 1:
+        return False
+    return _is_fair(net, states)
 
 
 def is_fair_set(net: Network, states: frozenset[int]) -> bool:
     """Strongly connected and fair: a candidate omega-limit set."""
     if not states:
         return False
-    return _is_strongly_connected(net, states) and _is_fair(net, states)
+    _check_states(net, states)
+    return _is_fair_set(net, states)
+
+
+def _fair_sccs(net: Network, domain=None) -> list[frozenset[int]]:
+    """fair_sccs on a validated domain."""
+    adjacency = _adjacency(net, net.states() if domain is None else domain)
+    result = [
+        scc
+        for scc in map(frozenset, _tarjan_sccs(adjacency))
+        if _is_fair(net, scc)
+    ]
+    result.sort(key=sorted)
+    return result
 
 
 def fair_sccs(net: Network, domain: frozenset[int] | None = None) -> list[frozenset[int]]:
     """The fair SCCs of the subgraph induced on `domain` (default: all states)."""
     _check_graph_cap(net)
-    if domain is None:
-        domain = frozenset(net.states())
-    if not domain:
-        raise ValueError("domain must be nonempty")
-    adjacency = _induced_adjacency(net, domain)
-    result = [
-        frozenset(scc)
-        for scc in _tarjan_sccs(adjacency)
-        if _is_fair(net, frozenset(scc))
-    ]
-    result.sort(key=lambda s: sorted(s))
-    return result
+    if domain is not None:
+        if not domain:
+            raise ValueError("domain must be nonempty")
+        _check_states(net, domain)
+    return _fair_sccs(net, domain)
 
 
 def is_p_invariant(net: Network, states: frozenset[int]) -> bool:
@@ -200,29 +255,16 @@ def is_p_invariant(net: Network, states: frozenset[int]) -> bool:
     Equivalent graph condition: every member reaches, by edges internal to
     the set, a fair SCC of the induced subgraph (a fair strongly connected
     subset is always contained in a fair SCC, so maximal SCCs suffice).
+    Each SCC is strongly connected inside the set, so one backward closure
+    from one member of each, within the set, decides it.
     """
     if not states:
         raise ValueError("invariance is defined for nonempty sets only")
-    fair = fair_sccs(net, states)
-    targets = set().union(*fair) if fair else set()
-    if not targets:
+    _check_states(net, states)
+    fair = _fair_sccs(net, states)
+    if not fair:
         return False
-    adjacency = _induced_adjacency(net, states)
-    for mu in states:
-        seen = {mu}
-        stack = [mu]
-        found = mu in targets
-        while stack and not found:
-            for target in adjacency[stack.pop()]:
-                if target in targets:
-                    found = True
-                    break
-                if target not in seen:
-                    seen.add(target)
-                    stack.append(target)
-        if not found:
-            return False
-    return True
+    return len(_backward_closure(net, [min(scc) for scc in fair], states)) == len(states)
 
 
 def fair_subsets(net: Network, scc: frozenset[int]) -> list[frozenset[int]]:
@@ -231,11 +273,12 @@ def fair_subsets(net: Network, scc: frozenset[int]) -> list[frozenset[int]]:
         raise CapExceededError(
             f"fair-subset enumeration capped at SCCs of {1 << SUBSET_CAP} states"
         )
+    _check_states(net, scc)
     members = sorted(scc)
     found = []
     for mask in range(1, 1 << len(members)):
         subset = frozenset(members[i] for i in range(len(members)) if mask & (1 << i))
-        if is_fair_set(net, subset):
+        if _is_fair_set(net, subset):
             found.append(subset)
     return found
 
@@ -249,26 +292,17 @@ def achievable_omegas_from(net: Network, mu: int) -> frozenset[frozenset[int]]:
             f"achievable-omega enumeration is capped at n={SUBSET_CAP}, got n={net.n}"
         )
     reach = reachable_set(net, mu)
-    adjacency = _induced_adjacency(net, reach)
     result: set[frozenset[int]] = set()
-    for scc in _tarjan_sccs(adjacency):
+    for scc in _tarjan_sccs(_adjacency(net, reach)):
         result.update(fair_subsets(net, frozenset(scc)))
     return frozenset(result)
 
 
 def reachable_fair_sccs(net: Network, mu: int) -> list[frozenset[int]]:
-    """Fair maximal SCCs of the full graph intersecting reachable_set(mu)."""
-    reach = reachable_set(net, mu)
-    adjacency = _induced_adjacency(net, reach)
-    # SCCs of the subgraph induced on a forward-closed set are SCCs of the
-    # full graph restricted to it
-    result = [
-        frozenset(scc)
-        for scc in _tarjan_sccs(adjacency)
-        if _is_fair(net, frozenset(scc))
-    ]
-    result.sort(key=lambda s: sorted(s))
-    return result
+    """Fair maximal SCCs of the full graph intersecting reachable_set(mu):
+    the SCCs of the subgraph induced on a forward-closed set are SCCs of
+    the full graph."""
+    return _fair_sccs(net, reachable_set(net, mu))
 
 
 def is_achievable_from(net: Network, target: frozenset[int], mu: int) -> bool:
