@@ -255,6 +255,7 @@ def orbit_basin_p(
 ) -> BasinResult:
     """States whose flow can be made to coincide pointwise with the given
     flow from some time on: the predecessors of its omega-limit set."""
+    graph._check_graph_cap(net)
     trace, _ = orbit_trace(net, mu, rho)
     seg_state, witness = _splicer(net.n, trace, rho)
     # omega is the periodic tail of one flow, so it is strongly connected
@@ -289,6 +290,7 @@ def omega_basin_p(
 def omega_basin_n(net: Network, mu: int, rho: Schedule) -> BasinResult:
     """States from which every fair schedule reproduces the given
     omega-limit set exactly."""
+    graph._check_graph_cap(net)
     omega = omega_limit(net, mu, rho)
     if len(omega) == 1 and is_fixed_point(net, next(iter(omega))):
         return basin_n(net, omega)

@@ -25,10 +25,8 @@ from .core import (
     GRAPH_CAP,
     SUBSET_CAP,
     Network,
-    apply_fire_set,
     check_state,
     full_mask,
-    unstable_set,
 )
 
 
@@ -52,16 +50,6 @@ def _check_states(net: Network, states: Iterable[int]) -> None:
         check_state(mu, net.n)
 
 
-def _subsets_of_mask(mask: int):
-    """All subsets of a bit mask, the empty set first."""
-    sub = 0
-    while True:
-        yield sub
-        if sub == mask:
-            return
-        sub = (sub - mask) & mask
-
-
 def _targets(table: tuple[int, ...], mu: int) -> list[int]:
     """Proper successors of a validated state: mu ^ nu for every nonempty
     nu inside the coordinates unstable at mu."""
@@ -81,13 +69,14 @@ def successors(net: Network, mu: int) -> list[tuple[int, int]]:
     to subsets of the unstable set; the empty subset is the self-loop that
     exists at every state.
     """
-    _check_graph_cap(net)
-    unstable = unstable_set(net, mu)
-    return [(nu, apply_fire_set(net, mu, nu)) for nu in _subsets_of_mask(unstable)]
+    return [(0, mu)] + proper_successors(net, mu)
 
 
 def proper_successors(net: Network, mu: int) -> list[tuple[int, int]]:
-    return [(nu, target) for nu, target in successors(net, mu) if nu]
+    _check_graph_cap(net)
+    check_state(mu, net.n)
+    # _targets lists fire sets in decreasing order; keep them increasing
+    return [(mu ^ t, t) for t in reversed(_targets(net.table, mu))]
 
 
 def _adjacency(net: Network, domain) -> dict[int, list[int]]:
@@ -241,10 +230,11 @@ def _fair_sccs(net: Network, domain=None) -> list[frozenset[int]]:
 
 def fair_sccs(net: Network, domain: frozenset[int] | None = None) -> list[frozenset[int]]:
     """The fair SCCs of the subgraph induced on `domain` (default: all states)."""
-    _check_graph_cap(net)
-    if domain is not None:
-        if not domain:
-            raise ValueError("domain must be nonempty")
+    if domain is None:
+        _check_graph_cap(net)
+    elif not domain:
+        raise ValueError("domain must be nonempty")
+    else:
         _check_states(net, domain)
     return _fair_sccs(net, domain)
 

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from asyncbool import (
+    CapExceededError,
     DimensionError,
     Network,
     attractivity_class,
@@ -192,3 +193,19 @@ def test_out_of_range_members_rejected(query, bad):
     net = Network(2, (3, 3, 2, 1))
     with pytest.raises(DimensionError):
         query(net, frozenset({0, bad}))
+
+
+# --- graph cap on flow queries ----------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "table",
+    [tuple(range(2048)), tuple(2047 ^ m for m in range(2048))],
+    ids=["identity", "negation"],
+)
+@pytest.mark.parametrize("query", [orbit_basin_p, omega_basin_n])
+def test_flow_basins_respect_graph_cap(query, table):
+    # the identity flow ends in a fixed point, the negation flow in a
+    # two-state cycle; both basins would walk all 2^11 states
+    with pytest.raises(CapExceededError):
+        query(Network(11, table), 0, synchronous(11))
