@@ -17,12 +17,12 @@ conditions alone and carry no witnesses.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from . import graph
 from .core import Network, all_states, apply_fire_set, full_mask, is_fixed_point, stable_set
-from .schedule import Schedule, omega_limit, orbit_trace
+from .schedule import Schedule, omega_limit, orbit_trace, restrict_after
 
 
 @dataclass(frozen=True)
@@ -154,7 +154,7 @@ def _walk_then_cycle(n: int, word: list[int], cycle, period: Fraction) -> Schedu
     return Schedule(n, prefix, cycle, period, Fraction(len(word)))
 
 
-def _splicer(n: int, trace, rho: Schedule):
+def _splicer(trace, rho: Schedule):
     """Where a witness joins the reference flow of `trace` under `rho`.
 
     Returns a state the reference flow holds during the first segment of
@@ -165,21 +165,13 @@ def _splicer(n: int, trace, rho: Schedule):
     """
     seg_state, seg_dwell = trace.loop[0]
     t2 = trace.loop_entry + seg_dwell / 2
-    # whole cycle occurrences after t2 become the new cycle, the cut
-    # occurrence joins the prefix
-    periods_past = (t2 - rho.cycle_start) // rho.period + 1
-    new_start = rho.cycle_start + periods_past * rho.period
-    tail = []
-    for time, fire in rho.events():
-        if time >= new_start:
-            break
-        if time > t2:
-            tail.append((time, fire))
-    tail = tuple(tail)
+    # t2 lies past the cycle start, so the cut occurrence joins the prefix
+    # and the whole occurrences after t2 stay the cycle
+    tail = restrict_after(rho, t2)
 
     def witness(word: list[int]) -> Schedule:
         prefix = tuple((t2 - len(word) + k, fire) for k, fire in enumerate(word))
-        return Schedule(n, prefix + tail, rho.cycle, rho.period, new_start)
+        return replace(tail, prefix=prefix + tail.prefix)
 
     return seg_state, witness
 
@@ -211,7 +203,7 @@ def witness_schedule(
     trace, _ = orbit_trace(net, ref_mu, ref_rho)
     if trace.loop_states != target:
         raise ValueError("align_to flow does not have the target as omega-limit set")
-    seg_state, witness = _splicer(net.n, trace, ref_rho)
+    seg_state, witness = _splicer(trace, ref_rho)
     word, _ = _bfs_path(net, mu_from, frozenset({seg_state}))
     return witness(word)
 
@@ -257,7 +249,7 @@ def orbit_basin_p(
     flow from some time on: the predecessors of its omega-limit set."""
     graph._check_graph_cap(net)
     trace, _ = orbit_trace(net, mu, rho)
-    seg_state, witness = _splicer(net.n, trace, rho)
+    seg_state, witness = _splicer(trace, rho)
     # omega is the periodic tail of one flow, so it is strongly connected
     # and its backward closure is that of the splice state; the BFS tree
     # toward that state gives every member its walk to the splice

@@ -10,9 +10,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .core import DimensionError, Network, format_bits, full_mask, parse_bits, unstable_set
-from .graph import CapExceededError, _check_graph_cap, proper_successors
-from .schedule import NotProgressiveError, Schedule, ScheduleError, is_progressive, missing_coordinates
+from .core import DimensionError, Network, format_bits, parse_bits, unstable_set
+from .graph import _check_graph_cap, proper_successors
+from .schedule import Schedule, ScheduleError, _require_progressive
 
 
 class ParseError(ValueError):
@@ -263,11 +263,9 @@ def parse_schedule(text: str, n: int) -> Schedule:
         raise ParseError("schedule needs a start")
     try:
         rho = Schedule(n, tuple(prefix), tuple(cycle), period, start)
-    except ScheduleError as exc:
+        _require_progressive(rho)
+    except ScheduleError as exc:  # NotProgressiveError included
         raise ParseError(str(exc)) from exc
-    if not is_progressive(rho):
-        missing = ", ".join(str(i) for i in missing_coordinates(rho))
-        raise ParseError(f"coordinate {missing} never fires")
     return rho
 
 

@@ -22,15 +22,7 @@ from typing import Iterator
 
 from . import basins as basins_mod
 from . import graph
-from .core import (
-    Network,
-    all_states,
-    apply_fire_set,
-    fixed_points,
-    format_bits,
-    full_mask,
-    is_fixed_point,
-)
+from .core import Network, apply_fire_set, fixed_points, format_bits, full_mask
 from .schedule import (
     Schedule,
     flow_at,
@@ -45,9 +37,11 @@ from .schedule import (
 
 @dataclass(frozen=True)
 class OracleBounds:
+    """Longest prefix word and longest cycle word the oracle enumerates;
+    fire sets range over all of B^n."""
+
     max_prefix_len: int
     max_cycle_len: int
-    fire_alphabet: tuple[int, ...] | None = None  # None: all of B^n
 
     def __post_init__(self):
         if self.max_cycle_len < 1:
@@ -55,15 +49,8 @@ class OracleBounds:
         if self.max_prefix_len < 0:
             raise ValueError("max_prefix_len must be nonnegative")
 
-    def alphabet(self, n: int) -> tuple[int, ...]:
-        if self.fire_alphabet is not None:
-            return self.fire_alphabet
-        return tuple(range(1 << n))
-
     def grown(self) -> "OracleBounds":
-        return OracleBounds(
-            self.max_prefix_len + 1, self.max_cycle_len + 1, self.fire_alphabet
-        )
+        return OracleBounds(self.max_prefix_len + 1, self.max_cycle_len + 1)
 
 
 def default_bounds(n: int) -> OracleBounds:
@@ -75,11 +62,10 @@ def default_bounds(n: int) -> OracleBounds:
 def _progressive_cycles(n: int, bounds: OracleBounds) -> list[tuple[int, ...]]:
     """All cycle words up to the bound whose fire sets jointly cover every
     coordinate."""
-    alphabet = bounds.alphabet(n)
     full = full_mask(n)
     cycles = []
     for q in range(1, bounds.max_cycle_len + 1):
-        for word in itertools.product(alphabet, repeat=q):
+        for word in itertools.product(range(1 << n), repeat=q):
             union = 0
             for fire in word:
                 union |= fire
@@ -93,9 +79,8 @@ def enumerate_schedules(n: int, bounds: OracleBounds) -> Iterator[Schedule]:
     offsets 0..q-1 with period q.  Anchoring the first event at 0 quotients
     away time translation."""
     cycles = _progressive_cycles(n, bounds)
-    alphabet = bounds.alphabet(n)
     for p in range(bounds.max_prefix_len + 1):
-        for prefix_word in itertools.product(alphabet, repeat=p):
+        for prefix_word in itertools.product(range(1 << n), repeat=p):
             prefix = tuple((Fraction(k), fire) for k, fire in enumerate(prefix_word))
             for cycle_word in cycles:
                 cycle = tuple(
@@ -134,13 +119,12 @@ def _prefix_outcomes(
 ) -> set[tuple[int, frozenset[int]]]:
     """Distinct (state, visited set) pairs after any prefix word within
     bounds; collapsing identical pairs is what keeps the sweep tractable."""
-    alphabet = bounds.alphabet(net.n)
     current: set[tuple[int, frozenset[int]]] = {(mu, frozenset({mu}))}
     outcomes = set(current)
     for _ in range(bounds.max_prefix_len):
         nxt = set()
         for state, visited in current:
-            for fire in alphabet:
+            for fire in range(1 << net.n):
                 s2 = apply_fire_set(net, state, fire)
                 nxt.add((s2, visited | {s2}))
         nxt -= outcomes
@@ -149,50 +133,29 @@ def _prefix_outcomes(
     return outcomes
 
 
-class _NetworkOracle:
-    """Per-network cache of bounded-enumeration results."""
-
-    def __init__(self, net: Network, bounds: OracleBounds):
-        self.net = net
-        self.bounds = bounds
-        self.cycles = _progressive_cycles(net.n, bounds)
-        self._loop: dict[tuple[int, tuple[int, ...]], tuple[frozenset[int], frozenset[int]]] = {}
-        self._omegas: dict[int, frozenset[frozenset[int]]] = {}
-        self._orbits: dict[int, frozenset[frozenset[int]]] = {}
-
-    def loop_result(self, state: int, cycle: tuple[int, ...]):
-        key = (state, cycle)
-        if key not in self._loop:
-            self._loop[key] = simulate_word_schedule(self.net, state, (), cycle)
-        return self._loop[key]
-
-    def runs(self, mu: int):
-        """All distinct (orbit, omega) pairs over bounded schedules from mu."""
-        seen = set()
-        for state, visited in _prefix_outcomes(self.net, mu, self.bounds):
-            for cycle in self.cycles:
-                loop_orbit, omega = self.loop_result(state, cycle)
-                pair = (visited | loop_orbit, omega)
-                if pair not in seen:
-                    seen.add(pair)
-                    yield pair
-
-    def achievable_omegas(self, mu: int) -> frozenset[frozenset[int]]:
-        if mu not in self._omegas:
-            found = set()
-            for state, _ in _prefix_outcomes(self.net, mu, self.bounds):
-                for cycle in self.cycles:
-                    found.add(self.loop_result(state, cycle)[1])
-            self._omegas[mu] = frozenset(found)
-        return self._omegas[mu]
-
-    def achievable_orbits(self, mu: int) -> frozenset[frozenset[int]]:
-        if mu not in self._orbits:
-            self._orbits[mu] = frozenset(orbit for orbit, _ in self.runs(mu))
-        return self._orbits[mu]
+def _word_runs(
+    net: Network, bounds: OracleBounds
+) -> dict[int, tuple[tuple[frozenset[int], frozenset[int]], ...]]:
+    """For every start state, the distinct (orbit, omega) pairs over all
+    bounded word schedules, in the order the enumeration meets them.  Each
+    (state, cycle word) loop is simulated once, whichever start state and
+    prefix reach it."""
+    cycles = _progressive_cycles(net.n, bounds)
+    loops: dict[tuple[int, tuple[int, ...]], tuple[frozenset[int], frozenset[int]]] = {}
+    runs = {}
+    for mu in net.states():
+        pairs = {}
+        for state, visited in _prefix_outcomes(net, mu, bounds):
+            for cycle in cycles:
+                if (state, cycle) not in loops:
+                    loops[state, cycle] = simulate_word_schedule(net, state, (), cycle)
+                loop_orbit, omega = loops[state, cycle]
+                pairs[visited | loop_orbit, omega] = None
+        runs[mu] = tuple(pairs)
+    return runs
 
 
-def _bounded_reach(net: Network, mu: int, depth: int, alphabet) -> set[int]:
+def _bounded_reach(net: Network, mu: int, depth: int) -> set[int]:
     """States reachable from mu by at most `depth` fire-set steps."""
     current = {mu}
     seen = {mu}
@@ -200,7 +163,7 @@ def _bounded_reach(net: Network, mu: int, depth: int, alphabet) -> set[int]:
         nxt = {
             apply_fire_set(net, s, fire)
             for s in current
-            for fire in alphabet
+            for fire in range(1 << net.n)
         } - seen
         if not nxt:
             break
@@ -251,14 +214,13 @@ def _anchored_omegas(net: Network, anchor: int, max_len: int) -> set[frozenset[i
 def _walk_omegas_all(
     net: Network, bounds: OracleBounds
 ) -> dict[int, frozenset[frozenset[int]]]:
-    alphabet = bounds.alphabet(net.n)
     per_anchor = {
         anchor: _anchored_omegas(net, anchor, bounds.max_cycle_len)
         for anchor in net.states()
     }
     results = {}
     for mu in net.states():
-        anchors = _bounded_reach(net, mu, bounds.max_prefix_len, alphabet)
+        anchors = _bounded_reach(net, mu, bounds.max_prefix_len)
         results[mu] = frozenset().union(
             *(frozenset(per_anchor[a]) for a in anchors)
         )
@@ -348,7 +310,11 @@ def _net_payload(net: Network, **extra) -> dict:
     return payload
 
 
-def _sample_sets(net: Network, max_sets: int | None, rng: random.Random):
+def _sample_sets(
+    net: Network, eq: frozenset[int], max_sets: int | None, rng: random.Random
+):
+    """Every nonempty state set, or at most `max_sets` of them: always the
+    full space, every singleton and the fixed-point set, then random ones."""
     universe = sorted(net.states())
     if max_sets is None:
         masks = range(1, 1 << len(universe))
@@ -358,7 +324,6 @@ def _sample_sets(net: Network, max_sets: int | None, rng: random.Random):
         ]
     chosen = {frozenset(universe)}
     chosen.update(frozenset({s}) for s in universe)
-    eq = fixed_points(net)
     if eq:
         chosen.add(eq)
     while len(chosen) < max_sets:
@@ -367,12 +332,13 @@ def _sample_sets(net: Network, max_sets: int | None, rng: random.Random):
     return sorted(chosen, key=lambda s: (len(s), sorted(s)))
 
 
-def _sample_schedules(net: Network, count: int, rng: random.Random) -> list[Schedule]:
-    """A few structurally varied fair schedules with rational times."""
+def _sample_schedules(net: Network, rng: random.Random) -> list[Schedule]:
+    """The synchronous schedule and two structurally varied fair schedules
+    with rational times."""
     n = net.n
     out = [synchronous(n)]
     alphabet = list(range(1 << n))
-    for _ in range(max(0, count - 1)):
+    for _ in range(2):
         plen = rng.randint(0, 3)
         qlen = rng.randint(1, 4)
         cycle_fires = [rng.choice(alphabet) for _ in range(qlen)]
@@ -399,7 +365,7 @@ def _check_run(
     orbit: frozenset[int],
     omega: frozenset[int],
     eq: frozenset[int],
-    graph_ach: frozenset[frozenset[int]] | None,
+    graph_ach: dict[int, frozenset[frozenset[int]]] | None,
     payload: dict,
 ) -> None:
     report.record("omega_nonempty", bool(omega), payload)
@@ -420,100 +386,54 @@ def _check_run(
     if mu in eq:
         report.record("fixed_point_orbit_is_singleton", orbit == {mu}, payload)
     if graph_ach is not None:
-        report.record("omega_is_graph_achievable", omega in graph_ach, payload)
+        report.record("omega_is_graph_achievable", omega in graph_ach[mu], payload)
 
 
-def verify_theorems(
-    net: Network,
-    bounds: OracleBounds,
-    *,
-    graph_only: bool = False,
-    max_sets: int | None = None,
-    schedule_samples: int = 3,
-    replay_witnesses: bool = True,
-    seed: int = 0,
-) -> VerificationReport:
-    """Check the invariance, omega-limit and basin theorems on one network.
+# sub-SCC enumeration is 2**|SCC| per SCC; past n=3 it dominates the whole
+# run, so the checks needing it are restricted to small nets
+_SUB_SCC_MAX_N = 3
 
-    Oracle-side checks enumerate bounded integer-time schedules; set-level
-    checks run over every nonempty state set unless `max_sets` caps them;
-    `graph_only` skips the schedule enumeration entirely (used at n=4).
-    Failures are data, not errors: each one lands in the report with a
-    replayable payload.
-    """
-    rng = random.Random(seed)
-    report = VerificationReport()
-    eq = fixed_points(net)
-    states = list(net.states())
-    # sub-SCC enumeration is 2**|SCC| per SCC; past n=3 it dominates the
-    # whole run, so the checks needing it are restricted to small nets
-    enumerate_sub_sccs = net.n <= 3
 
-    graph_ach = (
-        {mu: graph.achievable_omegas_from(net, mu) for mu in states}
-        if enumerate_sub_sccs
-        else None
+def _check_word_oracle(report, net, bounds, eq, graph_ach, runs, word_omegas):
+    """Every bounded word run obeys the omega laws, and the word omega sets
+    lie inside the anchored-walk oracle's and the graph's."""
+    for mu in net.states():
+        payload = _net_payload(net, mu=format_bits(mu, net.n))
+        for orbit, omega in runs[mu]:
+            _check_run(report, net, mu, orbit, omega, eq, graph_ach, payload)
+    # the walk oracle with both bounds inflated by 2**n * q dominates
+    # raw word enumeration: a loop spanning k occurrences of a
+    # length-q word is a closed walk of length k*q with k <= 2**n,
+    # anchored at a state up to that many steps past the prefix
+    inflation = (1 << net.n) * bounds.max_cycle_len
+    walk = _walk_omegas_all(
+        net, OracleBounds(bounds.max_prefix_len + inflation, inflation)
     )
-    reach = {mu: graph.reachable_set(net, mu) for mu in states}
-
-    # -- bounded schedule enumeration --------------------------------------
-    cache = None
-    if not graph_only:
-        cache = _NetworkOracle(net, bounds)
-        for mu in states:
-            for orbit, omega in cache.runs(mu):
-                _check_run(
-                    report,
-                    net,
-                    mu,
-                    orbit,
-                    omega,
-                    eq,
-                    graph_ach[mu] if graph_ach is not None else None,
-                    _net_payload(net, mu=format_bits(mu, net.n)),
-                )
-        # the walk oracle with both bounds inflated by 2**n * q dominates
-        # raw word enumeration: a loop spanning k occurrences of a
-        # length-q word is a closed walk of length k*q with k <= 2**n,
-        # anchored at a state up to that many steps past the prefix
-        inflation = (1 << net.n) * bounds.max_cycle_len
-        walk = _walk_omegas_all(
-            net,
-            OracleBounds(
-                bounds.max_prefix_len + inflation,
-                inflation,
-                bounds.fire_alphabet,
-            ),
+    for mu in net.states():
+        payload = _net_payload(net, mu=format_bits(mu, net.n))
+        report.record(
+            "word_omegas_within_walk_omegas", word_omegas[mu] <= walk[mu], payload
         )
-        for mu in states:
-            payload = _net_payload(net, mu=format_bits(mu, net.n))
+        if graph_ach is not None:
             report.record(
-                "word_omegas_within_walk_omegas",
-                cache.achievable_omegas(mu) <= walk[mu],
+                "oracle_omegas_within_graph_omegas",
+                word_omegas[mu] <= graph_ach[mu],
                 payload,
             )
-            if graph_ach is not None:
-                report.record(
-                    "oracle_omegas_within_graph_omegas",
-                    cache.achievable_omegas(mu) <= graph_ach[mu],
-                    payload,
-                )
-                report.record(
-                    "walk_omegas_within_graph_omegas",
-                    walk[mu] <= graph_ach[mu],
-                    payload,
-                )
-
-    # -- rational-time schedule laws ---------------------------------------
-    for rho in _sample_schedules(net, schedule_samples, rng):
-        for mu in states:
-            payload = _net_payload(net, mu=format_bits(mu, net.n), schedule=str(rho))
-            trace, orbit = orbit_trace(net, mu, rho)
-            omega = omega_limit(net, mu, rho)
-            _check_run(
-                report, net, mu, orbit, omega, eq,
-                graph_ach[mu] if graph_ach is not None else None, payload,
+            report.record(
+                "walk_omegas_within_graph_omegas", walk[mu] <= graph_ach[mu], payload
             )
+
+
+def _check_schedule_laws(report, net, eq, graph_ach, rng):
+    """Omega-limit, invariance, translation and restriction laws along
+    sampled rational-time schedules."""
+    for rho in _sample_schedules(net, rng):
+        for mu in net.states():
+            payload = _net_payload(net, mu=format_bits(mu, net.n), schedule=str(rho))
+            _, orbit = orbit_trace(net, mu, rho)
+            omega = omega_limit(net, mu, rho)
+            _check_run(report, net, mu, orbit, omega, eq, graph_ach, payload)
             report.record(
                 "orbit_is_p_invariant", graph.is_p_invariant(net, orbit), payload
             )
@@ -552,18 +472,21 @@ def verify_theorems(
                     payload,
                 )
 
-    # -- achievability and witness construction ----------------------------
+
+def _check_achievability(report, net, eq, graph_ach, reach):
+    """Every graph-achievable omega set is achievable and its witness
+    schedule replays to it; reachable and fixed-point sets are n-invariant."""
     if graph_ach is not None:
-        for mu in states:
+        for mu in net.states():
             payload = _net_payload(net, mu=format_bits(mu, net.n))
             report.record("achievable_omegas_nonempty", bool(graph_ach[mu]), payload)
             for target in graph_ach[mu]:
                 ok = graph.is_achievable_from(net, target, mu)
-                if ok and replay_witnesses:
+                if ok:
                     witness = basins_mod.witness_schedule(net, mu, target)
                     ok = omega_limit(net, mu, witness) == target
                 report.record("achievable_omega_witness_replays", ok, payload)
-    for mu in states:
+    for mu in net.states():
         payload = _net_payload(net, mu=format_bits(mu, net.n))
         report.record(
             "reachable_set_is_n_invariant",
@@ -583,15 +506,18 @@ def verify_theorems(
                 _net_payload(net, mu=format_bits(mu, net.n)),
             )
 
-    # -- set-quantified invariance and basin theorems ----------------------
-    subsets = _sample_sets(net, max_sets, rng)
-    info: dict[frozenset[int], tuple[bool, bool, frozenset[int], frozenset[int]]] = {}
-    for a in subsets:
+
+def _check_set_basins(report, net, eq, graph_ach, runs, word_omegas, max_sets, rng):
+    """Invariance and basin theorems over sampled state sets, with the
+    word oracle's basins bracketing the graph's."""
+    states = net.states()
+    basins: dict[frozenset[int], tuple[frozenset[int], frozenset[int]]] = {}
+    for a in _sample_sets(net, eq, max_sets, rng):
         p_inv = graph.is_p_invariant(net, a)
         n_inv = graph.is_n_invariant(net, a)
         w_p = basins_mod.basin_p(net, a, with_witnesses=False).members
         w_n = basins_mod.basin_n(net, a).members
-        info[a] = (p_inv, n_inv, w_p, w_n)
+        basins[a] = (w_p, w_n)
         payload = _net_payload(net, A=sorted(format_bits(s, net.n) for s in a))
         report.record(
             "single_step_closure_matches_n_invariance",
@@ -638,47 +564,40 @@ def verify_theorems(
                 ),
                 payload,
             )
-        if not graph_only and cache is not None:
+        if runs is not None:
             oracle_p = frozenset(
-                mu
-                for mu in states
-                if any(om <= a for om in cache.achievable_omegas(mu))
+                mu for mu in states if any(om <= a for om in word_omegas[mu])
             )
             oracle_n = frozenset(
-                mu
-                for mu in states
-                if all(om <= a for om in cache.achievable_omegas(mu))
+                mu for mu in states if all(om <= a for om in word_omegas[mu])
             )
             report.record("oracle_p_basin_subset_of_graph", oracle_p <= w_p, payload)
             report.record("oracle_n_basin_superset_of_graph", w_n <= oracle_n, payload)
             # oracle p-invariance: every member keeps some bounded orbit inside
-            oracle_p_inv = all(
-                any(orbit <= a for orbit in cache.achievable_orbits(mu)) for mu in a
-            )
+            oracle_p_inv = all(any(orbit <= a for orbit, _ in runs[mu]) for mu in a)
             report.record(
                 "oracle_p_invariance_subset_of_graph", (not oracle_p_inv) or p_inv, payload
             )
 
-    full = frozenset(net.states())
-    p_full = info[full][2] if full in info else basins_mod.basin_p(net, full, False).members
-    n_full = info[full][3] if full in info else basins_mod.basin_n(net, full).members
+    # the sample always holds the full space and every singleton
+    full = frozenset(states)
+    p_full, n_full = basins[full]
     report.record("full_space_p_basin_is_everything", p_full == full, _net_payload(net))
     report.record("full_space_n_basin_is_everything", n_full == full, _net_payload(net))
 
-    ordered = sorted(info, key=len)
+    ordered = sorted(basins, key=len)
     for i, a in enumerate(ordered):
         for b in ordered[i + 1 :]:
             if a <= b:
                 report.record(
                     "basin_monotonicity",
-                    info[a][2] <= info[b][2] and info[a][3] <= info[b][3],
+                    basins[a][0] <= basins[b][0] and basins[a][1] <= basins[b][1],
                     _net_payload(net),
                 )
 
     for mu in states:
         single = frozenset({mu})
-        w_p = info[single][2] if single in info else basins_mod.basin_p(net, single, False).members
-        w_n = info[single][3] if single in info else basins_mod.basin_n(net, single).members
+        w_p, w_n = basins[single]
         payload = _net_payload(net, mu=format_bits(mu, net.n))
         fixed = mu in eq
         report.record(
@@ -691,18 +610,22 @@ def verify_theorems(
                 "fixed_point_basin_chain", single <= w_n <= w_p, payload
             )
 
-    # -- orbit / omega basins ----------------------------------------------
-    for rho in _sample_schedules(net, schedule_samples, rng):
-        for mu in states:
+
+def _check_flow_basins(report, net, eq, rng):
+    """Orbit and omega basins of sampled flows against each other and
+    against the set basins of the orbit and the omega-limit set."""
+    for rho in _sample_schedules(net, rng):
+        for mu in net.states():
             payload = _net_payload(net, mu=format_bits(mu, net.n), schedule=str(rho))
             _, orbit = orbit_trace(net, mu, rho)
             omega = omega_limit(net, mu, rho)
             ob_p = basins_mod.orbit_basin_p(net, mu, rho, with_witnesses=False).members
             ob_n = basins_mod.orbit_basin_n(net, mu, rho).members
             om_p = basins_mod.omega_basin_p(net, mu, rho, with_witnesses=False).members
-            om_n_allowed = enumerate_sub_sccs
             om_n = (
-                basins_mod.omega_basin_n(net, mu, rho).members if om_n_allowed else None
+                basins_mod.omega_basin_n(net, mu, rho).members
+                if net.n <= _SUB_SCC_MAX_N
+                else None
             )
             report.record("orbit_p_basin_equals_omega_p_basin", ob_p == om_p, payload)
             report.record("orbit_inside_orbit_p_basin", orbit <= ob_p, payload)
@@ -767,4 +690,51 @@ def verify_theorems(
                     and ob_n == basins_mod.basin_n(net, frozenset({mu})).members,
                     payload,
                 )
+
+
+def verify_theorems(
+    net: Network,
+    bounds: OracleBounds,
+    *,
+    graph_only: bool = False,
+    max_sets: int | None = None,
+) -> VerificationReport:
+    """Check the invariance, omega-limit and basin theorems on one network.
+
+    Five check families run in order:
+
+    - word oracle: every bounded integer-time word schedule within `bounds`
+      (skipped under `graph_only`, meant for n=4 nets);
+    - schedule laws: omega, translation and restriction laws along three
+      sampled rational-time schedules;
+    - achievability: witness replay for every graph-achievable omega set,
+      and n-invariance of reachable and fixed-point sets;
+    - set basins: invariance and basin theorems over every nonempty state
+      set, or over `max_sets` sampled ones;
+    - flow basins: orbit and omega basins of three more sampled schedules.
+
+    Sampling draws from one generator seeded with 0, so a reported
+    counterexample replays exactly.  Failures are data, not errors: each
+    one lands in the report with a replayable payload.
+    """
+    rng = random.Random(0)
+    report = VerificationReport()
+    eq = fixed_points(net)
+    graph_ach = (
+        {mu: graph.achievable_omegas_from(net, mu) for mu in net.states()}
+        if net.n <= _SUB_SCC_MAX_N
+        else None
+    )
+    reach = {mu: graph.reachable_set(net, mu) for mu in net.states()}
+    runs = word_omegas = None
+    if not graph_only:
+        runs = _word_runs(net, bounds)
+        word_omegas = {
+            mu: frozenset(omega for _, omega in pairs) for mu, pairs in runs.items()
+        }
+        _check_word_oracle(report, net, bounds, eq, graph_ach, runs, word_omegas)
+    _check_schedule_laws(report, net, eq, graph_ach, rng)
+    _check_achievability(report, net, eq, graph_ach, reach)
+    _check_set_basins(report, net, eq, graph_ach, runs, word_omegas, max_sets, rng)
+    _check_flow_basins(report, net, eq, rng)
     return report

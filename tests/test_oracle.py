@@ -20,6 +20,16 @@ from asyncbool import (
 from asyncbool import basins as basins_mod
 from asyncbool.oracle import oracle_achievable_omegas_all
 
+# checks recorded only from the bounded word enumeration
+WORD_ORACLE_CHECKS = {
+    "word_omegas_within_walk_omegas",
+    "oracle_omegas_within_graph_omegas",
+    "walk_omegas_within_graph_omegas",
+    "oracle_p_basin_subset_of_graph",
+    "oracle_n_basin_superset_of_graph",
+    "oracle_p_invariance_subset_of_graph",
+}
+
 
 def test_bounds_validation():
     with pytest.raises(ValueError):
@@ -105,6 +115,72 @@ def test_verify_theorems_net1_clean(net1):
     assert "omega_nonempty" in report.checks
     assert "basin_monotonicity" in report.checks
     assert "orbit_p_basin_equals_omega_p_basin" in report.checks
+    assert WORD_ORACLE_CHECKS <= report.checks.keys()
+
+
+# pass counts of every check on net1 at OracleBounds(2, 3), frozen before
+# verify_theorems was split into check families: a dropped, duplicated or
+# resampled check changes them
+NET1_CHECK_PASSES = {
+    "achievable_omega_witness_replays": 5,
+    "achievable_omegas_nonempty": 4,
+    "basin_monotonicity": 50,
+    "constant_tail_n_basins_collapse": 3,
+    "fixed_point_basin_chain": 1,
+    "fixed_point_basins_all_coincide": 3,
+    "fixed_point_in_orbit_forces_constant_tail": 7,
+    "fixed_point_orbit_is_singleton": 4,
+    "fixed_point_set_is_n_invariant": 1,
+    "fixed_point_singleton_is_n_invariant": 1,
+    "flow_factors_through_restriction": 144,
+    "full_space_n_basin_is_everything": 1,
+    "full_space_p_basin_is_everything": 1,
+    "n_basin_inside_p_basin": 15,
+    "n_basin_matches_achievable_omegas": 15,
+    "n_invariant_implies_p_invariant": 15,
+    "n_invariant_set_inside_its_n_basin": 15,
+    "nonempty_n_basin_is_n_invariant": 15,
+    "nonempty_p_basin_is_p_invariant": 15,
+    "omega_cocycle": 48,
+    "omega_is_graph_achievable": 17,
+    "omega_is_p_invariant": 12,
+    "omega_n_basin_inside_set_basin_of_omega": 12,
+    "omega_n_basin_is_n_invariant": 12,
+    "omega_nonempty": 17,
+    "omega_p_basin_equals_set_basin_of_omega": 12,
+    "omega_subset_orbit": 17,
+    "oracle_n_basin_superset_of_graph": 15,
+    "oracle_omegas_within_graph_omegas": 4,
+    "oracle_p_basin_subset_of_graph": 15,
+    "oracle_p_invariance_subset_of_graph": 15,
+    "orbit_inside_orbit_p_basin": 12,
+    "orbit_is_p_invariant": 12,
+    "orbit_n_basin_inside_omega_n_basin": 12,
+    "orbit_n_basin_inside_set_basin_of_orbit": 12,
+    "orbit_n_basin_is_n_invariant": 3,
+    "orbit_n_basin_nonempty_iff_constant_tail": 12,
+    "orbit_p_basin_equals_omega_p_basin": 12,
+    "orbit_p_basin_equals_set_basin_of_orbit": 12,
+    "orbit_p_basin_is_p_invariant": 12,
+    "p_basin_matches_achievable_omegas": 15,
+    "p_invariant_set_inside_its_p_basin": 15,
+    "point_basin_nonempty_iff_fixed": 4,
+    "reachable_set_is_n_invariant": 4,
+    "restriction_is_progressive": 48,
+    "single_step_closure_matches_n_invariance": 15,
+    "singleton_omega_is_fixed_point": 7,
+    "translated_flow_matches_shifted_time": 48,
+    "translation_preserves_omega": 36,
+    "walk_omegas_within_graph_omegas": 4,
+    "word_omegas_within_walk_omegas": 4,
+}
+
+
+def test_verify_theorems_check_counts_are_pinned(net1):
+    report = verify_theorems(net1, OracleBounds(2, 3))
+    assert report.checks == {name: [p, 0] for name, p in NET1_CHECK_PASSES.items()}
+    assert len(report.checks) == 51
+    assert sum(p for p, _ in report.checks.values()) == 810
 
 
 def test_verify_detects_injected_mutation(net1, monkeypatch):
@@ -136,4 +212,12 @@ def test_graph_only_skips_enumeration():
     net = Network(4, tuple((i * 7 + 3) % 16 for i in range(16)))
     report = verify_theorems(net, OracleBounds(1, 2), graph_only=True, max_sets=10)
     assert report.ok, report.counterexamples[:3]
-    assert "omega_is_graph_achievable" not in report.checks or report.ok
+    assert not WORD_ORACLE_CHECKS & report.checks.keys()
+    # the same net without graph_only does run the word oracle
+    full = verify_theorems(net, OracleBounds(1, 2), max_sets=10)
+    assert {
+        "word_omegas_within_walk_omegas",
+        "oracle_p_basin_subset_of_graph",
+        "oracle_n_basin_superset_of_graph",
+        "oracle_p_invariance_subset_of_graph",
+    } <= full.checks.keys()
