@@ -90,46 +90,31 @@ def covering_walk(net: Network, target: frozenset[int], anchor: int) -> list[int
     graph._check_states(net, target)
     if anchor not in target:
         raise ValueError("anchor must lie in the target")
-    # coordinates stable somewhere in target are covered by co-firing
-    fired_somewhere = 0
-    for mu in target:
-        fired_somewhere |= stable_set(net, mu)
-    required_edges: list[tuple[int, int, int]] = []
-    needed = full_mask(net.n) & ~fired_somewhere
-    for mu in target:
-        if not needed:
-            break
-        for nxt in graph._targets(net.table, mu):
-            fire = mu ^ nxt
-            if nxt in target and fire & needed:
-                required_edges.append((mu, fire, nxt))
-                needed &= ~fire
-                if not needed:
-                    break
-    if needed:
+    edges = graph._fair_cover(net, target)
+    if edges is None:
         raise ValueError("target set is not fair")
+
+    def leg(start: int, goals) -> tuple[list[int], int]:
+        step = _bfs_path(net, start, frozenset(goals), domain=target)
+        if step is None:
+            raise ValueError("target set is not strongly connected")
+        return step
 
     word: list[int] = []
     current = anchor
     pending = set(target) - {anchor}
-    for mu, fire, nxt in required_edges:
-        step = _bfs_path(net, current, frozenset({mu}), domain=target)
-        assert step is not None
-        word.extend(step[0])
-        word.append(fire)
+    for mu, nxt in edges:
+        word.extend(leg(current, {mu})[0])
+        word.append(mu ^ nxt)
         current = nxt
         pending.discard(mu)
         pending.discard(nxt)
     while pending:
-        step = _bfs_path(net, current, frozenset(pending), domain=target)
-        assert step is not None
-        word.extend(step[0])
-        current = step[1]
+        step, current = leg(current, pending)
+        word.extend(step)
         pending.discard(current)
     if current != anchor:
-        step = _bfs_path(net, current, frozenset({anchor}), domain=target)
-        assert step is not None
-        word.extend(step[0])
+        word.extend(leg(current, {anchor})[0])
     return word
 
 

@@ -179,33 +179,38 @@ def _tarjan_sccs(adjacency: dict[int, list[int]]) -> list[list[int]]:
     return sccs
 
 
-def _is_fair(net: Network, states: frozenset[int]) -> bool:
-    """Every coordinate is coverable by an edge internal to `states`.
+def _fair_cover(net: Network, states: frozenset[int]) -> list[tuple[int, int]] | None:
+    """Internal edges (source, target) that between them fire every
+    coordinate unstable at every member of `states`, or None when no such
+    edges exist, i.e. when `states` is not fair.
 
-    Per-edge capability is fire | stable(source): a stable coordinate can
-    always be co-fired as a no-op, which is what makes fairness decidable
-    edge-locally.  The empty-fire self-loop contributes stable(source).
+    A coordinate stable at some member is covered there by co-firing it as
+    a no-op, which is what makes fairness decidable edge-locally.  Members
+    are scanned in iteration order and each member's targets in `_targets`
+    order, keeping only edges that fire a still-uncovered coordinate.
     """
-    needed = full_mask(net.n)
     table = net.table
-    covered = 0
+    needed = full_mask(net.n)
     for mu in states:
-        unstable = mu ^ table[mu]
-        covered |= needed & ~unstable
-        if unstable & ~covered:
-            for t in _targets(table, mu):
-                if t in states:
-                    covered |= mu ^ t
-        if covered == needed:
-            return True
-    return False
+        needed &= mu ^ table[mu]
+        if not needed:
+            return []
+    edges = []
+    for mu in states:
+        for t in _targets(table, mu):
+            if t in states and (mu ^ t) & needed:
+                edges.append((mu, t))
+                needed &= ~(mu ^ t)
+                if not needed:
+                    return edges
+    return None
 
 
 def _is_fair_set(net: Network, states: frozenset[int]) -> bool:
     # singletons are strongly connected via their empty-fire self-loop
     if len(states) > 1 and len(_tarjan_sccs(_adjacency(net, states))) != 1:
         return False
-    return _is_fair(net, states)
+    return _fair_cover(net, states) is not None
 
 
 def is_fair_set(net: Network, states: frozenset[int]) -> bool:
@@ -222,7 +227,7 @@ def _fair_sccs(net: Network, domain=None) -> list[frozenset[int]]:
     result = [
         scc
         for scc in map(frozenset, _tarjan_sccs(adjacency))
-        if _is_fair(net, scc)
+        if _fair_cover(net, scc) is not None
     ]
     result.sort(key=sorted)
     return result
@@ -299,6 +304,7 @@ def is_achievable_from(net: Network, target: frozenset[int], mu: int) -> bool:
     """True iff `target` is strongly connected, fair and reachable from mu."""
     if not target:
         raise ValueError("target must be nonempty")
+    check_state(mu, net.n)
     if not is_fair_set(net, target):
         return False
     return bool(reachable_set(net, mu) & target)

@@ -22,7 +22,7 @@ from typing import Iterator
 
 from . import basins as basins_mod
 from . import graph
-from .core import Network, apply_fire_set, fixed_points, format_bits, full_mask
+from .core import Network, apply_fire_set, check_state, fixed_points, format_bits, full_mask
 from .schedule import (
     Schedule,
     flow_at,
@@ -241,6 +241,7 @@ def oracle_achievable_omegas(
     staying enumerable at the lengths the limit actually needs; each
     reported set is still the replayable omega of one explicit schedule.
     """
+    check_state(mu, net.n)
     results, stabilized = oracle_achievable_omegas_all(net, bounds)
     return results[mu], stabilized[mu]
 
@@ -263,13 +264,20 @@ def oracle_basin(
         raise ValueError("mode must be 'p' or 'n'")
     if not attractor:
         raise ValueError("attractor must be nonempty")
-    omegas = _walk_omegas_all(net, bounds)
-    quantifier = any if mode == "p" else all
-    return frozenset(
-        mu
-        for mu in net.states()
-        if quantifier(om <= attractor for om in omegas[mu])
-    )
+    for mu in attractor:
+        check_state(mu, net.n)
+    p, n = _omega_basins(_walk_omegas_all(net, bounds), attractor)
+    return p if mode == "p" else n
+
+
+def _omega_basins(
+    omegas: dict[int, frozenset[frozenset[int]]], a: frozenset[int]
+) -> tuple[frozenset[int], frozenset[int]]:
+    """The p- and n-basins of `a` read off per-state omega families: the
+    states with some, respectively every, omega set inside `a`."""
+    p = frozenset(mu for mu, oms in omegas.items() if any(om <= a for om in oms))
+    n = frozenset(mu for mu, oms in omegas.items() if all(om <= a for om in oms))
+    return p, n
 
 
 # --- theorem verification -------------------------------------------------
@@ -295,13 +303,6 @@ class VerificationReport:
     @property
     def ok(self) -> bool:
         return self.total_failures == 0
-
-    def merge(self, other: "VerificationReport") -> None:
-        for name, (p, f) in other.checks.items():
-            entry = self.checks.setdefault(name, [0, 0])
-            entry[0] += p
-            entry[1] += f
-        self.counterexamples.extend(other.counterexamples)
 
 
 def _net_payload(net: Network, **extra) -> dict:
@@ -389,8 +390,9 @@ def _check_run(
         report.record("omega_is_graph_achievable", omega in graph_ach[mu], payload)
 
 
-# sub-SCC enumeration is 2**|SCC| per SCC; past n=3 it dominates the whole
-# run, so the checks needing it are restricted to small nets
+# the word oracle enumerates 2**n-letter words and sub-SCC enumeration is
+# 2**|SCC| per SCC; past n=3 either dominates the whole run, so every check
+# needing them is restricted to small nets
 _SUB_SCC_MAX_N = 3
 
 
@@ -414,15 +416,12 @@ def _check_word_oracle(report, net, bounds, eq, graph_ach, runs, word_omegas):
         report.record(
             "word_omegas_within_walk_omegas", word_omegas[mu] <= walk[mu], payload
         )
-        if graph_ach is not None:
-            report.record(
-                "oracle_omegas_within_graph_omegas",
-                word_omegas[mu] <= graph_ach[mu],
-                payload,
-            )
-            report.record(
-                "walk_omegas_within_graph_omegas", walk[mu] <= graph_ach[mu], payload
-            )
+        report.record(
+            "oracle_omegas_within_graph_omegas", word_omegas[mu] <= graph_ach[mu], payload
+        )
+        report.record(
+            "walk_omegas_within_graph_omegas", walk[mu] <= graph_ach[mu], payload
+        )
 
 
 def _check_schedule_laws(report, net, eq, graph_ach, rng):
@@ -431,8 +430,8 @@ def _check_schedule_laws(report, net, eq, graph_ach, rng):
     for rho in _sample_schedules(net, rng):
         for mu in net.states():
             payload = _net_payload(net, mu=format_bits(mu, net.n), schedule=str(rho))
-            _, orbit = orbit_trace(net, mu, rho)
-            omega = omega_limit(net, mu, rho)
+            trace, orbit = orbit_trace(net, mu, rho)
+            omega = trace.loop_states
             _check_run(report, net, mu, orbit, omega, eq, graph_ach, payload)
             report.record(
                 "orbit_is_p_invariant", graph.is_p_invariant(net, orbit), payload
@@ -548,29 +547,10 @@ def _check_set_basins(report, net, eq, graph_ach, runs, word_omegas, max_sets, r
             payload,
         )
         if graph_ach is not None:
-            report.record(
-                "p_basin_matches_achievable_omegas",
-                w_p
-                == frozenset(
-                    mu for mu in states if any(t <= a for t in graph_ach[mu])
-                ),
-                payload,
-            )
-            report.record(
-                "n_basin_matches_achievable_omegas",
-                w_n
-                == frozenset(
-                    mu for mu in states if all(t <= a for t in graph_ach[mu])
-                ),
-                payload,
-            )
-        if runs is not None:
-            oracle_p = frozenset(
-                mu for mu in states if any(om <= a for om in word_omegas[mu])
-            )
-            oracle_n = frozenset(
-                mu for mu in states if all(om <= a for om in word_omegas[mu])
-            )
+            ach_p, ach_n = _omega_basins(graph_ach, a)
+            report.record("p_basin_matches_achievable_omegas", w_p == ach_p, payload)
+            report.record("n_basin_matches_achievable_omegas", w_n == ach_n, payload)
+            oracle_p, oracle_n = _omega_basins(word_omegas, a)
             report.record("oracle_p_basin_subset_of_graph", oracle_p <= w_p, payload)
             report.record("oracle_n_basin_superset_of_graph", w_n <= oracle_n, payload)
             # oracle p-invariance: every member keeps some bounded orbit inside
@@ -617,8 +597,8 @@ def _check_flow_basins(report, net, eq, rng):
     for rho in _sample_schedules(net, rng):
         for mu in net.states():
             payload = _net_payload(net, mu=format_bits(mu, net.n), schedule=str(rho))
-            _, orbit = orbit_trace(net, mu, rho)
-            omega = omega_limit(net, mu, rho)
+            trace, orbit = orbit_trace(net, mu, rho)
+            omega = trace.loop_states
             ob_p = basins_mod.orbit_basin_p(net, mu, rho, with_witnesses=False).members
             ob_n = basins_mod.orbit_basin_n(net, mu, rho).members
             om_p = basins_mod.omega_basin_p(net, mu, rho, with_witnesses=False).members
@@ -693,18 +673,14 @@ def _check_flow_basins(report, net, eq, rng):
 
 
 def verify_theorems(
-    net: Network,
-    bounds: OracleBounds,
-    *,
-    graph_only: bool = False,
-    max_sets: int | None = None,
+    net: Network, bounds: OracleBounds, *, max_sets: int | None = None
 ) -> VerificationReport:
     """Check the invariance, omega-limit and basin theorems on one network.
 
     Five check families run in order:
 
-    - word oracle: every bounded integer-time word schedule within `bounds`
-      (skipped under `graph_only`, meant for n=4 nets);
+    - word oracle: every bounded integer-time word schedule within `bounds`,
+      against the anchored-walk oracle and the graph's achievable omega sets;
     - schedule laws: omega, translation and restriction laws along three
       sampled rational-time schedules;
     - achievability: witness replay for every graph-achievable omega set,
@@ -713,21 +689,19 @@ def verify_theorems(
       set, or over `max_sets` sampled ones;
     - flow basins: orbit and omega basins of three more sampled schedules.
 
-    Sampling draws from one generator seeded with 0, so a reported
-    counterexample replays exactly.  Failures are data, not errors: each
-    one lands in the report with a replayable payload.
+    The checks that enumerate words or fair sub-SCCs (the whole word-oracle
+    family, graph achievability, omega n-basins) run only for n <= 3; the
+    rest run at every n.  Sampling draws from one generator seeded with 0,
+    so a reported counterexample replays exactly.  Failures are data, not
+    errors: each one lands in the report with a replayable payload.
     """
     rng = random.Random(0)
     report = VerificationReport()
     eq = fixed_points(net)
-    graph_ach = (
-        {mu: graph.achievable_omegas_from(net, mu) for mu in net.states()}
-        if net.n <= _SUB_SCC_MAX_N
-        else None
-    )
     reach = {mu: graph.reachable_set(net, mu) for mu in net.states()}
-    runs = word_omegas = None
-    if not graph_only:
+    graph_ach = runs = word_omegas = None
+    if net.n <= _SUB_SCC_MAX_N:
+        graph_ach = {mu: graph.achievable_omegas_from(net, mu) for mu in net.states()}
         runs = _word_runs(net, bounds)
         word_omegas = {
             mu: frozenset(omega for _, omega in pairs) for mu, pairs in runs.items()

@@ -76,11 +76,6 @@ class Schedule:
                 yield (base + off, fire)
             m += 1
 
-    def first_event_time(self) -> Fraction:
-        if self.prefix:
-            return self.prefix[0][0]
-        return self.cycle_start + self.cycle[0][0]
-
 
 def synchronous(n: int) -> Schedule:
     """Fire every coordinate at t = 0, 1, 2, ..."""

@@ -124,9 +124,7 @@ def test_criterion_5_theorem_suite():
         failures += verify_theorems(net, OracleBounds(1, 3), max_sets=40).total_failures
     for _ in range(100):
         net = Network(4, tuple(rng.randrange(16) for _ in range(16)))
-        failures += verify_theorems(
-            net, OracleBounds(1, 4), graph_only=True, max_sets=25
-        ).total_failures
+        failures += verify_theorems(net, OracleBounds(1, 4), max_sets=25).total_failures
     elapsed = time.monotonic() - t0
     ok = failures == 0 and elapsed < 300.0
     _report(5, ok, f"{failures} failures, {elapsed:.1f}s")

@@ -87,6 +87,12 @@ def test_covering_walk_covers_target(net1):
     assert seen == target
 
 
+def test_covering_walk_rejects_target_not_strongly_connected(net1):
+    # {00, 10} is fair (10 is fixed), but nothing leads from 10 back to 00
+    with pytest.raises(ValueError, match="not strongly connected"):
+        covering_walk(net1, frozenset({0b00, 0b10}), 0b00)
+
+
 def test_witness_schedule_reaches_target(net1):
     rho = witness_schedule(net1, 0b00, frozenset({0b01, 0b11}))
     assert omega_limit(net1, 0b00, rho) == {0b01, 0b11}

@@ -2,6 +2,7 @@ import pytest
 
 from asyncbool import (
     CapExceededError,
+    DimensionError,
     Network,
     achievable_omegas_from,
     fair_sccs,
@@ -94,6 +95,12 @@ def test_achievable_omegas(net1):
     assert is_achievable_from(net1, frozenset({0b10}), 0b00)
     assert not is_achievable_from(net1, frozenset({0b10}), 0b11)
     assert not is_achievable_from(net1, frozenset({0b00}), 0b00)
+
+
+def test_is_achievable_from_rejects_out_of_range_start(net1):
+    # {01} is not fair, so the start state is checked before fairness
+    with pytest.raises(DimensionError):
+        is_achievable_from(net1, frozenset({0b01}), 9)
 
 
 def test_identity_network_everything_is_fair(id2):

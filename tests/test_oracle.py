@@ -3,6 +3,7 @@
 import pytest
 
 from asyncbool import (
+    DimensionError,
     Network,
     OracleBounds,
     achievable_omegas_from,
@@ -98,6 +99,14 @@ def test_oracle_basin_net1(net1):
         oracle_basin(net1, frozenset({0b10}), "x", bounds)
     with pytest.raises(ValueError):
         oracle_basin(net1, frozenset(), "p", bounds)
+
+
+def test_oracle_rejects_out_of_range_states(net1):
+    bounds = OracleBounds(1, 2)
+    with pytest.raises(DimensionError):
+        oracle_achievable_omegas(net1, 9, bounds)
+    with pytest.raises(DimensionError):
+        oracle_basin(net1, frozenset({7}), "p", bounds)
 
 
 def test_oracle_basin_matches_basins_module(net1):
@@ -199,25 +208,11 @@ def test_verify_detects_injected_mutation(net1, monkeypatch):
     assert "check" in bad and "table" in bad
 
 
-def test_report_merge(net1):
-    a = verify_theorems(net1, OracleBounds(1, 2))
-    b = verify_theorems(net1, OracleBounds(1, 2))
-    total = a.total_failures + b.total_failures
-    a.merge(b)
-    assert a.total_failures == total
-    assert a.checks["omega_nonempty"][0] == 2 * b.checks["omega_nonempty"][0]
-
-
-def test_graph_only_skips_enumeration():
+def test_word_oracle_skipped_above_n3():
+    # the n=2 net of test_verify_theorems_net1_clean records every
+    # word-oracle check; an n=4 net records none, and the rest still run
     net = Network(4, tuple((i * 7 + 3) % 16 for i in range(16)))
-    report = verify_theorems(net, OracleBounds(1, 2), graph_only=True, max_sets=10)
+    report = verify_theorems(net, OracleBounds(1, 2), max_sets=10)
     assert report.ok, report.counterexamples[:3]
     assert not WORD_ORACLE_CHECKS & report.checks.keys()
-    # the same net without graph_only does run the word oracle
-    full = verify_theorems(net, OracleBounds(1, 2), max_sets=10)
-    assert {
-        "word_omegas_within_walk_omegas",
-        "oracle_p_basin_subset_of_graph",
-        "oracle_n_basin_superset_of_graph",
-        "oracle_p_invariance_subset_of_graph",
-    } <= full.checks.keys()
+    assert {"omega_nonempty", "basin_monotonicity"} <= report.checks.keys()
