@@ -92,10 +92,12 @@ def apply_fire_set(net: Network, mu: int, nu: int) -> int:
 
 def iterate_word(net: Network, mu: int, word: Sequence[int]) -> int:
     """Left fold of apply_fire_set; the empty word is the identity."""
-    state = mu
     check_state(mu, net.n)
+    table = net.table
+    state = mu
     for nu in word:
-        state = apply_fire_set(net, state, nu)
+        check_state(nu, net.n, "fire set")
+        state = (state & ~nu) | (table[state] & nu)
     return state
 
 

@@ -94,24 +94,22 @@ def simulate_word_schedule(
 ) -> tuple[frozenset[int], frozenset[int]]:
     """(orbit, omega) of the discrete run: fold the prefix, then repeat the
     cycle until the state at a cycle boundary repeats."""
+    check_state(mu, net.n)
+    for fire in itertools.chain(prefix_word, cycle_word):
+        check_state(fire, net.n, "fire set")
+    table = net.table
     state = mu
-    orbit = {mu}
+    trail = [mu]  # the state after every step, in order
     for fire in prefix_word:
-        state = apply_fire_set(net, state, fire)
-        orbit.add(state)
-    seen: dict[int, int] = {}
-    visits: list[list[int]] = []
+        state = (state & ~fire) | (table[state] & fire)
+        trail.append(state)
+    seen: dict[int, int] = {}  # cycle-boundary state -> its index in trail
     while state not in seen:
-        seen[state] = len(visits)
-        occ = []
+        seen[state] = len(trail)
         for fire in cycle_word:
-            state = apply_fire_set(net, state, fire)
-            occ.append(state)
-            orbit.add(state)
-        visits.append(occ)
-    m1 = seen[state]
-    omega = frozenset(itertools.chain.from_iterable(visits[m1:]))
-    return frozenset(orbit), omega
+            state = (state & ~fire) | (table[state] & fire)
+            trail.append(state)
+    return frozenset(trail), frozenset(trail[seen[state] :])
 
 
 def _prefix_outcomes(
@@ -119,13 +117,15 @@ def _prefix_outcomes(
 ) -> set[tuple[int, frozenset[int]]]:
     """Distinct (state, visited set) pairs after any prefix word within
     bounds; collapsing identical pairs is what keeps the sweep tractable."""
+    table = net.table
     current: set[tuple[int, frozenset[int]]] = {(mu, frozenset({mu}))}
     outcomes = set(current)
     for _ in range(bounds.max_prefix_len):
         nxt = set()
         for state, visited in current:
+            image = table[state]
             for fire in range(1 << net.n):
-                s2 = apply_fire_set(net, state, fire)
+                s2 = (state & ~fire) | (image & fire)
                 nxt.add((s2, visited | {s2}))
         nxt -= outcomes
         outcomes |= nxt
@@ -139,17 +139,22 @@ def _word_runs(
     """For every start state, the distinct (orbit, omega) pairs over all
     bounded word schedules, in the order the enumeration meets them.  Each
     (state, cycle word) loop is simulated once, whichever start state and
-    prefix reach it."""
+    prefix reach it, and each prefix outcome is crossed only with the
+    distinct loop results of its state, kept in first-seen order, so the
+    pairs arrive in the same order as over every cycle word."""
     cycles = _progressive_cycles(net.n, bounds)
-    loops: dict[tuple[int, tuple[int, ...]], tuple[frozenset[int], frozenset[int]]] = {}
+    loops: dict[int, tuple[tuple[frozenset[int], frozenset[int]], ...]] = {}
     runs = {}
     for mu in net.states():
         pairs = {}
         for state, visited in _prefix_outcomes(net, mu, bounds):
-            for cycle in cycles:
-                if (state, cycle) not in loops:
-                    loops[state, cycle] = simulate_word_schedule(net, state, (), cycle)
-                loop_orbit, omega = loops[state, cycle]
+            if state not in loops:
+                loops[state] = tuple(
+                    dict.fromkeys(
+                        simulate_word_schedule(net, state, (), cycle) for cycle in cycles
+                    )
+                )
+            for loop_orbit, omega in loops[state]:
                 pairs[visited | loop_orbit, omega] = None
         runs[mu] = tuple(pairs)
     return runs
@@ -157,11 +162,12 @@ def _word_runs(
 
 def _bounded_reach(net: Network, mu: int, depth: int) -> set[int]:
     """States reachable from mu by at most `depth` fire-set steps."""
+    table = net.table
     current = {mu}
     seen = {mu}
     for _ in range(depth):
         nxt = {
-            apply_fire_set(net, s, fire)
+            (s & ~fire) | (table[s] & fire)
             for s in current
             for fire in range(1 << net.n)
         } - seen
@@ -197,7 +203,7 @@ def _anchored_omegas(net: Network, anchor: int, max_len: int) -> set[frozenset[i
             stable = full & ~unstable
             lam = 0
             while True:
-                s2 = apply_fire_set(net, state, lam)
+                s2 = state ^ lam  # lam fires unstable coordinates only: they flip
                 node = (s2, visited | {s2}, coverage | lam | stable)
                 if node not in seen:
                     seen.add(node)
@@ -305,12 +311,6 @@ class VerificationReport:
         return self.total_failures == 0
 
 
-def _net_payload(net: Network, **extra) -> dict:
-    payload = {"n": net.n, "table": [format_bits(r, net.n) for r in net.table]}
-    payload.update(extra)
-    return payload
-
-
 def _sample_sets(
     net: Network, eq: frozenset[int], max_sets: int | None, rng: random.Random
 ):
@@ -396,11 +396,11 @@ def _check_run(
 _SUB_SCC_MAX_N = 3
 
 
-def _check_word_oracle(report, net, bounds, eq, graph_ach, runs, word_omegas):
+def _check_word_oracle(report, net, base, bounds, eq, graph_ach, runs, word_omegas):
     """Every bounded word run obeys the omega laws, and the word omega sets
     lie inside the anchored-walk oracle's and the graph's."""
     for mu in net.states():
-        payload = _net_payload(net, mu=format_bits(mu, net.n))
+        payload = {**base, "mu": format_bits(mu, net.n)}
         for orbit, omega in runs[mu]:
             _check_run(report, net, mu, orbit, omega, eq, graph_ach, payload)
     # the walk oracle with both bounds inflated by 2**n * q dominates
@@ -412,7 +412,7 @@ def _check_word_oracle(report, net, bounds, eq, graph_ach, runs, word_omegas):
         net, OracleBounds(bounds.max_prefix_len + inflation, inflation)
     )
     for mu in net.states():
-        payload = _net_payload(net, mu=format_bits(mu, net.n))
+        payload = {**base, "mu": format_bits(mu, net.n)}
         report.record(
             "word_omegas_within_walk_omegas", word_omegas[mu] <= walk[mu], payload
         )
@@ -424,12 +424,13 @@ def _check_word_oracle(report, net, bounds, eq, graph_ach, runs, word_omegas):
         )
 
 
-def _check_schedule_laws(report, net, eq, graph_ach, rng):
+def _check_schedule_laws(report, net, base, eq, graph_ach, rng):
     """Omega-limit, invariance, translation and restriction laws along
     sampled rational-time schedules."""
     for rho in _sample_schedules(net, rng):
+        schedule = str(rho)
         for mu in net.states():
-            payload = _net_payload(net, mu=format_bits(mu, net.n), schedule=str(rho))
+            payload = {**base, "mu": format_bits(mu, net.n), "schedule": schedule}
             trace, orbit = orbit_trace(net, mu, rho)
             omega = trace.loop_states
             _check_run(report, net, mu, orbit, omega, eq, graph_ach, payload)
@@ -472,21 +473,25 @@ def _check_schedule_laws(report, net, eq, graph_ach, rng):
                 )
 
 
-def _check_achievability(report, net, eq, graph_ach, reach):
+def _check_achievability(report, net, base, eq, graph_ach, reach):
     """Every graph-achievable omega set is achievable and its witness
     schedule replays to it; reachable and fixed-point sets are n-invariant."""
     if graph_ach is not None:
         for mu in net.states():
-            payload = _net_payload(net, mu=format_bits(mu, net.n))
+            payload = {**base, "mu": format_bits(mu, net.n)}
             report.record("achievable_omegas_nonempty", bool(graph_ach[mu]), payload)
             for target in graph_ach[mu]:
-                ok = graph.is_achievable_from(net, target, mu)
-                if ok:
+                # witness_schedule tests achievability itself and raises
+                # ValueError when the target is not achievable from mu
+                try:
                     witness = basins_mod.witness_schedule(net, mu, target)
+                except ValueError:
+                    ok = False
+                else:
                     ok = omega_limit(net, mu, witness) == target
                 report.record("achievable_omega_witness_replays", ok, payload)
     for mu in net.states():
-        payload = _net_payload(net, mu=format_bits(mu, net.n))
+        payload = {**base, "mu": format_bits(mu, net.n)}
         report.record(
             "reachable_set_is_n_invariant",
             graph.is_n_invariant(net, reach[mu]),
@@ -496,17 +501,17 @@ def _check_achievability(report, net, eq, graph_ach, reach):
         report.record(
             "fixed_point_set_is_n_invariant",
             graph.is_n_invariant(net, eq),
-            _net_payload(net),
+            base,
         )
         for mu in eq:
             report.record(
                 "fixed_point_singleton_is_n_invariant",
                 graph.is_n_invariant(net, frozenset({mu})),
-                _net_payload(net, mu=format_bits(mu, net.n)),
+                {**base, "mu": format_bits(mu, net.n)},
             )
 
 
-def _check_set_basins(report, net, eq, graph_ach, runs, word_omegas, max_sets, rng):
+def _check_set_basins(report, net, base, eq, graph_ach, runs, word_omegas, max_sets, rng):
     """Invariance and basin theorems over sampled state sets, with the
     word oracle's basins bracketing the graph's."""
     states = net.states()
@@ -517,7 +522,7 @@ def _check_set_basins(report, net, eq, graph_ach, runs, word_omegas, max_sets, r
         w_p = basins_mod.basin_p(net, a, with_witnesses=False).members
         w_n = basins_mod.basin_n(net, a).members
         basins[a] = (w_p, w_n)
-        payload = _net_payload(net, A=sorted(format_bits(s, net.n) for s in a))
+        payload = {**base, "A": sorted(format_bits(s, net.n) for s in a)}
         report.record(
             "single_step_closure_matches_n_invariance",
             n_inv
@@ -562,8 +567,8 @@ def _check_set_basins(report, net, eq, graph_ach, runs, word_omegas, max_sets, r
     # the sample always holds the full space and every singleton
     full = frozenset(states)
     p_full, n_full = basins[full]
-    report.record("full_space_p_basin_is_everything", p_full == full, _net_payload(net))
-    report.record("full_space_n_basin_is_everything", n_full == full, _net_payload(net))
+    report.record("full_space_p_basin_is_everything", p_full == full, base)
+    report.record("full_space_n_basin_is_everything", n_full == full, base)
 
     ordered = sorted(basins, key=len)
     for i, a in enumerate(ordered):
@@ -572,13 +577,13 @@ def _check_set_basins(report, net, eq, graph_ach, runs, word_omegas, max_sets, r
                 report.record(
                     "basin_monotonicity",
                     basins[a][0] <= basins[b][0] and basins[a][1] <= basins[b][1],
-                    _net_payload(net),
+                    base,
                 )
 
     for mu in states:
         single = frozenset({mu})
         w_p, w_n = basins[single]
-        payload = _net_payload(net, mu=format_bits(mu, net.n))
+        payload = {**base, "mu": format_bits(mu, net.n)}
         fixed = mu in eq
         report.record(
             "point_basin_nonempty_iff_fixed",
@@ -591,12 +596,13 @@ def _check_set_basins(report, net, eq, graph_ach, runs, word_omegas, max_sets, r
             )
 
 
-def _check_flow_basins(report, net, eq, rng):
+def _check_flow_basins(report, net, base, eq, rng):
     """Orbit and omega basins of sampled flows against each other and
     against the set basins of the orbit and the omega-limit set."""
     for rho in _sample_schedules(net, rng):
+        schedule = str(rho)
         for mu in net.states():
-            payload = _net_payload(net, mu=format_bits(mu, net.n), schedule=str(rho))
+            payload = {**base, "mu": format_bits(mu, net.n), "schedule": schedule}
             trace, orbit = orbit_trace(net, mu, rho)
             omega = trace.loop_states
             ob_p = basins_mod.orbit_basin_p(net, mu, rho, with_witnesses=False).members
@@ -697,6 +703,9 @@ def verify_theorems(
     """
     rng = random.Random(0)
     report = VerificationReport()
+    # every counterexample payload starts with the net; it is formatted
+    # once here, although only failing checks ever read it
+    base = {"n": net.n, "table": [format_bits(r, net.n) for r in net.table]}
     eq = fixed_points(net)
     reach = {mu: graph.reachable_set(net, mu) for mu in net.states()}
     graph_ach = runs = word_omegas = None
@@ -706,9 +715,9 @@ def verify_theorems(
         word_omegas = {
             mu: frozenset(omega for _, omega in pairs) for mu, pairs in runs.items()
         }
-        _check_word_oracle(report, net, bounds, eq, graph_ach, runs, word_omegas)
-    _check_schedule_laws(report, net, eq, graph_ach, rng)
-    _check_achievability(report, net, eq, graph_ach, reach)
-    _check_set_basins(report, net, eq, graph_ach, runs, word_omegas, max_sets, rng)
-    _check_flow_basins(report, net, eq, rng)
+        _check_word_oracle(report, net, base, bounds, eq, graph_ach, runs, word_omegas)
+    _check_schedule_laws(report, net, base, eq, graph_ach, rng)
+    _check_achievability(report, net, base, eq, graph_ach, reach)
+    _check_set_basins(report, net, base, eq, graph_ach, runs, word_omegas, max_sets, rng)
+    _check_flow_basins(report, net, base, eq, rng)
     return report

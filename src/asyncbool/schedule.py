@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
-from .core import Network, apply_fire_set, check_state, full_mask
+from .core import Network, check_state, full_mask
 
 
 class ScheduleError(ValueError):
@@ -103,16 +103,50 @@ def _require_progressive(rho: Schedule) -> None:
         raise NotProgressiveError(f"coordinate {missing} never fires")
 
 
-def flow_at(net: Network, mu: int, rho: Schedule, t: Fraction) -> int:
-    """Value of the flow at time t: mu before the first event, then the
-    fold of every fire set placed at a time <= t."""
+def _check_entry(net: Network, mu: int, rho: Schedule) -> None:
+    """Validate a flow's inputs once, before the integer fold steps it
+    with the truth table: every fire set must fit the network, not only
+    the schedule's own dimension."""
     _require_progressive(rho)
     check_state(mu, net.n)
+    for _, fire in rho.prefix + rho.cycle:
+        check_state(fire, net.n, "fire set")
+
+
+def flow_at(net: Network, mu: int, rho: Schedule, t: Fraction) -> int:
+    """Value of the flow at time t: mu before the first event, then the
+    fold of every fire set placed at a time <= t.
+
+    Whole cycle occurrences are folded without their times; once the
+    state at an occurrence start repeats, the remaining whole occurrences
+    are jumped in one step, so the cost is bounded by 2**n occurrences
+    whatever t is."""
+    _check_entry(net, mu, rho)
+    table = net.table
     state = mu
-    for time, fire in rho.events():
+    for time, fire in rho.prefix:
         if time > t:
+            return state
+        state = (state & ~fire) | (table[state] & fire)
+    if t < rho.cycle_start:
+        return state
+    whole, rem = divmod(t - rho.cycle_start, rho.period)
+    # starts maps the state just before occurrence k to k; once a state
+    # repeats the sequence is periodic, so occurrence `whole` starts at a
+    # known state
+    starts: dict[int, int] = {}
+    while len(starts) < whole:
+        if state in starts:
+            m0 = starts[state]
+            state = list(starts)[m0 + int(whole - m0) % (len(starts) - m0)]
             break
-        state = apply_fire_set(net, state, fire)
+        starts[state] = len(starts)
+        for _, fire in rho.cycle:
+            state = (state & ~fire) | (table[state] & fire)
+    for off, fire in rho.cycle:
+        if off > rem:
+            break
+        state = (state & ~fire) | (table[state] & fire)
     return state
 
 
@@ -159,13 +193,13 @@ def orbit_trace(net: Network, mu: int, rho: Schedule) -> tuple[OrbitTrace, froze
     future, so at most 2**n occurrences are simulated.  Returns the trace
     and the orbit, i.e. the set of every value the flow takes.
     """
-    _require_progressive(rho)
-    check_state(mu, net.n)
+    _check_entry(net, mu, rho)
+    table = net.table
     state = mu
     orbit = {mu}
     changes: list[tuple[Fraction, int]] = []
     for t, fire in rho.prefix:
-        new = apply_fire_set(net, state, fire)
+        new = (state & ~fire) | (table[state] & fire)
         if new != state:
             changes.append((t, new))
             state = new
@@ -177,11 +211,13 @@ def orbit_trace(net: Network, mu: int, rho: Schedule) -> tuple[OrbitTrace, froze
     m = 0
     while state not in seen:
         seen[state] = m
-        base = rho.cycle_start + m * rho.period
+        base = None  # the occurrence's start time, built at its first change
         occ_changes: list[tuple[Fraction, int]] = []
         for off, fire in rho.cycle:
-            new = apply_fire_set(net, state, fire)
+            new = (state & ~fire) | (table[state] & fire)
             if new != state:
+                if base is None:
+                    base = rho.cycle_start + m * rho.period
                 occ_changes.append((base + off, new))
                 state = new
                 orbit.add(new)
