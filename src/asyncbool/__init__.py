@@ -51,7 +51,6 @@ from .graph import (
     is_n_invariant,
     is_p_invariant,
     proper_successors,
-    reachable_fair_sccs,
     reachable_set,
     successors,
 )

@@ -263,7 +263,7 @@ def parse_schedule(text: str, n: int) -> Schedule:
         raise ParseError("schedule needs a start")
     try:
         rho = Schedule(n, tuple(prefix), tuple(cycle), period, start)
-        _require_progressive(rho)
+        _require_progressive(rho, n)
     except ScheduleError as exc:  # NotProgressiveError included
         raise ParseError(str(exc)) from exc
     return rho

@@ -293,13 +293,6 @@ def achievable_omegas_from(net: Network, mu: int) -> frozenset[frozenset[int]]:
     return frozenset(result)
 
 
-def reachable_fair_sccs(net: Network, mu: int) -> list[frozenset[int]]:
-    """Fair maximal SCCs of the full graph intersecting reachable_set(mu):
-    the SCCs of the subgraph induced on a forward-closed set are SCCs of
-    the full graph."""
-    return _fair_sccs(net, reachable_set(net, mu))
-
-
 def is_achievable_from(net: Network, target: frozenset[int], mu: int) -> bool:
     """True iff `target` is strongly connected, fair and reachable from mu."""
     if not target:

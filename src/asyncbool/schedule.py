@@ -7,8 +7,9 @@ progressive timed sequences; since the state space is finite, every
 achievable omega-limit set is realized by some member of it (validated
 empirically by the oracle module against bounded enumeration).
 
-Times are exact rationals throughout; flows are right-continuous
-piecewise-constant functions of real time.
+Flows are right-continuous piecewise-constant functions of real time.
+Schedule times are exact rationals, but each flow is one integer fold over
+the truth table (`_run`); only `orbit_trace` puts times on it, at changes.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
-from .core import Network, check_state, full_mask
+from .core import DimensionError, Network, check_state, full_mask
 
 
 class ScheduleError(ValueError):
@@ -82,72 +83,82 @@ def synchronous(n: int) -> Schedule:
     return Schedule(n, (), ((Fraction(0), full_mask(n)),), Fraction(1), Fraction(0))
 
 
-def is_progressive(rho: Schedule) -> bool:
+def _missing(rho: Schedule, n: int) -> list[int]:
+    """1-based coordinates of an n-coordinate network the cycle never fires."""
     union = 0
     for _, fire in rho.cycle:
         union |= fire
-    return union == full_mask(rho.n)
+    return [i + 1 for i in range(n) if not union & (1 << (n - 1 - i))]
+
+
+def is_progressive(rho: Schedule) -> bool:
+    return not _missing(rho, rho.n)
 
 
 def missing_coordinates(rho: Schedule) -> list[int]:
     """1-based coordinates never fired in the cycle."""
-    union = 0
-    for _, fire in rho.cycle:
-        union |= fire
-    return [i + 1 for i in range(rho.n) if not union & (1 << (rho.n - 1 - i))]
+    return _missing(rho, rho.n)
 
 
-def _require_progressive(rho: Schedule) -> None:
-    if not is_progressive(rho):
-        missing = ", ".join(str(i) for i in missing_coordinates(rho))
-        raise NotProgressiveError(f"coordinate {missing} never fires")
+def _require_progressive(rho: Schedule, n: int) -> None:
+    """Refuse a schedule that leaves some coordinate of an n-coordinate
+    network unfired."""
+    missing = _missing(rho, n)
+    if missing:
+        raise NotProgressiveError(f"coordinate {', '.join(map(str, missing))} never fires")
 
 
-def _check_entry(net: Network, mu: int, rho: Schedule) -> None:
-    """Validate a flow's inputs once, before the integer fold steps it
-    with the truth table: every fire set must fit the network, not only
-    the schedule's own dimension."""
-    _require_progressive(rho)
+def _run(
+    net: Network, mu: int, rho: Schedule, stop: float = math.inf
+) -> tuple[list[int], int | None]:
+    """Fold the flow's fire sets in event order over the truth table.
+
+    values[k] is the value after the first k events (values[0] == mu).  The
+    fold runs through the prefix and then whole cycle occurrences until the
+    value at an occurrence start repeats: from index `tail` on, the values
+    repeat every len(values) - 1 - tail events.  It also ends at the first
+    occurrence end with `stop` or more events folded, `tail` then being
+    None unless a repeat came first.  A schedule no wider than the network has fire sets that fit it
+    (Schedule checks them against its own n); it must still fire every
+    coordinate of the network.
+    """
+    if rho.n > net.n:
+        raise DimensionError(f"schedule of n={rho.n} does not fit a network of n={net.n}")
     check_state(mu, net.n)
-    for _, fire in rho.prefix + rho.cycle:
-        check_state(fire, net.n, "fire set")
+    _require_progressive(rho, net.n)
+    table = net.table
+    state = mu
+    values = [mu]
+    for _, fire in rho.prefix:
+        state = (state & ~fire) | (table[state] & fire)
+        values.append(state)
+    starts: dict[int, int] = {}
+    while state not in starts and len(values) <= stop:
+        starts[state] = len(values) - 1
+        for _, fire in rho.cycle:
+            state = (state & ~fire) | (table[state] & fire)
+            values.append(state)
+    return values, starts.get(state)
 
 
 def flow_at(net: Network, mu: int, rho: Schedule, t: Fraction) -> int:
     """Value of the flow at time t: mu before the first event, then the
     fold of every fire set placed at a time <= t.
 
-    Whole cycle occurrences are folded without their times; once the
-    state at an occurrence start repeats, the remaining whole occurrences
-    are jumped in one step, so the cost is bounded by 2**n occurrences
-    whatever t is."""
-    _check_entry(net, mu, rho)
-    table = net.table
-    state = mu
-    for time, fire in rho.prefix:
-        if time > t:
-            return state
-        state = (state & ~fire) | (table[state] & fire)
+    The events at times <= t are counted from the schedule, and the run
+    folds no occurrence past the one that holds t; a count beyond the
+    detected periodic tail wraps into it, so the cost is bounded by 2**n
+    occurrences whatever t is."""
     if t < rho.cycle_start:
-        return state
-    whole, rem = divmod(t - rho.cycle_start, rho.period)
-    # starts maps the state just before occurrence k to k; once a state
-    # repeats the sequence is periodic, so occurrence `whole` starts at a
-    # known state
-    starts: dict[int, int] = {}
-    while len(starts) < whole:
-        if state in starts:
-            m0 = starts[state]
-            state = list(starts)[m0 + int(whole - m0) % (len(starts) - m0)]
-            break
-        starts[state] = len(starts)
-        for _, fire in rho.cycle:
-            state = (state & ~fire) | (table[state] & fire)
-    for off, fire in rho.cycle:
-        if off > rem:
-            break
-        state = (state & ~fire) | (table[state] & fire)
-    return state
+        count = sum(1 for time, _ in rho.prefix if time <= t)
+    else:
+        whole, rem = divmod(t - rho.cycle_start, rho.period)
+        count = (len(rho.prefix) + whole * len(rho.cycle)
+                 + sum(1 for off, _ in rho.cycle if off <= rem))
+    values, tail = _run(net, mu, rho, count)
+    if count >= len(values):
+        count = tail + (count - tail) % (len(values) - 1 - tail)
+    return values[count]
 
 
 @dataclass(frozen=True)
@@ -187,70 +198,44 @@ class OrbitTrace:
 
 
 def orbit_trace(net: Network, mu: int, rho: Schedule) -> tuple[OrbitTrace, frozenset[int]]:
-    """Simulate until the pair (state, cycle phase) repeats.
+    """Simulate until the flow value at a cycle occurrence start repeats.
 
     The flow value just before each cycle occurrence determines the whole
-    future, so at most 2**n occurrences are simulated.  Returns the trace
-    and the orbit, i.e. the set of every value the flow takes.
+    future, so at most 2**n occurrences are simulated.  Times are put on
+    the run's values only where the value changes.  Returns the trace and
+    the orbit, i.e. the set of every value the flow takes.
     """
-    _check_entry(net, mu, rho)
-    table = net.table
-    state = mu
-    orbit = {mu}
-    changes: list[tuple[Fraction, int]] = []
-    for t, fire in rho.prefix:
-        new = (state & ~fire) | (table[state] & fire)
-        if new != state:
-            changes.append((t, new))
-            state = new
-            orbit.add(new)
+    values, tail = _run(net, mu, rho)
+    p, q = len(rho.prefix), len(rho.cycle)
 
-    # state at the start of each occurrence (value just before that time)
-    seen: dict[int, int] = {}
-    occ_log: list[list[tuple[Fraction, int]]] = []  # per occurrence: change events
-    m = 0
-    while state not in seen:
-        seen[state] = m
-        base = None  # the occurrence's start time, built at its first change
-        occ_changes: list[tuple[Fraction, int]] = []
-        for off, fire in rho.cycle:
-            new = (state & ~fire) | (table[state] & fire)
-            if new != state:
-                if base is None:
-                    base = rho.cycle_start + m * rho.period
-                occ_changes.append((base + off, new))
-                state = new
-                orbit.add(new)
-        occ_log.append(occ_changes)
-        m += 1
+    def time(k: int) -> Fraction:
+        """Time of the event that yields values[k]."""
+        if k <= p:
+            return rho.prefix[k - 1][0]
+        m, j = divmod(k - 1 - p, q)
+        return rho.cycle_start + m * rho.period + rho.cycle[j][0]
 
-    m1 = seen[state]
-    loop_entry = rho.cycle_start + m1 * rho.period
-    # flatten the change events of occurrences m1..m-1 into (state, dwell)
-    # segments; the segment running up to the next loop pass carries the
-    # occurrence-start state
-    loop_events = [ev for occ in occ_log[m1:] for ev in occ]
-    loop_period = (m - m1) * rho.period
+    changes = [(time(k), values[k]) for k in range(1, tail + 1) if values[k] != values[k - 1]]
+    loop_entry = rho.cycle_start + (tail - p) // q * rho.period
+    loop_end = loop_entry + (len(values) - 1 - tail) // q * rho.period
+    # (state, dwell) segments from the loop entry on; the segment running up
+    # to the next loop pass carries the state at the entry again
     loop: list[tuple[int, Fraction]] = []
     cursor = loop_entry
-    current = state  # == occurrence-start state of m1
-    for time, value in loop_events:
-        if time > cursor:
-            loop.append((current, time - cursor))
-            cursor = time
-        current = value
-    loop.append((current, loop_entry + loop_period - cursor))
-    # pre-loop changes: the prefix events plus every change during the
-    # occurrences before the loop is entered
-    changes.extend(ev for occ in occ_log[:m1] for ev in occ)
-    trace = OrbitTrace(mu, tuple(changes), loop_entry, tuple(loop))
-    return trace, frozenset(orbit)
+    for k in range(tail + 1, len(values)):
+        if values[k] != values[k - 1]:
+            at = time(k)
+            if at > cursor:
+                loop.append((values[k - 1], at - cursor))
+                cursor = at
+    loop.append((values[-1], loop_end - cursor))
+    return OrbitTrace(mu, tuple(changes), loop_entry, tuple(loop)), frozenset(values)
 
 
 def omega_limit(net: Network, mu: int, rho: Schedule) -> frozenset[int]:
-    """States the flow visits arbitrarily late: the detected loop."""
-    trace, _ = orbit_trace(net, mu, rho)
-    return trace.loop_states
+    """States the flow visits arbitrarily late: the run's periodic tail."""
+    values, tail = _run(net, mu, rho)
+    return frozenset(values[tail:])
 
 
 def translate(rho: Schedule, d: Fraction) -> Schedule:

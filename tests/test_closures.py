@@ -1,9 +1,11 @@
 """The closure-based basins against their per-state definitions.
 
 The reference functions below decide membership one state at a time from
-reachable_set and reachable_fair_sccs, exactly as the definitions read:
-a state is in the p-basin of A iff it reaches a fair SCC of the subgraph
-induced on A, in the n-basin iff every fair SCC it reaches lies in A.
+reachable_set and fair_sccs, exactly as the definitions read: a state is
+in the p-basin of A iff it reaches a fair SCC of the subgraph induced on
+A, in the n-basin iff every fair SCC it reaches lies in A.  The fair SCCs
+a state mu reaches are fair_sccs(net, reachable_set(net, mu)): the SCCs of
+the subgraph induced on a forward-closed set are SCCs of the full graph.
 Every witness the closures return must replay.
 """
 
@@ -32,7 +34,6 @@ from asyncbool import (
     orbit_basin_n,
     orbit_basin_p,
     proper_successors,
-    reachable_fair_sccs,
     reachable_set,
     synchronous,
 )
@@ -47,7 +48,9 @@ def ref_basin_p(net, a):
 
 def ref_basin_n(net, a):
     return frozenset(
-        mu for mu in net.states() if all(scc <= a for scc in reachable_fair_sccs(net, mu))
+        mu
+        for mu in net.states()
+        if all(scc <= a for scc in fair_sccs(net, reachable_set(net, mu)))
     )
 
 
@@ -80,12 +83,12 @@ def ref_omega_basin_n(net, mu, rho):
     omega = omega_limit(net, mu, rho)
     if len(omega) == 1 and is_fixed_point(net, next(iter(omega))):
         return ref_basin_n(net, omega)
-    if omega not in reachable_fair_sccs(net, next(iter(omega))):
+    if omega not in fair_sccs(net, reachable_set(net, next(iter(omega)))):
         return frozenset()
     if any(sub != omega for sub in fair_subsets(net, omega)):
         return frozenset()
     return frozenset(
-        mu2 for mu2 in net.states() if reachable_fair_sccs(net, mu2) == [omega]
+        mu2 for mu2 in net.states() if fair_sccs(net, reachable_set(net, mu2)) == [omega]
     )
 
 

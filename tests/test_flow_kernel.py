@@ -1,8 +1,10 @@
-"""The integer flow kernel: `flow_at` against the literal event-by-event
-fold, its cost far out in time, and input validation at entry."""
+"""The integer flow kernel: `flow_at`, `orbit_trace` and `omega_limit`
+against the literal event-by-event fold, `flow_at`'s cost far out in time,
+and input validation at entry."""
 
 import time
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings
@@ -11,11 +13,13 @@ from hypothesis import strategies as st
 from asyncbool import (
     DimensionError,
     Network,
+    NotProgressiveError,
     Schedule,
     apply_fire_set,
     flow_at,
     full_mask,
     iterate_word,
+    omega_limit,
     orbit_trace,
     simulate_word_schedule,
     synchronous,
@@ -85,8 +89,22 @@ def flow_cases(draw):
 @given(flow_cases())
 def test_flow_at_matches_event_fold(case):
     net, mu, rho, times = case
+    trace, orbit = orbit_trace(net, mu, rho)
     for t in times:
         assert flow_at(net, mu, rho, t) == event_fold(net, mu, rho, t), t
+        assert trace.value_at(t) == event_fold(net, mu, rho, t), t
+    # the values after each event up to the end of occurrence 2**(n+1) - 1;
+    # the occurrence-start values repeat within 2**n occurrences, so
+    # occurrences 2**n .. 2**(n+1) - 1 lie in the periodic tail and pass
+    # through it at least once
+    per_half = len(rho.cycle) << net.n
+    first = len(rho.prefix) + per_half
+    values, state = [], mu
+    for _, fire in islice(rho.events(), first + per_half):
+        state = apply_fire_set(net, state, fire)
+        values.append(state)
+    assert omega_limit(net, mu, rho) == frozenset(values[first:])
+    assert orbit == frozenset([mu, *values])
 
 
 def _far_schedules():
@@ -135,3 +153,16 @@ def test_flow_rejects_fire_sets_wider_than_the_net(net1):
         flow_at(net1, 0, rho, F(1))
     with pytest.raises(DimensionError):
         orbit_trace(net1, 0, rho)
+
+
+def test_flow_rejects_schedule_leaving_a_net_coordinate_unfired(net1):
+    # a one-coordinate schedule fires only coordinate 2 of net1; it is
+    # progressive for its own n but not for the network's
+    rho = Schedule(1, (), ((F(0), 0b1),), F(1), F(0))
+    for call in (
+        lambda: flow_at(net1, 0, rho, F(3)),
+        lambda: orbit_trace(net1, 0, rho),
+        lambda: omega_limit(net1, 0, rho),
+    ):
+        with pytest.raises(NotProgressiveError, match="coordinate 1 never fires"):
+            call()
