@@ -149,7 +149,8 @@ def _splicer(trace, rho: Schedule):
     segment, after which the reference schedule is copied verbatim.
     """
     seg_state, seg_dwell = trace.loop[0]
-    t2 = trace.loop_entry + seg_dwell / 2
+    # Fraction keeps t2 exact when the schedule was built with int times
+    t2 = trace.loop_entry + Fraction(seg_dwell) / 2
     # t2 lies past the cycle start, so the cut occurrence joins the prefix
     # and the whole occurrences after t2 stay the cycle
     tail = restrict_after(rho, t2)

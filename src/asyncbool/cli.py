@@ -153,46 +153,30 @@ def _cmd_orbit(args, net, out) -> int:
 
 
 def _cmd_basin(args, net, out) -> int:
-    target = _set_arg(args, net)
-    if args.mode == "p":
-        result = basins.basin_p(net, target)
-    else:
-        result = basins.basin_n(net, target)
-    _emit_basin(out, f"basin-{args.mode}", result, net)
+    basin = basins.basin_p if args.mode == "p" else basins.basin_n
+    _emit_basin(out, f"basin-{args.mode}", basin(net, _set_arg(args, net)), net)
     return 0
 
 
 def _cmd_orbit_basin(args, net, out) -> int:
     mu = _state_arg(args, net)
     rho = _load_schedule(args, net.n)
-    result = (
-        basins.orbit_basin_p(net, mu, rho)
-        if args.mode == "p"
-        else basins.orbit_basin_n(net, mu, rho)
-    )
-    _emit_basin(out, f"orbit-basin-{args.mode}", result, net)
+    basin = basins.orbit_basin_p if args.mode == "p" else basins.orbit_basin_n
+    _emit_basin(out, f"orbit-basin-{args.mode}", basin(net, mu, rho), net)
     return 0
 
 
 def _cmd_omega_basin(args, net, out) -> int:
     mu = _state_arg(args, net)
     rho = _load_schedule(args, net.n)
-    result = (
-        basins.omega_basin_p(net, mu, rho)
-        if args.mode == "p"
-        else basins.omega_basin_n(net, mu, rho)
-    )
-    _emit_basin(out, f"omega-basin-{args.mode}", result, net)
+    basin = basins.omega_basin_p if args.mode == "p" else basins.omega_basin_n
+    _emit_basin(out, f"omega-basin-{args.mode}", basin(net, mu, rho), net)
     return 0
 
 
 def _cmd_invariant(args, net, out) -> int:
-    target = _set_arg(args, net)
-    holds = (
-        graph.is_p_invariant(net, target)
-        if args.mode == "p"
-        else graph.is_n_invariant(net, target)
-    )
+    invariant = graph.is_p_invariant if args.mode == "p" else graph.is_n_invariant
+    holds = invariant(net, _set_arg(args, net))
     out.record("invariant", f"{args.mode}-invariant: {'yes' if holds else 'no'}",
                mode=args.mode, holds=holds)
     return 0 if holds else 1
@@ -260,30 +244,36 @@ _COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        # usage errors end like every other malformed input: exit 2 and one
+        # "error:" line, not a usage block
+        raise ParseError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="asyncbool",
         description="Exact analysis of asynchronous Boolean networks.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument("--net", required=True, help="network file")
-        p.add_argument("--format", choices=("table", "expr"), default="table")
-        p.add_argument("--schedule", help="schedule literal or file")
-        p.add_argument("--from", dest="from_state", help="initial state bits")
-        p.add_argument("--set", help="state set literal, e.g. 00,10")
-        p.add_argument("--mode", choices=("p", "n"), default="p")
-        p.add_argument("--bounds", help="oracle bounds '<prefix>,<cycle>'")
-        p.add_argument("--align-from", help="splice target state for search-witness")
-        p.add_argument("--out", help="write results to a file")
-        p.add_argument("--json", action="store_true", help="line-delimited JSON records")
+    parser.add_argument("command", choices=tuple(_COMMANDS), metavar="command",
+                        help=", ".join(_COMMANDS))
+    parser.add_argument("--net", required=True, help="network file")
+    parser.add_argument("--format", choices=("table", "expr"), default="table")
+    parser.add_argument("--schedule", help="schedule literal or file")
+    parser.add_argument("--from", dest="from_state", help="initial state bits")
+    parser.add_argument("--set", help="state set literal, e.g. 00,10")
+    parser.add_argument("--mode", choices=("p", "n"), default="p")
+    parser.add_argument("--bounds", help="oracle bounds '<prefix>,<cycle>'")
+    parser.add_argument("--align-from", help="splice target state for search-witness")
+    parser.add_argument("--out", help="write results to a file")
+    parser.add_argument("--json", action="store_true", help="line-delimited JSON records")
     return parser
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         net = _load_network(args)
         out = _Output(args.out, args.json)
         try:

@@ -26,7 +26,8 @@ class DimensionError(ValueError):
 
 def parse_bits(text: str, n: int) -> int:
     """Parse an n-character 0/1 string, coordinate 1 leftmost."""
-    if len(text) != n or any(c not in "01" for c in text):
+    # int() alone would also take "_", "+" and surrounding whitespace
+    if len(text) != n or text.strip("01"):
         raise DimensionError(f"expected {n} bits, got {text!r}")
     return int(text, 2)
 

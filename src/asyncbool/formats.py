@@ -27,15 +27,20 @@ class ParseError(ValueError):
         self.column = column
 
 
+def _content_lines(text: str) -> list[tuple[int, str]]:
+    """(line number, stripped line) of every line not blank or a # comment."""
+    return [
+        (i, line)
+        for i, raw in enumerate(text.splitlines(), 1)
+        if (line := raw.strip()) and line[0] != "#"
+    ]
+
+
 # --- networks: truth table ------------------------------------------------
 
 
 def parse_network_table(text: str) -> Network:
-    lines = [
-        (i + 1, line.strip())
-        for i, line in enumerate(text.splitlines())
-        if line.strip() and not line.strip().startswith("#")
-    ]
+    lines = _content_lines(text)
     if not lines:
         raise ParseError("empty network file")
     lineno, header = lines[0]
@@ -173,11 +178,7 @@ def _eval_expr(node, mu: int, n: int) -> int:
 def parse_network_exprs(text: str) -> Network:
     """Lines `y<i> = <expr>`, one per coordinate, compiled to a truth table."""
     defs: dict[int, object] = {}
-    lines = [
-        (i + 1, line.strip())
-        for i, line in enumerate(text.splitlines())
-        if line.strip() and not line.strip().startswith("#")
-    ]
+    lines = _content_lines(text)
     if not lines:
         raise ParseError("empty expression file")
     n = len(lines)

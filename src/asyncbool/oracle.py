@@ -317,7 +317,9 @@ def _sample_sets(
     """Every nonempty state set, or at most `max_sets` of them: always the
     full space, every singleton and the fixed-point set, then random ones."""
     universe = sorted(net.states())
-    if max_sets is None:
+    # asking for at least every nonempty set means all of them; sampling
+    # could never reach that many distinct draws
+    if max_sets is None or max_sets >= (1 << len(universe)) - 1:
         masks = range(1, 1 << len(universe))
         return [
             frozenset(s for i, s in enumerate(universe) if mask & (1 << i))

@@ -4,6 +4,7 @@ import pytest
 
 from asyncbool import (
     Network,
+    Schedule,
     all_states,
     attractivity_class,
     basin_n,
@@ -18,6 +19,7 @@ from asyncbool import (
     orbit_basin_n,
     orbit_basin_p,
     orbit_trace,
+    render_schedule,
     synchronous,
     witness_schedule,
 )
@@ -120,6 +122,18 @@ def test_orbit_basin_p_members_and_witnesses(net1):
     for mu, rho in result.witnesses.items():
         ok, _ = flows_eventually_equal(net1, mu, rho, 0b11, synchronous(2))
         assert ok, mu
+
+
+def test_orbit_basin_p_witnesses_of_an_int_time_schedule(net1):
+    # a schedule built through the API with int times: the splice time
+    # must stay exact, or the witnesses carry float times and cannot render
+    rho = Schedule(2, (), ((0, 3),), 1, 0)
+    reference = omega_limit(net1, 0b00, rho)
+    result = orbit_basin_p(net1, 0b00, rho)
+    assert result.witnesses
+    for mu, witness in result.witnesses.items():
+        assert "." not in render_schedule(witness)
+        assert omega_limit(net1, mu, witness) == reference
 
 
 def test_orbit_basin_n_empty_for_proper_cycle(net1):

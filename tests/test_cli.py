@@ -1,8 +1,9 @@
+import argparse
 import json
 
 import pytest
 
-from asyncbool.cli import main
+from asyncbool.cli import _COMMANDS, _build_parser, main
 from tests.conftest import NET1_TABLE_TEXT
 
 
@@ -186,3 +187,78 @@ def test_json_basin_carries_witnesses(net_file, capsys):
     states = {r["state"] for r in records}
     assert states == {"00", "10"}
     assert all("witness" in r for r in records)
+
+
+# the ten options with a sample value each (None for a flag)
+OPTIONS = {
+    "--net": "net.tbl",
+    "--format": "expr",
+    "--schedule": SYNC,
+    "--from": "01",
+    "--set": "00,10",
+    "--mode": "n",
+    "--bounds": "2,3",
+    "--align-from": "11",
+    "--out": "result.txt",
+    "--json": None,
+}
+
+
+def _subparser_layout():
+    """The parser as it was before it went flat: one subparser per
+    command, each declaring every option again."""
+    parser = argparse.ArgumentParser(prog="asyncbool")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name in _COMMANDS:
+        p = sub.add_parser(name)
+        p.add_argument("--net", required=True)
+        p.add_argument("--format", choices=("table", "expr"), default="table")
+        p.add_argument("--schedule")
+        p.add_argument("--from", dest="from_state")
+        p.add_argument("--set")
+        p.add_argument("--mode", choices=("p", "n"), default="p")
+        p.add_argument("--bounds")
+        p.add_argument("--align-from")
+        p.add_argument("--out")
+        p.add_argument("--json", action="store_true")
+    return parser
+
+
+@pytest.mark.parametrize("command", list(_COMMANDS))
+def test_flat_parser_matches_subparser_layout(command):
+    old = _subparser_layout()
+    for option, value in OPTIONS.items():
+        given = [option] if value is None else [option, value]
+        if option != "--net":
+            given += ["--net", OPTIONS["--net"]]
+        want = vars(old.parse_args([command, *given]))
+        assert vars(_build_parser().parse_args([command, *given])) == want
+        # options may also come before the command
+        assert vars(_build_parser().parse_args([*given, command])) == want
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bogus", "--net", "net.tbl"],
+        ["basin", "--set", "10"],
+        ["basin", "--net", "net.tbl", "--mode", "q"],
+        ["fixed-points", "--net", "net.tbl", "--format", "xml"],
+        ["fixed-points", "--net", "net.tbl", "--colour"],
+        [],
+    ],
+    ids=["unknown-command", "missing-net", "bad-mode", "bad-format", "unknown-option",
+         "nothing"],
+)
+def test_usage_errors_are_one_line(argv, capsys):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["-h"])
+    assert exc.value.code == 0
+    assert "fixed-points" in capsys.readouterr().out

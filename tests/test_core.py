@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from asyncbool import (
     DimensionError,
@@ -20,6 +22,16 @@ def test_parse_and_format_bits_roundtrip():
     for n in (1, 2, 3, 5):
         for value in range(1 << n):
             assert parse_bits(format_bits(value, n), n) == value
+
+
+@given(st.text(alphabet="01 _+-2x", max_size=6), st.integers(1, 5))
+def test_parse_bits_accepts_exactly_n_binary_digits(text, n):
+    # int(text, 2) alone would also accept "_", "+" and whitespace
+    if len(text) == n and set(text) <= {"0", "1"}:
+        assert parse_bits(text, n) == int(text, 2)
+    else:
+        with pytest.raises(DimensionError):
+            parse_bits(text, n)
 
 
 def test_parse_bits_msb_is_coordinate_one():

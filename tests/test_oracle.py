@@ -192,6 +192,15 @@ def test_verify_theorems_check_counts_are_pinned(net1):
     assert sum(p for p, _ in report.checks.values()) == 810
 
 
+def test_max_sets_covering_every_set_enumerates_them_all(net1):
+    # n=2 has 15 nonempty state sets: asking for 15 or more used to loop
+    # forever drawing random sets that were already chosen
+    bounds = OracleBounds(1, 2)
+    every = verify_theorems(net1, bounds).checks
+    assert verify_theorems(net1, bounds, max_sets=15).checks == every
+    assert verify_theorems(net1, bounds, max_sets=16).checks == every
+
+
 def test_verify_detects_injected_mutation(net1, monkeypatch):
     # corrupt the n-basin computation mid-check: the harness must notice
     # and produce a replayable counterexample
