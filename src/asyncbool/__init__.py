@@ -58,7 +58,6 @@ from .oracle import (
     OracleBounds,
     VerificationReport,
     default_bounds,
-    enumerate_schedules,
     oracle_achievable_omegas,
     oracle_achievable_omegas_all,
     oracle_basin,
@@ -73,7 +72,6 @@ from .schedule import (
     flow_at,
     flows_eventually_equal,
     is_progressive,
-    missing_coordinates,
     omega_limit,
     orbit_trace,
     restrict_after,

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from . import graph
-from .core import Network, all_states, apply_fire_set, full_mask, is_fixed_point, stable_set
+from .core import Network, all_states, full_mask, is_fixed_point
 from .schedule import Schedule, omega_limit, orbit_trace, restrict_after
 
 
@@ -123,13 +123,16 @@ def _covering_cycle(net: Network, target: frozenset[int], anchor: int):
     `anchor`, co-firing the coordinates stable at each source so that every
     coordinate appears."""
     word = covering_walk(net, target, anchor)
+    full = full_mask(net.n)
     if not word:
-        return ((Fraction(0), full_mask(net.n)),), Fraction(1)
+        return ((Fraction(0), full),), Fraction(1)
+    table = net.table
     events = []
     state = anchor
     for k, fire in enumerate(word):
-        events.append((Fraction(k), fire | stable_set(net, state)))
-        state = apply_fire_set(net, state, fire)
+        image = table[state]
+        events.append((Fraction(k), fire | (full & ~(state ^ image))))
+        state = (state & ~fire) | (image & fire)
     return tuple(events), Fraction(len(word))
 
 
@@ -274,9 +277,11 @@ def omega_basin_n(net: Network, mu: int, rho: Schedule) -> BasinResult:
         return basin_n(net, omega)
     # nonempty only when omega is a maximal fair SCC admitting no proper
     # fair strongly connected subset; the members then reach omega and no
-    # other fair SCC
+    # other fair SCC.  Fairness is monotone along strongly connected
+    # supersets, so such a subset exists iff omega minus one state still
+    # has a fair SCC: |omega| SCC passes, no subset enumeration.
     fair = graph._fair_sccs(net)
-    if omega not in fair or any(sub != omega for sub in graph.fair_subsets(net, omega)):
+    if omega not in fair or any(graph._fair_sccs(net, omega - {s}) for s in omega):
         return BasinResult(frozenset())
     inside = graph._backward_closure(net, [min(omega)])
     outside = graph._backward_closure(net, [min(scc) for scc in fair if scc != omega])

@@ -15,9 +15,10 @@ from typing import Iterable, Sequence
 # here; pure step evaluation is allowed a bit more room.
 GRAPH_CAP = 10
 STEP_CAP = 20
-# Enumerating fair strongly-connected *subsets* inside an SCC is
-# exponential in the SCC size; operations that need it enforce this cap.
-SUBSET_CAP = 5
+# Enumerating fair strongly-connected *subsets* of an SCC is exponential
+# in its size (2**16 masks already take seconds), so only SCCs of at most
+# 2**SUBSET_CAP states are enumerated, whatever n is.
+SUBSET_CAP = 4
 
 
 class DimensionError(ValueError):

@@ -266,7 +266,8 @@ def fair_subsets(net: Network, scc: frozenset[int]) -> list[frozenset[int]]:
     """All fair strongly connected subsets of one SCC."""
     if len(scc) > (1 << SUBSET_CAP):
         raise CapExceededError(
-            f"fair-subset enumeration capped at SCCs of {1 << SUBSET_CAP} states"
+            f"fair-subset enumeration is capped at SCCs of {1 << SUBSET_CAP} states,"
+            f" got {len(scc)}"
         )
     _check_states(net, scc)
     members = sorted(scc)
@@ -282,13 +283,11 @@ def achievable_omegas_from(net: Network, mu: int) -> frozenset[frozenset[int]]:
     """Every set arising as an omega-limit set of some fair schedule from mu:
     the fair strongly connected subsets (maximal SCCs and sub-SCCs)
     reachable from mu."""
-    if net.n > SUBSET_CAP:
-        raise CapExceededError(
-            f"achievable-omega enumeration is capped at n={SUBSET_CAP}, got n={net.n}"
-        )
     reach = reachable_set(net, mu)
     result: set[frozenset[int]] = set()
-    for scc in _tarjan_sccs(_adjacency(net, reach)):
+    # largest first, so an SCC over the fair_subsets cap raises before any
+    # SCC is enumerated
+    for scc in sorted(_tarjan_sccs(_adjacency(net, reach)), key=len, reverse=True):
         result.update(fair_subsets(net, frozenset(scc)))
     return frozenset(result)
 

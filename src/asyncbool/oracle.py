@@ -18,11 +18,10 @@ import itertools
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterator
 
 from . import basins as basins_mod
 from . import graph
-from .core import Network, apply_fire_set, check_state, fixed_points, format_bits, full_mask
+from .core import Network, check_state, fixed_points, format_bits, full_mask
 from .schedule import (
     Schedule,
     flow_at,
@@ -72,21 +71,6 @@ def _progressive_cycles(n: int, bounds: OracleBounds) -> list[tuple[int, ...]]:
             if union == full:
                 cycles.append(word)
     return cycles
-
-
-def enumerate_schedules(n: int, bounds: OracleBounds) -> Iterator[Schedule]:
-    """Canonical integer-time schedules: prefix fires at t = 0..p-1, cycle
-    offsets 0..q-1 with period q.  Anchoring the first event at 0 quotients
-    away time translation."""
-    cycles = _progressive_cycles(n, bounds)
-    for p in range(bounds.max_prefix_len + 1):
-        for prefix_word in itertools.product(range(1 << n), repeat=p):
-            prefix = tuple((Fraction(k), fire) for k, fire in enumerate(prefix_word))
-            for cycle_word in cycles:
-                cycle = tuple(
-                    (Fraction(k), fire) for k, fire in enumerate(cycle_word)
-                )
-                yield Schedule(n, prefix, cycle, Fraction(len(cycle_word)), Fraction(p))
 
 
 def simulate_word_schedule(
@@ -392,9 +376,9 @@ def _check_run(
         report.record("omega_is_graph_achievable", omega in graph_ach[mu], payload)
 
 
-# the word oracle enumerates 2**n-letter words and sub-SCC enumeration is
-# 2**|SCC| per SCC; past n=3 either dominates the whole run, so every check
-# needing them is restricted to small nets
+# the word oracle enumerates 2**n-letter words and graph achievability
+# enumerates 2**|SCC| masks per SCC; past n=3 either dominates the whole
+# run, so the checks needing them are restricted to small nets
 _SUB_SCC_MAX_N = 3
 
 
@@ -517,6 +501,7 @@ def _check_set_basins(report, net, base, eq, graph_ach, runs, word_omegas, max_s
     """Invariance and basin theorems over sampled state sets, with the
     word oracle's basins bracketing the graph's."""
     states = net.states()
+    table = net.table
     basins: dict[frozenset[int], tuple[frozenset[int], frozenset[int]]] = {}
     for a in _sample_sets(net, eq, max_sets, rng):
         p_inv = graph.is_p_invariant(net, a)
@@ -529,7 +514,7 @@ def _check_set_basins(report, net, base, eq, graph_ach, runs, word_omegas, max_s
             "single_step_closure_matches_n_invariance",
             n_inv
             == all(
-                apply_fire_set(net, mu, lam) in a
+                (mu & ~lam) | (table[mu] & lam) in a
                 for mu in a
                 for lam in range(1 << net.n)
             ),
@@ -610,11 +595,7 @@ def _check_flow_basins(report, net, base, eq, rng):
             ob_p = basins_mod.orbit_basin_p(net, mu, rho, with_witnesses=False).members
             ob_n = basins_mod.orbit_basin_n(net, mu, rho).members
             om_p = basins_mod.omega_basin_p(net, mu, rho, with_witnesses=False).members
-            om_n = (
-                basins_mod.omega_basin_n(net, mu, rho).members
-                if net.n <= _SUB_SCC_MAX_N
-                else None
-            )
+            om_n = basins_mod.omega_basin_n(net, mu, rho).members
             report.record("orbit_p_basin_equals_omega_p_basin", ob_p == om_p, payload)
             report.record("orbit_inside_orbit_p_basin", orbit <= ob_p, payload)
             report.record(
@@ -648,27 +629,26 @@ def _check_flow_basins(report, net, base, eq, rng):
                     graph.is_n_invariant(net, ob_n),
                     payload,
                 )
-            if om_n is not None:
-                report.record("orbit_n_basin_inside_omega_n_basin", ob_n <= om_n, payload)
+            report.record("orbit_n_basin_inside_omega_n_basin", ob_n <= om_n, payload)
+            report.record(
+                "omega_n_basin_inside_set_basin_of_omega",
+                om_n <= basins_mod.basin_n(net, omega).members,
+                payload,
+            )
+            if om_n:
                 report.record(
-                    "omega_n_basin_inside_set_basin_of_omega",
-                    om_n <= basins_mod.basin_n(net, omega).members,
+                    "omega_n_basin_is_n_invariant",
+                    graph.is_n_invariant(net, om_n),
                     payload,
                 )
-                if om_n:
-                    report.record(
-                        "omega_n_basin_is_n_invariant",
-                        graph.is_n_invariant(net, om_n),
-                        payload,
-                    )
-                if len(omega) == 1:
-                    star = frozenset(omega)
-                    w_n_star = basins_mod.basin_n(net, star).members
-                    report.record(
-                        "constant_tail_n_basins_collapse",
-                        ob_n == om_n == w_n_star,
-                        payload,
-                    )
+            if len(omega) == 1:
+                star = frozenset(omega)
+                w_n_star = basins_mod.basin_n(net, star).members
+                report.record(
+                    "constant_tail_n_basins_collapse",
+                    ob_n == om_n == w_n_star,
+                    payload,
+                )
             if mu in eq:
                 report.record(
                     "fixed_point_basins_all_coincide",
@@ -698,10 +678,11 @@ def verify_theorems(
     - flow basins: orbit and omega basins of three more sampled schedules.
 
     The checks that enumerate words or fair sub-SCCs (the whole word-oracle
-    family, graph achievability, omega n-basins) run only for n <= 3; the
-    rest run at every n.  Sampling draws from one generator seeded with 0,
-    so a reported counterexample replays exactly.  Failures are data, not
-    errors: each one lands in the report with a replayable payload.
+    family and graph achievability) run only for n <= 3; the rest, omega
+    n-basins included, run at every n.  Sampling draws from one generator
+    seeded with 0, so a reported counterexample replays exactly.  Failures
+    are data, not errors: each one lands in the report with a replayable
+    payload.
     """
     rng = random.Random(0)
     report = VerificationReport()

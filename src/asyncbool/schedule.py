@@ -95,11 +95,6 @@ def is_progressive(rho: Schedule) -> bool:
     return not _missing(rho, rho.n)
 
 
-def missing_coordinates(rho: Schedule) -> list[int]:
-    """1-based coordinates never fired in the cycle."""
-    return _missing(rho, rho.n)
-
-
 def _require_progressive(rho: Schedule, n: int) -> None:
     """Refuse a schedule that leaves some coordinate of an n-coordinate
     network unfired."""

@@ -1,5 +1,6 @@
 import argparse
 import json
+import time
 
 import pytest
 
@@ -89,6 +90,21 @@ def test_verify(net_file, capsys):
     code, out, _ = run(capsys, "verify", "--net", net_file, "--bounds", "2,3")
     assert code == 0
     assert "OK (0 failures)" in out
+
+
+def test_verify_samples_state_sets_above_n3(tmp_path, capsys):
+    # every nonempty state set of n=4 is 65535 sets: the CLI used to try
+    # them all; it now samples a fixed number and says so
+    path = tmp_path / "net4.tbl"
+    rows = [f"{i:04b} -> {(7 * i + 3) % 16:04b}" for i in range(16)]
+    path.write_text("\n".join(["n=4", *rows]) + "\n")
+    t0 = time.monotonic()
+    code, out, _ = run(capsys, "verify", "--net", str(path), "--json")
+    assert time.monotonic() - t0 < 10.0
+    assert code == 0
+    records = [json.loads(line) for line in out.splitlines()]
+    assert records[0] == {"record": "verify-sampling", "max_sets": 64}
+    assert records[-1]["record"] == "verify-summary" and records[-1]["ok"]
 
 
 def test_oracle_subcommand(net_file, capsys):

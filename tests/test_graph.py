@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from asyncbool import (
@@ -110,6 +112,22 @@ def test_identity_network_everything_is_fair(id2):
     assert fair_sccs(id2) == [frozenset({s}) for s in id2.states()]
     for s in id2.states():
         assert achievable_omegas_from(id2, s) == {frozenset({s})}
+
+
+def test_achievable_omegas_capped_by_scc_size_not_n():
+    # the n=6 identity has only one-state SCCs, so nothing is enumerated
+    # past the cap; it used to be refused for n > 5
+    assert achievable_omegas_from(Network(6, tuple(range(64))), 5) == {frozenset({5})}
+
+
+def test_oversized_scc_refused_before_enumeration():
+    # negation makes all 32 states of n=5 one SCC: 2**32 masks used to
+    # slip under a 32-state cap and run for hours
+    net = Network(5, tuple(31 ^ s for s in range(32)))
+    t0 = time.monotonic()
+    with pytest.raises(CapExceededError, match="16 states, got 32"):
+        achievable_omegas_from(net, 0)
+    assert time.monotonic() - t0 < 1.0
 
 
 def test_graph_cap_enforced():

@@ -1,17 +1,21 @@
 """The bounded-enumeration oracle and the theorem verification harness."""
 
+import functools
+import itertools
+import operator
+from fractions import Fraction
+
 import pytest
 
 from asyncbool import (
     DimensionError,
     Network,
     OracleBounds,
+    Schedule,
     achievable_omegas_from,
     basin_n,
     basin_p,
     default_bounds,
-    enumerate_schedules,
-    is_progressive,
     omega_limit,
     oracle_achievable_omegas,
     oracle_basin,
@@ -31,6 +35,14 @@ WORD_ORACLE_CHECKS = {
     "oracle_p_invariance_subset_of_graph",
 }
 
+# checks recorded from omega_basin_n on sampled flows
+OMEGA_N_BASIN_CHECKS = {
+    "orbit_n_basin_inside_omega_n_basin",
+    "omega_n_basin_inside_set_basin_of_omega",
+    "omega_n_basin_is_n_invariant",
+    "constant_tail_n_basins_collapse",
+}
+
 
 def test_bounds_validation():
     with pytest.raises(ValueError):
@@ -39,32 +51,30 @@ def test_bounds_validation():
         OracleBounds(-1, 1)
 
 
-def test_enumerate_schedules_counts():
-    # n=2, no prefix, cycle length 1: only the fire set 11 is progressive
-    one = list(enumerate_schedules(2, OracleBounds(0, 1)))
-    assert len(one) == 1
-    assert one[0].cycle == ((0, 0b11),)
-    # frozen regression value: 1 singleton + 9 ordered pairs with union 11
-    assert len(list(enumerate_schedules(2, OracleBounds(0, 2)))) == 10
-    # n=1 with prefix 1: 2 prefix choices x (empty prefix + both) ...
-    assert len(list(enumerate_schedules(1, OracleBounds(1, 1)))) == 3
-
-
-def test_enumerated_schedules_are_progressive_and_canonical():
-    for rho in enumerate_schedules(2, OracleBounds(1, 2)):
-        assert is_progressive(rho)
-        assert rho.cycle_start == len(rho.prefix)
-        assert rho.period == len(rho.cycle)
-
-
 def test_simulate_word_schedule_matches_omega_limit(net1):
-    for rho in enumerate_schedules(2, OracleBounds(2, 2)):
-        prefix_word = tuple(f for _, f in rho.prefix)
-        cycle_word = tuple(f for _, f in rho.cycle)
-        for mu in net1.states():
-            orbit, omega = simulate_word_schedule(net1, mu, prefix_word, cycle_word)
-            assert omega == omega_limit(net1, mu, rho)
-            assert omega <= orbit
+    # every integer-time word schedule with prefix and cycle of length <= 2:
+    # prefix fires at t = 0..p-1, the progressive cycle at offsets 0..q-1
+    # with period q
+    prefixes = [w for p in range(3) for w in itertools.product(range(4), repeat=p)]
+    cycles = [
+        w
+        for q in (1, 2)
+        for w in itertools.product(range(4), repeat=q)
+        if functools.reduce(operator.or_, w) == 0b11
+    ]
+    for prefix_word in prefixes:
+        for cycle_word in cycles:
+            rho = Schedule(
+                2,
+                tuple((Fraction(k), f) for k, f in enumerate(prefix_word)),
+                tuple((Fraction(k), f) for k, f in enumerate(cycle_word)),
+                Fraction(len(cycle_word)),
+                Fraction(len(prefix_word)),
+            )
+            for mu in net1.states():
+                orbit, omega = simulate_word_schedule(net1, mu, prefix_word, cycle_word)
+                assert omega == omega_limit(net1, mu, rho)
+                assert omega <= orbit
 
 
 def test_oracle_achievable_omegas_net1(net1):
@@ -219,9 +229,14 @@ def test_verify_detects_injected_mutation(net1, monkeypatch):
 
 def test_word_oracle_skipped_above_n3():
     # the n=2 net of test_verify_theorems_net1_clean records every
-    # word-oracle check; an n=4 net records none, and the rest still run
-    net = Network(4, tuple((i * 7 + 3) % 16 for i in range(16)))
-    report = verify_theorems(net, OracleBounds(1, 2), max_sets=10)
-    assert report.ok, report.counterexamples[:3]
-    assert not WORD_ORACLE_CHECKS & report.checks.keys()
-    assert {"omega_nonempty", "basin_monotonicity"} <= report.checks.keys()
+    # word-oracle check; an n=4 net records none, and the rest still run,
+    # omega n-basins included: they enumerate no subsets.  The identity
+    # adds the fixed-point checks the fixed-point-free permutation lacks.
+    recorded = set()
+    for table in (tuple((i * 7 + 3) % 16 for i in range(16)), tuple(range(16))):
+        report = verify_theorems(Network(4, table), OracleBounds(1, 2), max_sets=10)
+        assert report.ok, report.counterexamples[:3]
+        assert not WORD_ORACLE_CHECKS & report.checks.keys()
+        assert {"omega_nonempty", "basin_monotonicity"} <= report.checks.keys()
+        recorded |= report.checks.keys()
+    assert OMEGA_N_BASIN_CHECKS <= recorded

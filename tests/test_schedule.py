@@ -10,7 +10,6 @@ from asyncbool import (
     flow_at,
     flows_eventually_equal,
     is_progressive,
-    missing_coordinates,
     omega_limit,
     orbit_trace,
     restrict_after,
@@ -54,11 +53,12 @@ def test_events_are_strictly_increasing():
     assert all(a < b for a, b in zip(times, times[1:]))
 
 
-def test_progressiveness():
+def test_progressiveness(net1):
     assert is_progressive(synchronous(3))
     rho = mk(2, [], [(0, 0b10)], 1, 0)
     assert not is_progressive(rho)
-    assert missing_coordinates(rho) == [2]
+    with pytest.raises(NotProgressiveError, match="^coordinate 2 never fires$"):
+        omega_limit(net1, 0, rho)
 
 
 def test_flow_before_first_event_is_initial(net1):
