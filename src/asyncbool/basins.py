@@ -120,26 +120,26 @@ def covering_walk(net: Network, target: frozenset[int], anchor: int) -> list[int
 
 def _covering_cycle(net: Network, target: frozenset[int], anchor: int):
     """Timed cycle events replaying a covering walk of `target` from
-    `anchor`, co-firing the coordinates stable at each source so that every
-    coordinate appears."""
+    `anchor` at integer times, co-firing the coordinates stable at each
+    source so that every coordinate appears."""
     word = covering_walk(net, target, anchor)
     full = full_mask(net.n)
     if not word:
-        return ((Fraction(0), full),), Fraction(1)
+        return ((0, full),), 1
     table = net.table
     events = []
     state = anchor
     for k, fire in enumerate(word):
         image = table[state]
-        events.append((Fraction(k), fire | (full & ~(state ^ image))))
+        events.append((k, fire | (full & ~(state ^ image))))
         state = (state & ~fire) | (image & fire)
-    return tuple(events), Fraction(len(word))
+    return tuple(events), len(word)
 
 
-def _walk_then_cycle(n: int, word: list[int], cycle, period: Fraction) -> Schedule:
-    """Fire `word` at times 0, 1, 2, ..., then repeat `cycle` forever."""
-    prefix = tuple((Fraction(k), fire) for k, fire in enumerate(word))
-    return Schedule(n, prefix, cycle, period, Fraction(len(word)))
+def _walk_then_cycle(n: int, word: list[int], cycle, period: int) -> Schedule:
+    """Fire `word` at times 0, 1, 2, ..., then repeat `cycle` forever.
+    Integral times stay ints: they compare and render like Fractions."""
+    return Schedule(n, tuple(enumerate(word)), cycle, period, len(word))
 
 
 def _splicer(trace, rho: Schedule):

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .core import DimensionError, Network, format_bits, parse_bits, unstable_set
+from .core import STEP_CAP, DimensionError, Network, format_bits, parse_bits, unstable_set
 from .graph import _check_graph_cap, proper_successors
 from .schedule import Schedule, ScheduleError, _require_progressive
 
@@ -182,6 +182,9 @@ def parse_network_exprs(text: str) -> Network:
     if not lines:
         raise ParseError("empty expression file")
     n = len(lines)
+    # the table has 2**n rows; refuse before parsing or compiling anything
+    if n > STEP_CAP:
+        raise ParseError(f"dimension must be in 1..{STEP_CAP}, got {n} coordinates")
     for lineno, line in lines:
         lhs, sep, rhs = line.partition("=")
         lhs = lhs.strip()
@@ -270,7 +273,7 @@ def parse_schedule(text: str, n: int) -> Schedule:
     return rho
 
 
-def _render_rational(value: Fraction) -> str:
+def _render_rational(value: Fraction | int) -> str:
     if value.denominator == 1:
         return str(value.numerator)
     return f"{value.numerator}/{value.denominator}"

@@ -96,25 +96,43 @@ def simulate_word_schedule(
     return frozenset(trail), frozenset(trail[seen[state] :])
 
 
+def _layers(start, depth: int, expand) -> set:
+    """Every node within `depth` expansions of `start`, breadth first.
+
+    Each layer expands only the nodes first met in the layer before, so a
+    node met again is not expanded again; `expand(node)` yields its
+    successors."""
+    seen = {start}
+    frontier = {start}
+    for _ in range(depth):
+        frontier = {succ for node in frontier for succ in expand(node)}
+        frontier -= seen
+        seen |= frontier
+    return seen
+
+
+def _images(net: Network, state: int) -> list[int]:
+    """The literal one-step rule: entry `fire` is the state after firing
+    `fire`, for every fire set of B^n."""
+    image = net.table[state]
+    return [(state & ~fire) | (image & fire) for fire in range(1 << net.n)]
+
+
 def _prefix_outcomes(
     net: Network, mu: int, bounds: OracleBounds
 ) -> set[tuple[int, frozenset[int]]]:
     """Distinct (state, visited set) pairs after any prefix word within
     bounds; collapsing identical pairs is what keeps the sweep tractable."""
-    table = net.table
-    current: set[tuple[int, frozenset[int]]] = {(mu, frozenset({mu}))}
-    outcomes = set(current)
-    for _ in range(bounds.max_prefix_len):
-        nxt = set()
-        for state, visited in current:
-            image = table[state]
-            for fire in range(1 << net.n):
-                s2 = (state & ~fire) | (image & fire)
-                nxt.add((s2, visited | {s2}))
-        nxt -= outcomes
-        outcomes |= nxt
-        current = nxt
-    return outcomes
+
+    def expand(node):
+        state, visited = node
+        # most steps revisit a state; reusing its visited set skips a copy
+        return (
+            (s2, visited if s2 in visited else visited | {s2})
+            for s2 in _images(net, state)
+        )
+
+    return _layers((mu, frozenset({mu})), bounds.max_prefix_len, expand)
 
 
 def _word_runs(
@@ -144,24 +162,6 @@ def _word_runs(
     return runs
 
 
-def _bounded_reach(net: Network, mu: int, depth: int) -> set[int]:
-    """States reachable from mu by at most `depth` fire-set steps."""
-    table = net.table
-    current = {mu}
-    seen = {mu}
-    for _ in range(depth):
-        nxt = {
-            (s & ~fire) | (table[s] & fire)
-            for s in current
-            for fire in range(1 << net.n)
-        } - seen
-        if not nxt:
-            break
-        seen |= nxt
-        current = nxt
-    return seen
-
-
 def _anchored_omegas(net: Network, anchor: int, max_len: int) -> set[frozenset[int]]:
     """Visited sets of progressive closed walks of length <= max_len from
     `anchor` back to itself.
@@ -170,35 +170,26 @@ def _anchored_omegas(net: Network, anchor: int, max_len: int) -> set[frozenset[i
     the anchor, returns to the anchor every occurrence, so its omega-limit
     set is exactly the walk's visited set.  Fire sets are canonicalized to
     (subset of unstable) | stable(source): co-firing every stable
-    coordinate is free and only improves coordinate coverage.
+    coordinate is free and only improves coordinate coverage.  Reaching a
+    (state, visited, coverage) node earlier only ever allows more
+    continuations under the length cap, so the layered search is sound.
     """
     full = full_mask(net.n)
-    # breadth-first over (state, visited, coverage) triples; reaching a
-    # triple earlier only ever allows more continuations under the length
-    # cap, so a global seen-set is sound
-    start = (anchor, frozenset({anchor}), 0)
-    seen = {start}
-    current = [start]
-    found: set[frozenset[int]] = set()
-    for _ in range(max_len):
-        nxt = []
-        for state, visited, coverage in current:
-            unstable = state ^ net.table[state]
-            stable = full & ~unstable
-            lam = 0
-            while True:
-                s2 = state ^ lam  # lam fires unstable coordinates only: they flip
-                node = (s2, visited | {s2}, coverage | lam | stable)
-                if node not in seen:
-                    seen.add(node)
-                    nxt.append(node)
-                    if s2 == anchor and node[2] == full:
-                        found.add(node[1])
-                if lam == unstable:
-                    break
-                lam = (lam - unstable) & unstable
-        current = nxt
-    return found
+
+    def expand(node):
+        state, visited, coverage = node
+        unstable = state ^ net.table[state]
+        coverage |= full & ~unstable
+        lam = unstable
+        while True:  # every subset lam of unstable, which flips exactly lam
+            s2 = state ^ lam
+            yield s2, visited if s2 in visited else visited | {s2}, coverage | lam
+            if not lam:
+                return
+            lam = (lam - 1) & unstable
+
+    nodes = _layers((anchor, frozenset({anchor}), 0), max_len, expand)
+    return {visited for s, visited, coverage in nodes if s == anchor and coverage == full}
 
 
 def _walk_omegas_all(
@@ -210,10 +201,8 @@ def _walk_omegas_all(
     }
     results = {}
     for mu in net.states():
-        anchors = _bounded_reach(net, mu, bounds.max_prefix_len)
-        results[mu] = frozenset().union(
-            *(frozenset(per_anchor[a]) for a in anchors)
-        )
+        anchors = _layers(mu, bounds.max_prefix_len, lambda s: _images(net, s))
+        results[mu] = frozenset().union(*(per_anchor[a] for a in anchors))
     return results
 
 
@@ -501,7 +490,6 @@ def _check_set_basins(report, net, base, eq, graph_ach, runs, word_omegas, max_s
     """Invariance and basin theorems over sampled state sets, with the
     word oracle's basins bracketing the graph's."""
     states = net.states()
-    table = net.table
     basins: dict[frozenset[int], tuple[frozenset[int], frozenset[int]]] = {}
     for a in _sample_sets(net, eq, max_sets, rng):
         p_inv = graph.is_p_invariant(net, a)
@@ -512,12 +500,7 @@ def _check_set_basins(report, net, base, eq, graph_ach, runs, word_omegas, max_s
         payload = {**base, "A": sorted(format_bits(s, net.n) for s in a)}
         report.record(
             "single_step_closure_matches_n_invariance",
-            n_inv
-            == all(
-                (mu & ~lam) | (table[mu] & lam) in a
-                for mu in a
-                for lam in range(1 << net.n)
-            ),
+            n_inv == all(a.issuperset(_images(net, mu)) for mu in a),
             payload,
         )
         report.record("n_invariant_implies_p_invariant", (not n_inv) or p_inv, payload)

@@ -161,6 +161,18 @@ def test_expr_format(tmp_path, capsys):
     assert out.strip() == "10"
 
 
+def test_expr_file_over_the_cap_exits_2_before_compiling(tmp_path, capsys):
+    # 21 coordinates would compile a 2**21-row table before any dimension check
+    path = tmp_path / "net21.expr"
+    path.write_text("".join(f"y{i} = x{i}\n" for i in range(1, 22)))
+    t0 = time.monotonic()
+    code, out, err = run(capsys, "fixed-points", "--net", str(path), "--format", "expr")
+    assert time.monotonic() - t0 < 1.0
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
 def test_out_file(net_file, tmp_path, capsys):
     target = tmp_path / "result.txt"
     code, out, _ = run(

@@ -3,6 +3,7 @@
 import functools
 import itertools
 import operator
+import random
 from fractions import Fraction
 
 import pytest
@@ -23,7 +24,7 @@ from asyncbool import (
     verify_theorems,
 )
 from asyncbool import basins as basins_mod
-from asyncbool.oracle import oracle_achievable_omegas_all
+from asyncbool.oracle import _anchored_omegas, _prefix_outcomes, oracle_achievable_omegas_all
 
 # checks recorded only from the bounded word enumeration
 WORD_ORACLE_CHECKS = {
@@ -75,6 +76,61 @@ def test_simulate_word_schedule_matches_omega_limit(net1):
                 orbit, omega = simulate_word_schedule(net1, mu, prefix_word, cycle_word)
                 assert omega == omega_limit(net1, mu, rho)
                 assert omega <= orbit
+
+
+def _small_random_nets(seed: int, count: int):
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.choice((1, 2))
+        yield Network(n, tuple(rng.randrange(1 << n) for _ in range(1 << n)))
+
+
+def _fold(net: Network, state: int, fire: int) -> int:
+    return (state & ~fire) | (net.table[state] & fire)
+
+
+def test_prefix_outcomes_match_every_literal_prefix_word():
+    # the layered search keeps exactly the (state, visited set) pairs of
+    # the prefix words of length <= p, each folded on its own
+    for net in _small_random_nets(11, 30):
+        for p in range(4):
+            for mu in net.states():
+                want = set()
+                for k in range(p + 1):
+                    for word in itertools.product(range(1 << net.n), repeat=k):
+                        state, visited = mu, {mu}
+                        for fire in word:
+                            state = _fold(net, state, fire)
+                            visited.add(state)
+                        want.add((state, frozenset(visited)))
+                assert _prefix_outcomes(net, mu, OracleBounds(p, 1)) == want
+
+
+def test_anchored_omegas_match_every_covering_closed_walk():
+    # every literal fire word of length <= L from the anchor, no
+    # canonical fire sets and no dedup: the visited sets of the walks that
+    # end at the anchor having fired every coordinate
+    def closed_walks(net, anchor, max_len):
+        full = (1 << net.n) - 1
+        found = set()
+
+        def walk(state, visited, coverage, length):
+            if state == anchor and coverage == full:
+                found.add(visited)
+            if length < max_len:
+                for fire in range(1 << net.n):
+                    s2 = _fold(net, state, fire)
+                    walk(s2, visited | {s2}, coverage | fire, length + 1)
+
+        walk(anchor, frozenset({anchor}), 0, 0)
+        return found
+
+    for net in _small_random_nets(12, 30):
+        for max_len in range(1, 5):
+            for anchor in net.states():
+                assert _anchored_omegas(net, anchor, max_len) == closed_walks(
+                    net, anchor, max_len
+                )
 
 
 def test_oracle_achievable_omegas_net1(net1):
