@@ -208,10 +208,13 @@ def basin_p(net: Network, attractor: frozenset[int], with_witnesses: bool = True
     hop = graph._backward_closure(net, list(anchors))
     witnesses: dict[int, Schedule] = {}
     if with_witnesses:
-        cycles = {a: _covering_cycle(net, scc, a) for a, scc in anchors.items()}
+        # each anchor's own witness validates its covering cycle once; the
+        # members ending there share that validated cycle
+        own = {a: _walk_then_cycle(net.n, [], *_covering_cycle(net, scc, a))
+               for a, scc in anchors.items()}
         for mu in hop:
             word, anchor = _hop_word(hop, mu)
-            witnesses[mu] = _walk_then_cycle(net.n, word, *cycles[anchor])
+            witnesses[mu] = _walk_then_cycle(net.n, word, own[anchor].cycle, own[anchor].period)
     return BasinResult(frozenset(hop), witnesses)
 
 

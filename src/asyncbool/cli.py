@@ -8,6 +8,7 @@ errors.  With --json every result line is a standalone JSON record.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -45,6 +46,8 @@ class _Output:
     def close(self) -> None:
         if self.owned:
             self.stream.close()
+        else:
+            self.stream.flush()
 
 
 def _load_network(args) -> Network:
@@ -278,7 +281,18 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _drop_stdout() -> None:
+    """Point stdout's descriptor, if it has one, at the null device, so that
+    the flush at exit does not fail again on a pipe whose reader has gone."""
+    with contextlib.suppress(OSError, ValueError):
+        fd = sys.stdout.fileno()
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, fd)
+        os.close(devnull)
+
+
 def main(argv=None) -> int:
+    out = None
     try:
         args = _build_parser().parse_args(argv)
         net = _load_network(args)
@@ -288,6 +302,10 @@ def main(argv=None) -> int:
         finally:
             out.close()
     except (OSError, ValueError) as exc:
+        if isinstance(exc, BrokenPipeError) and out is not None and not out.owned:
+            # the reader of stdout stopped reading (`| head`): not an error
+            _drop_stdout()
+            return 0
         # ValueError covers ParseError, DimensionError, NotProgressiveError
         # and CapExceededError
         print(f"error: {exc}", file=sys.stderr)

@@ -24,6 +24,7 @@ from . import graph
 from .core import Network, check_state, fixed_points, format_bits, full_mask
 from .schedule import (
     Schedule,
+    _flow,
     flow_at,
     is_progressive,
     omega_limit,
@@ -192,18 +193,15 @@ def _anchored_omegas(net: Network, anchor: int, max_len: int) -> set[frozenset[i
     return {visited for s, visited, coverage in nodes if s == anchor and coverage == full}
 
 
-def _walk_omegas_all(
-    net: Network, bounds: OracleBounds
+def _walk_omegas(
+    net: Network, bounds: OracleBounds, states
 ) -> dict[int, frozenset[frozenset[int]]]:
-    per_anchor = {
-        anchor: _anchored_omegas(net, anchor, bounds.max_cycle_len)
-        for anchor in net.states()
-    }
-    results = {}
-    for mu in net.states():
-        anchors = _layers(mu, bounds.max_prefix_len, lambda s: _images(net, s))
-        results[mu] = frozenset().union(*(per_anchor[a] for a in anchors))
-    return results
+    """The anchored-walk omega sets from each of `states`: those of every
+    anchor within max_prefix_len literal steps, each anchor walked once."""
+    reach = {mu: _layers(mu, bounds.max_prefix_len, lambda s: _images(net, s)) for mu in states}
+    per_anchor = {anchor: _anchored_omegas(net, anchor, bounds.max_cycle_len)
+                  for anchor in set().union(*reach.values())}
+    return {mu: frozenset().union(*map(per_anchor.get, anchors)) for mu, anchors in reach.items()}
 
 
 def oracle_achievable_omegas(
@@ -221,16 +219,16 @@ def oracle_achievable_omegas(
     reported set is still the replayable omega of one explicit schedule.
     """
     check_state(mu, net.n)
-    results, stabilized = oracle_achievable_omegas_all(net, bounds)
-    return results[mu], stabilized[mu]
+    results = _walk_omegas(net, bounds, [mu])[mu]
+    return results, _walk_omegas(net, bounds.grown(), [mu])[mu] == results
 
 
 def oracle_achievable_omegas_all(
     net: Network, bounds: OracleBounds
 ) -> tuple[dict[int, frozenset[frozenset[int]]], dict[int, bool]]:
     """oracle_achievable_omegas for every state at once."""
-    results = _walk_omegas_all(net, bounds)
-    grown = _walk_omegas_all(net, bounds.grown())
+    results = _walk_omegas(net, bounds, net.states())
+    grown = _walk_omegas(net, bounds.grown(), net.states())
     stabilized = {mu: grown[mu] == results[mu] for mu in net.states()}
     return results, stabilized
 
@@ -245,7 +243,7 @@ def oracle_basin(
         raise ValueError("attractor must be nonempty")
     for mu in attractor:
         check_state(mu, net.n)
-    p, n = _omega_basins(_walk_omegas_all(net, bounds), attractor)
+    p, n = _omega_basins(_walk_omegas(net, bounds, net.states()), attractor)
     return p if mode == "p" else n
 
 
@@ -383,8 +381,8 @@ def _check_word_oracle(report, net, base, bounds, eq, graph_ach, runs, word_omeg
     # length-q word is a closed walk of length k*q with k <= 2**n,
     # anchored at a state up to that many steps past the prefix
     inflation = (1 << net.n) * bounds.max_cycle_len
-    walk = _walk_omegas_all(
-        net, OracleBounds(bounds.max_prefix_len + inflation, inflation)
+    walk = _walk_omegas(
+        net, OracleBounds(bounds.max_prefix_len + inflation, inflation), net.states()
     )
     for mu in net.states():
         payload = {**base, "mu": format_bits(mu, net.n)}
@@ -397,6 +395,14 @@ def _check_word_oracle(report, net, base, bounds, eq, graph_ach, runs, word_omeg
         report.record(
             "walk_omegas_within_graph_omegas", walk[mu] <= graph_ach[mu], payload
         )
+
+
+_SHIFTS = (Fraction(5), Fraction(1, 2), Fraction(-3))
+_SHIFT = Fraction(7, 3)
+_PROBES = (Fraction(-1), Fraction(1, 2), Fraction(3), Fraction(11, 2))
+# each restriction time, with the times its restricted flow is compared at
+_CUTS = {cut: (cut, cut + Fraction(1, 2), cut + 3)
+         for cut in (Fraction(-10), Fraction(1, 3), Fraction(2), Fraction(9, 2))}
 
 
 def _check_schedule_laws(report, net, base, eq, graph_ach, rng):
@@ -415,30 +421,31 @@ def _check_schedule_laws(report, net, base, eq, graph_ach, rng):
             report.record(
                 "omega_is_p_invariant", graph.is_p_invariant(net, omega), payload
             )
-            for d in (Fraction(5), Fraction(1, 2), Fraction(-3)):
+            for d in _SHIFTS:
                 report.record(
                     "translation_preserves_omega",
                     omega_limit(net, mu, translate(rho, d)) == omega,
                     payload,
                 )
-            d = Fraction(7, 3)
-            shifted = translate(rho, d)
-            for t in (Fraction(-1), Fraction(1, 2), Fraction(3), Fraction(11, 2)):
+            # the reference flow, folded once for all its values below
+            reference = _flow(net, mu, rho)
+            shifted = translate(rho, _SHIFT)
+            for t in _PROBES:
                 report.record(
                     "translated_flow_matches_shifted_time",
-                    flow_at(net, mu, shifted, t + d) == flow_at(net, mu, rho, t),
+                    flow_at(net, mu, shifted, t + _SHIFT) == reference(t),
                     payload,
                 )
-            for t_prime in (Fraction(-10), Fraction(1, 3), Fraction(2), Fraction(9, 2)):
-                mu2 = flow_at(net, mu, rho, t_prime)
+            for t_prime, times in _CUTS.items():
+                mu2 = reference(t_prime)
                 tail = restrict_after(rho, t_prime)
                 report.record(
                     "restriction_is_progressive", is_progressive(tail), payload
                 )
-                for t in (t_prime, t_prime + Fraction(1, 2), t_prime + 3):
+                for t in times:
                     report.record(
                         "flow_factors_through_restriction",
-                        flow_at(net, mu2, tail, t) == flow_at(net, mu, rho, t),
+                        flow_at(net, mu2, tail, t) == reference(t),
                         payload,
                     )
                 report.record(

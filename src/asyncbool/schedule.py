@@ -8,14 +8,21 @@ achievable omega-limit set is realized by some member of it (validated
 empirically by the oracle module against bounded enumeration).
 
 Flows are right-continuous piecewise-constant functions of real time.
-Schedule times are exact rationals, but each flow is one integer fold over
-the truth table (`_run`); only `orbit_trace` puts times on it, at changes.
+Schedule times are exact rationals (ints or Fractions), but each flow is
+one integer fold over the truth table (`_run`), and its times are ints on
+one grid per schedule: every event time over a common denominator,
+derived on the schedule's first fold that needs times.  `flow_at` counts
+events on that grid; `orbit_trace` makes Fractions only of the times it
+reports.  A cycle is validated once and then passed on unchanged by
+`translate`, `restrict_after` and `dataclasses.replace`.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Iterator
 
@@ -30,6 +37,45 @@ class NotProgressiveError(ScheduleError):
     """Some coordinate is fired only finitely often."""
 
 
+def _rational(x):
+    """x itself if it is a time a schedule accepts: an int or a Fraction."""
+    if not isinstance(x, (int, Fraction)):
+        raise ScheduleError(f"time {x!r} is not an int or Fraction")
+    return x
+
+
+def _ticks(x: Fraction | int, den: int) -> int:
+    """floor(x * den) for a rational time x."""
+    return x.numerator * den // x.denominator
+
+
+class _Cycle(tuple):
+    """A cycle validated for the (n, period) in `key`, which Schedule does
+    not check again."""
+
+    @cached_property
+    def grid(self) -> tuple[int, list[int], int]:
+        """(den, offset ticks, period ticks): the offsets and the period as
+        ints over their least common denominator."""
+        period = self.key[1]
+        den = math.lcm(period.denominator, *(off.denominator for off, _ in self))
+        return den, [_ticks(off, den) for off, _ in self], _ticks(period, den)
+
+
+def _validated_cycle(cycle, n: int, period: Fraction) -> _Cycle:
+    prev = None
+    for off, fire in cycle:
+        check_state(fire, n, "fire set")
+        if not 0 <= _rational(off) < period:
+            raise ScheduleError(f"cycle offset {off} outside [0, period)")
+        if prev is not None and off <= prev:
+            raise ScheduleError("cycle offsets must strictly increase")
+        prev = off
+    out = _Cycle(cycle)
+    out.key = (n, period)
+    return out
+
+
 @dataclass(frozen=True)
 class Schedule:
     """Timed fire-set events: a finite prefix, then a repeating cycle.
@@ -37,6 +83,7 @@ class Schedule:
     Event times are the prefix times followed by cycle_start + offset +
     m * period for m = 0, 1, 2, ...  Offsets live in [0, period); the
     cycle is nonempty and cycle_start lies strictly after the prefix.
+    Every time is an int or a Fraction.
     """
 
     n: int
@@ -46,26 +93,45 @@ class Schedule:
     cycle_start: Fraction
 
     def __post_init__(self):
-        if self.period <= 0:
+        if _rational(self.period) <= 0:
             raise ScheduleError("period must be positive")
         if not self.cycle:
             raise ScheduleError("cycle must be nonempty")
         last = None
         for t, fire in self.prefix:
             check_state(fire, self.n, "fire set")
+            _rational(t)
             if last is not None and t <= last:
                 raise ScheduleError(f"prefix times must strictly increase at t={t}")
             last = t
+        _rational(self.cycle_start)
         if last is not None and self.cycle_start <= last:
             raise ScheduleError("cycle_start must lie strictly after the prefix")
-        prev = None
-        for off, fire in self.cycle:
-            check_state(fire, self.n, "fire set")
-            if not 0 <= off < self.period:
-                raise ScheduleError(f"cycle offset {off} outside [0, period)")
-            if prev is not None and off <= prev:
-                raise ScheduleError("cycle offsets must strictly increase")
-            prev = off
+        # a cycle passed on unchanged (translate, restrict_after, replace,
+        # witnesses sharing one covering cycle) is checked only once
+        if getattr(self.cycle, "key", None) != (self.n, self.period):
+            object.__setattr__(self, "cycle", _validated_cycle(self.cycle, self.n, self.period))
+
+    @cached_property
+    def _grid(self) -> tuple[int, list[int], int, list[int], int]:
+        """Every event time as an int over one denominator: (den, prefix
+        ticks, cycle-start tick, offset ticks, period ticks).  Derived on
+        the first fold that needs times, not at construction."""
+        cycle_den, offsets, span = self.cycle.grid
+        den = math.lcm(cycle_den, self.cycle_start.denominator,
+                       *(t.denominator for t, _ in self.prefix))
+        scale = den // cycle_den
+        return (den, [_ticks(t, den) for t, _ in self.prefix], _ticks(self.cycle_start, den),
+                [tick * scale for tick in offsets], span * scale)
+
+    def _count(self, t: Fraction | int) -> int:
+        """The number of events at times <= t."""
+        den, prefix, start, offsets, span = self._grid
+        tick = _ticks(_rational(t), den)
+        if tick < start:
+            return bisect_right(prefix, tick)
+        whole, rem = divmod(tick - start, span)
+        return len(prefix) + whole * len(offsets) + bisect_right(offsets, rem)
 
     def events(self) -> Iterator[tuple[Fraction, int]]:
         """All events in time order, forever."""
@@ -136,24 +202,31 @@ def _run(
     return values, starts.get(state)
 
 
+def _value(values: list[int], tail: int | None, count: int) -> int:
+    """The flow after `count` events, from a run that folded them all or
+    found its periodic tail; a count past the run wraps into the tail."""
+    if count >= len(values):
+        count = tail + (count - tail) % (len(values) - 1 - tail)
+    return values[count]
+
+
 def flow_at(net: Network, mu: int, rho: Schedule, t: Fraction) -> int:
     """Value of the flow at time t: mu before the first event, then the
     fold of every fire set placed at a time <= t.
 
-    The events at times <= t are counted from the schedule, and the run
-    folds no occurrence past the one that holds t; a count beyond the
-    detected periodic tail wraps into it, so the cost is bounded by 2**n
-    occurrences whatever t is."""
-    if t < rho.cycle_start:
-        count = sum(1 for time, _ in rho.prefix if time <= t)
-    else:
-        whole, rem = divmod(t - rho.cycle_start, rho.period)
-        count = (len(rho.prefix) + whole * len(rho.cycle)
-                 + sum(1 for off, _ in rho.cycle if off <= rem))
-    values, tail = _run(net, mu, rho, count)
-    if count >= len(values):
-        count = tail + (count - tail) % (len(values) - 1 - tail)
-    return values[count]
+    The events at times <= t are counted on the schedule's integer time
+    grid, and the run folds no occurrence past the one that holds t; a
+    count beyond the detected periodic tail wraps into it, so the cost is
+    bounded by 2**n occurrences whatever t is."""
+    count = rho._count(t)
+    return _value(*_run(net, mu, rho, count), count)
+
+
+def _flow(net: Network, mu: int, rho: Schedule):
+    """The flow of (mu, rho) as a function of time, folded once for every
+    time it is asked at."""
+    values, tail = _run(net, mu, rho)
+    return lambda t: _value(values, tail, rho._count(t))
 
 
 @dataclass(frozen=True)
@@ -201,30 +274,26 @@ def orbit_trace(net: Network, mu: int, rho: Schedule) -> tuple[OrbitTrace, froze
     the orbit, i.e. the set of every value the flow takes.
     """
     values, tail = _run(net, mu, rho)
-    p, q = len(rho.prefix), len(rho.cycle)
-
-    def time(k: int) -> Fraction:
-        """Time of the event that yields values[k]."""
-        if k <= p:
-            return rho.prefix[k - 1][0]
-        m, j = divmod(k - 1 - p, q)
-        return rho.cycle_start + m * rho.period + rho.cycle[j][0]
-
-    changes = [(time(k), values[k]) for k in range(1, tail + 1) if values[k] != values[k - 1]]
-    loop_entry = rho.cycle_start + (tail - p) // q * rho.period
-    loop_end = loop_entry + (len(values) - 1 - tail) // q * rho.period
+    den, prefix, start, offsets, span = rho._grid
+    p, q = len(prefix), len(offsets)
+    # ticks[k - 1] is the tick of the event that yields values[k]
+    ticks = prefix + [start + m * span + off
+                      for m in range((len(values) - 1 - p) // q) for off in offsets]
+    changes = [(Fraction(ticks[k - 1], den), values[k])
+               for k in range(1, tail + 1) if values[k] != values[k - 1]]
+    loop_entry = start + (tail - p) // q * span
+    loop_end = loop_entry + (len(values) - 1 - tail) // q * span
     # (state, dwell) segments from the loop entry on; the segment running up
     # to the next loop pass carries the state at the entry again
     loop: list[tuple[int, Fraction]] = []
     cursor = loop_entry
     for k in range(tail + 1, len(values)):
-        if values[k] != values[k - 1]:
-            at = time(k)
-            if at > cursor:
-                loop.append((values[k - 1], at - cursor))
-                cursor = at
-    loop.append((values[-1], loop_end - cursor))
-    return OrbitTrace(mu, tuple(changes), loop_entry, tuple(loop)), frozenset(values)
+        if values[k] != values[k - 1] and ticks[k - 1] > cursor:
+            loop.append((values[k - 1], Fraction(ticks[k - 1] - cursor, den)))
+            cursor = ticks[k - 1]
+    loop.append((values[-1], Fraction(loop_end - cursor, den)))
+    trace = OrbitTrace(mu, tuple(changes), Fraction(loop_entry, den), tuple(loop))
+    return trace, frozenset(values)
 
 
 def omega_limit(net: Network, mu: int, rho: Schedule) -> frozenset[int]:

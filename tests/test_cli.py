@@ -1,9 +1,12 @@
 import argparse
+import io
 import json
+import sys
 import time
 
 import pytest
 
+from asyncbool import cli
 from asyncbool.cli import _COMMANDS, _build_parser, main
 from tests.conftest import NET1_TABLE_TEXT
 
@@ -181,6 +184,31 @@ def test_out_file(net_file, tmp_path, capsys):
     assert code == 0
     assert out == ""
     assert target.read_text().strip() == "10"
+
+
+class _ClosedPipe(io.StringIO):
+    """A stream whose reader has gone, as stdout is under `| head -1`."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+def test_closed_stdout_ends_quietly(net_file, monkeypatch, capsys):
+    monkeypatch.setattr(sys, "stdout", _ClosedPipe())
+    code = main(["verify", "--net", net_file, "--bounds", "2,3"])
+    assert code == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_failing_out_file_still_exits_2(net_file, tmp_path, monkeypatch, capsys):
+    def opener(path, mode="r", *args, **kwargs):
+        return _ClosedPipe() if "w" in mode else open(path, mode, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "open", opener, raising=False)
+    code, out, err = run(capsys, "verify", "--net", net_file, "--out", str(tmp_path / "r.txt"))
+    assert code == 2
+    assert out == ""
+    assert err == "error: [Errno 32] Broken pipe\n"
 
 
 def test_parse_error_exits_2(tmp_path, capsys):

@@ -1,10 +1,14 @@
 """The integer flow kernel: `flow_at`, `orbit_trace` and `omega_limit`
 against the literal event-by-event fold, `flow_at`'s cost far out in time,
-and input validation at entry."""
+input validation at entry, and the integer time grid: `Schedule` accepts
+what the plain-Fraction validator accepts, each cycle is validated once,
+and counts and traces on the grid match plain-Fraction references."""
 
+import dataclasses
 import time
 from fractions import Fraction
 from itertools import islice
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -15,15 +19,22 @@ from asyncbool import (
     Network,
     NotProgressiveError,
     Schedule,
+    ScheduleError,
     apply_fire_set,
+    basin_p,
     flow_at,
     full_mask,
     iterate_word,
     omega_limit,
     orbit_trace,
+    restrict_after,
     simulate_word_schedule,
     synchronous,
+    translate,
 )
+from asyncbool import graph
+from asyncbool import schedule as schedule_mod
+from asyncbool.core import check_state
 
 F = Fraction
 
@@ -85,8 +96,44 @@ def flow_cases(draw):
     return net, mu, rho, times
 
 
-@settings(max_examples=200, deadline=None)
-@given(flow_cases())
+# an int, or a Fraction over one of several denominators
+rationals = st.one_of(
+    st.integers(-6, 6), st.builds(F, st.integers(-36, 36), st.integers(1, 6))
+)
+
+
+def as_mixed(draw, x):
+    """x, or the int it equals when it is integral and the draw says so."""
+    return int(x) if x.denominator == 1 and draw(st.booleans()) else x
+
+
+@st.composite
+def grid_cases(draw):
+    """A network with n <= 3, a start state and a valid progressive
+    schedule whose times mix ints and Fractions over varied denominators."""
+    n = draw(st.integers(1, 3))
+    net = Network(n, tuple(draw(st.integers(0, (1 << n) - 1)) for _ in range(1 << n)))
+    mu = draw(st.integers(0, (1 << n) - 1))
+    period = F(draw(st.integers(1, 12)), draw(st.integers(1, 6)))
+    fracs = draw(st.sets(st.builds(F, st.integers(0, 29), st.just(30)), min_size=1, max_size=4))
+    offsets = sorted(period * f for f in fracs)
+    fires = [draw(st.integers(0, (1 << n) - 1)) for _ in offsets]
+    fires[draw(st.integers(0, len(fires) - 1))] |= full_mask(n)  # keep it progressive
+    cycle = tuple((as_mixed(draw, off), fire) for off, fire in zip(offsets, fires))
+    times = sorted(draw(st.sets(rationals, max_size=3)))
+    prefix = tuple((as_mixed(draw, F(t)), draw(st.integers(0, (1 << n) - 1))) for t in times)
+    start = F(draw(rationals))
+    if prefix:
+        start = max(start, prefix[-1][0] + F(1, draw(st.integers(1, 6))))
+    rho = Schedule(n, prefix, cycle, as_mixed(draw, period), as_mixed(draw, start))
+    probes = draw(st.lists(st.builds(lambda k, d: start + F(k, d), st.integers(-40, 400),
+                                     st.integers(1, 7)), min_size=1, max_size=5))
+    probes += [as_mixed(draw, t) for t, _ in islice(rho.events(), 12)]
+    return net, mu, rho, probes
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(flow_cases(), grid_cases()))
 def test_flow_at_matches_event_fold(case):
     net, mu, rho, times = case
     trace, orbit = orbit_trace(net, mu, rho)
@@ -166,3 +213,171 @@ def test_flow_rejects_schedule_leaving_a_net_coordinate_unfired(net1):
     ):
         with pytest.raises(NotProgressiveError, match="coordinate 1 never fires"):
             call()
+
+
+# --- the integer time grid ----------------------------------------------
+
+
+def fraction_validator_accepts(n, prefix, cycle, period, cycle_start):
+    """Schedule's validation as it was with plain Fraction arithmetic and
+    no validated cycles: True iff it raises nothing."""
+    try:
+        if period <= 0:
+            raise ScheduleError("period must be positive")
+        if not cycle:
+            raise ScheduleError("cycle must be nonempty")
+        last = None
+        for t, fire in prefix:
+            check_state(fire, n, "fire set")
+            if last is not None and t <= last:
+                raise ScheduleError(f"prefix times must strictly increase at t={t}")
+            last = t
+        if last is not None and cycle_start <= last:
+            raise ScheduleError("cycle_start must lie strictly after the prefix")
+        prev = None
+        for off, fire in cycle:
+            check_state(fire, n, "fire set")
+            if not 0 <= off < period:
+                raise ScheduleError(f"cycle offset {off} outside [0, period)")
+            if prev is not None and off <= prev:
+                raise ScheduleError("cycle offsets must strictly increase")
+            prev = off
+    except ValueError:
+        return False
+    return True
+
+
+def accepts(*fields):
+    try:
+        Schedule(*fields)
+    except ValueError:
+        return False
+    return True
+
+
+@st.composite
+def raw_fields(draw):
+    """Schedule fields, tidy (valid) and then with at most one field
+    replaced by a random one: shuffled or repeated times, an empty cycle,
+    offsets past the period, a nonpositive period, an early start, or n
+    too small for the fire sets."""
+    n = draw(st.integers(1, 3))
+    fires = st.integers(0, (1 << n) - 1)
+
+    def events(times, min_size):
+        return draw(st.lists(st.tuples(times, fires), min_size=min_size, max_size=4))
+
+    prefix = sorted(dict(events(rationals, 0)).items())
+    cycle = sorted(dict(events(rationals.filter(lambda x: x >= 0), 1)).items())
+    period = cycle[-1][0] + F(1, draw(st.integers(1, 6)))
+    start = (prefix[-1][0] if prefix else 0) + F(draw(st.integers(1, 6)), draw(st.integers(1, 6)))
+    fields = [n, tuple(prefix), tuple(cycle), as_mixed(draw, period), as_mixed(draw, start)]
+    flaw = draw(st.integers(-1, 4))
+    if flaw == 0:
+        fields[0] = n - 1
+    elif flaw in (1, 2):
+        fields[flaw] = tuple(events(rationals, 0))
+    elif flaw in (3, 4):
+        fields[flaw] = draw(rationals)
+    return tuple(fields)
+
+
+@settings(max_examples=400, deadline=None)
+@given(raw_fields())
+def test_schedule_accepts_what_the_fraction_validator_accepts(fields):
+    assert accepts(*fields) == fraction_validator_accepts(*fields)
+
+
+@settings(max_examples=200, deadline=None)
+@given(grid_cases(), st.integers(0, 3), rationals)
+def test_a_reused_cycle_is_checked_again_for_another_n_or_period(case, n2, period2):
+    # an offset now outside the period or a fire set now too wide must
+    # still be refused
+    _, _, rho, _ = case
+    for fields in ((n2, (), rho.cycle, rho.period, rho.cycle_start),
+                   (rho.n, rho.prefix, rho.cycle, period2, rho.cycle_start),
+                   (n2, rho.prefix, rho.cycle, period2, rho.cycle_start)):
+        assert accepts(*fields) == fraction_validator_accepts(*fields), fields
+
+
+def fraction_trace(net, mu, rho):
+    """orbit_trace's changes, loop entry and (state, dwell) loop, computed
+    in plain Fractions from events(): fold until the value at a cycle
+    occurrence start repeats."""
+    p, q = len(rho.prefix), len(rho.cycle)
+    events = rho.events()
+    times, values = [], [mu]
+
+    def step():
+        t, fire = next(events)
+        times.append(F(t))
+        values.append(apply_fire_set(net, values[-1], fire))
+
+    for _ in range(p):
+        step()
+    starts = {}
+    while values[-1] not in starts:
+        starts[values[-1]] = len(values) - 1
+        for _ in range(q):
+            step()
+    tail = starts[values[-1]]
+    entry = rho.cycle_start + (tail - p) // q * F(rho.period)
+    end = entry + (len(values) - 1 - tail) // q * F(rho.period)
+    changes = [(times[k - 1], values[k]) for k in range(1, tail + 1) if values[k] != values[k - 1]]
+    loop, cursor = [], entry
+    for k in range(tail + 1, len(values)):
+        if values[k] != values[k - 1] and times[k - 1] > cursor:
+            loop.append((values[k - 1], times[k - 1] - cursor))
+            cursor = times[k - 1]
+    loop.append((values[-1], end - cursor))
+    return tuple(changes), entry, tuple(loop)
+
+
+@settings(max_examples=300, deadline=None)
+@given(grid_cases())
+def test_grid_orbit_trace_matches_fraction_reference(case):
+    net, mu, rho, _ = case
+    trace, _ = orbit_trace(net, mu, rho)
+    assert (trace.changes, trace.loop_entry, trace.loop) == fraction_trace(net, mu, rho)
+
+
+@settings(max_examples=100, deadline=None)
+@given(grid_cases(), rationals, st.integers(1, 15))
+def test_a_shared_cycle_is_validated_once(case, d, mask):
+    net, mu, rho, _ = case
+    with mock.patch.object(
+        schedule_mod, "_validated_cycle", wraps=schedule_mod._validated_cycle
+    ) as validate:
+        for derived in (
+            translate(rho, d),
+            restrict_after(rho, d),
+            dataclasses.replace(rho, prefix=()),
+            dataclasses.replace(rho, cycle_start=rho.cycle_start + 1),
+        ):
+            assert derived.cycle is rho.cycle
+        assert validate.call_count == 0
+        # another period or n is checked again
+        dataclasses.replace(rho, period=rho.period * 2)
+        assert validate.call_count == 1
+        # basin_p validates one covering cycle per fair SCC, shared by all
+        # the witnesses that end in it
+        validate.reset_mock()
+        target = frozenset(s for s in net.states() if mask >> (s % 4) & 1) or frozenset({0})
+        result = basin_p(net, target)
+        assert validate.call_count == len(graph._fair_sccs(net, target))
+        assert len({id(w.cycle) for w in result.witnesses.values()}) == validate.call_count
+
+
+def test_times_must_be_int_or_fraction(net1):
+    fields = (2, ((F(1, 3), 0b01),), ((F(0), 0b11),), F(1), F(1))
+    for i, bad in ((1, ((0.5, 0b01),)), (2, ((0.0, 0b11),)), (3, 1.0), (4, 1.5)):
+        broken = list(fields)
+        broken[i] = bad
+        with pytest.raises(ScheduleError, match="is not an int or Fraction") as exc:
+            Schedule(*broken)
+        assert "\n" not in str(exc.value)
+    # a float time used to fold before the cycle start and fail past it
+    rho = Schedule(*fields)
+    for t in (0.5, 2.5):
+        with pytest.raises(ScheduleError, match="is not an int or Fraction"):
+            flow_at(net1, 0, rho, t)

@@ -25,6 +25,7 @@ from asyncbool import (
 )
 from asyncbool import basins as basins_mod
 from asyncbool.oracle import _anchored_omegas, _prefix_outcomes, oracle_achievable_omegas_all
+from tests.conftest import all_networks
 
 # checks recorded only from the bounded word enumeration
 WORD_ORACLE_CHECKS = {
@@ -139,6 +140,20 @@ def test_oracle_achievable_omegas_net1(net1):
     assert stabilized
     omegas, _ = oracle_achievable_omegas(net1, 0b10, OracleBounds(1, 1))
     assert omegas == {frozenset({0b10})}
+
+
+def test_one_state_answer_matches_the_whole_table():
+    """oracle_achievable_omegas walks only the anchors within reach of mu;
+    its sets and flag equal the whole-table answer at mu on every n = 2 net
+    and on acceptance criterion 6's n = 3 nets."""
+    cases = [(net, default_bounds(2)) for net in all_networks(2)]
+    rng = random.Random(20240902)
+    cases += [(Network(3, tuple(rng.randrange(8) for _ in range(8))), default_bounds(3))
+              for _ in range(50)]
+    for net, bounds in cases:
+        results, stabilized = oracle_achievable_omegas_all(net, bounds)
+        for mu in net.states():
+            assert oracle_achievable_omegas(net, mu, bounds) == (results[mu], stabilized[mu])
 
 
 def test_oracle_monotone_in_bounds(net1):
