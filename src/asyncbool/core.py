@@ -64,8 +64,11 @@ class Network:
             raise DimensionError(
                 f"truth table must have {1 << self.n} rows, got {len(self.table)}"
             )
-        for row in self.table:
-            check_state(row, self.n, "table entry")
+        # one bounds pass over the whole table; a failure names the first
+        # out-of-range entry
+        size = len(self.table)
+        if not 0 <= min(self.table) <= max(self.table) < size:
+            check_state(next(r for r in self.table if not 0 <= r < size), self.n, "table entry")
 
     @classmethod
     def from_rows(cls, n: int, rows: Iterable[tuple[int, int]]) -> "Network":

@@ -82,17 +82,37 @@ def simulate_word_schedule(
     check_state(mu, net.n)
     for fire in itertools.chain(prefix_word, cycle_word):
         check_state(fire, net.n, "fire set")
-    table = net.table
+    return _fold(_Steps(net, set(prefix_word).union(cycle_word)), mu, prefix_word, cycle_word)
+
+
+class _Steps(dict):
+    """One-step rows built on first use: self[state][fire] is the state
+    after firing `fire`, for the given fire sets only."""
+
+    def __init__(self, net: Network, fires):
+        super().__init__()
+        self.table = net.table
+        self.fires = fires
+
+    def __missing__(self, state):
+        image = self.table[state]
+        row = self[state] = {fire: (state & ~fire) | (image & fire) for fire in self.fires}
+        return row
+
+
+def _fold(step, mu: int, prefix_word, cycle_word) -> tuple[frozenset[int], frozenset[int]]:
+    """simulate_word_schedule on validated input, through a step table:
+    step[state][fire] is the state after firing `fire` at `state`."""
     state = mu
     trail = [mu]  # the state after every step, in order
     for fire in prefix_word:
-        state = (state & ~fire) | (table[state] & fire)
+        state = step[state][fire]
         trail.append(state)
     seen: dict[int, int] = {}  # cycle-boundary state -> its index in trail
     while state not in seen:
         seen[state] = len(trail)
         for fire in cycle_word:
-            state = (state & ~fire) | (table[state] & fire)
+            state = step[state][fire]
             trail.append(state)
     return frozenset(trail), frozenset(trail[seen[state] :])
 
@@ -141,11 +161,14 @@ def _word_runs(
 ) -> dict[int, tuple[tuple[frozenset[int], frozenset[int]], ...]]:
     """For every start state, the distinct (orbit, omega) pairs over all
     bounded word schedules, in the order the enumeration meets them.  Each
-    (state, cycle word) loop is simulated once, whichever start state and
-    prefix reach it, and each prefix outcome is crossed only with the
-    distinct loop results of its state, kept in first-seen order, so the
-    pairs arrive in the same order as over every cycle word."""
+    (state, cycle word) loop is folded once, whichever start state and
+    prefix reach it, through one step table of the net; the cycle words
+    are valid and progressive by construction.  Each prefix outcome is
+    crossed only with the distinct loop results of its state, kept in
+    first-seen order, so the pairs arrive in the same order as over every
+    cycle word."""
     cycles = _progressive_cycles(net.n, bounds)
+    step = [_images(net, state) for state in net.states()]
     loops: dict[int, tuple[tuple[frozenset[int], frozenset[int]], ...]] = {}
     runs = {}
     for mu in net.states():
@@ -153,9 +176,7 @@ def _word_runs(
         for state, visited in _prefix_outcomes(net, mu, bounds):
             if state not in loops:
                 loops[state] = tuple(
-                    dict.fromkeys(
-                        simulate_word_schedule(net, state, (), cycle) for cycle in cycles
-                    )
+                    dict.fromkeys(_fold(step, state, (), cycle) for cycle in cycles)
                 )
             for loop_orbit, omega in loops[state]:
                 pairs[visited | loop_orbit, omega] = None
@@ -282,6 +303,37 @@ class VerificationReport:
         return self.total_failures == 0
 
 
+class _SetAnswers:
+    """Set-level graph answers on one net, each computed once per set.
+
+    One instance lives for one verify_theorems call and is shared by its
+    check families.  It holds only the reference side, the invariance and
+    basins of a given set; an entry is filled through the `graph` and
+    `basins` module attributes, so a patched function is the one asked."""
+
+    def __init__(self, net: Network):
+        self.net = net
+        self.memo: dict[tuple[str, frozenset[int]], object] = {}
+
+    def _ask(self, kind: str, a: frozenset[int], compute):
+        key = (kind, a)
+        if key not in self.memo:
+            self.memo[key] = compute(self.net, a)
+        return self.memo[key]
+
+    def p_inv(self, a: frozenset[int]) -> bool:
+        return self._ask("p_inv", a, graph.is_p_invariant)
+
+    def n_inv(self, a: frozenset[int]) -> bool:
+        return self._ask("n_inv", a, graph.is_n_invariant)
+
+    def basin_p(self, a: frozenset[int]) -> frozenset[int]:
+        return self._ask("p", a, lambda net, a: basins_mod.basin_p(net, a, False).members)
+
+    def basin_n(self, a: frozenset[int]) -> frozenset[int]:
+        return self._ask("n", a, lambda net, a: basins_mod.basin_n(net, a).members)
+
+
 def _sample_sets(
     net: Network, eq: frozenset[int], max_sets: int | None, rng: random.Random
 ):
@@ -399,49 +451,50 @@ def _check_word_oracle(report, net, base, bounds, eq, graph_ach, runs, word_omeg
 
 _SHIFTS = (Fraction(5), Fraction(1, 2), Fraction(-3))
 _SHIFT = Fraction(7, 3)
-_PROBES = (Fraction(-1), Fraction(1, 2), Fraction(3), Fraction(11, 2))
+# each probe time, with its time on the shifted schedule
+_PROBES = tuple(
+    (t, t + _SHIFT) for t in (Fraction(-1), Fraction(1, 2), Fraction(3), Fraction(11, 2))
+)
 # each restriction time, with the times its restricted flow is compared at
 _CUTS = {cut: (cut, cut + Fraction(1, 2), cut + 3)
          for cut in (Fraction(-10), Fraction(1, 3), Fraction(2), Fraction(9, 2))}
 
 
-def _check_schedule_laws(report, net, base, eq, graph_ach, rng):
+def _check_schedule_laws(report, net, base, eq, graph_ach, answers, rng):
     """Omega-limit, invariance, translation and restriction laws along
     sampled rational-time schedules."""
     for rho in _sample_schedules(net, rng):
         schedule = str(rho)
+        # every transform of rho is built once, for all start states
+        translated = [translate(rho, d) for d in _SHIFTS]
+        shifted = translate(rho, _SHIFT)
+        tails = {t_prime: restrict_after(rho, t_prime) for t_prime in _CUTS}
+        progressive = {t_prime: is_progressive(tail) for t_prime, tail in tails.items()}
         for mu in net.states():
             payload = {**base, "mu": format_bits(mu, net.n), "schedule": schedule}
             trace, orbit = orbit_trace(net, mu, rho)
             omega = trace.loop_states
             _check_run(report, net, mu, orbit, omega, eq, graph_ach, payload)
-            report.record(
-                "orbit_is_p_invariant", graph.is_p_invariant(net, orbit), payload
-            )
-            report.record(
-                "omega_is_p_invariant", graph.is_p_invariant(net, omega), payload
-            )
-            for d in _SHIFTS:
+            report.record("orbit_is_p_invariant", answers.p_inv(orbit), payload)
+            report.record("omega_is_p_invariant", answers.p_inv(omega), payload)
+            for moved in translated:
                 report.record(
                     "translation_preserves_omega",
-                    omega_limit(net, mu, translate(rho, d)) == omega,
+                    omega_limit(net, mu, moved) == omega,
                     payload,
                 )
             # the reference flow, folded once for all its values below
             reference = _flow(net, mu, rho)
-            shifted = translate(rho, _SHIFT)
-            for t in _PROBES:
+            for t, t_shifted in _PROBES:
                 report.record(
                     "translated_flow_matches_shifted_time",
-                    flow_at(net, mu, shifted, t + _SHIFT) == reference(t),
+                    flow_at(net, mu, shifted, t_shifted) == reference(t),
                     payload,
                 )
             for t_prime, times in _CUTS.items():
                 mu2 = reference(t_prime)
-                tail = restrict_after(rho, t_prime)
-                report.record(
-                    "restriction_is_progressive", is_progressive(tail), payload
-                )
+                tail = tails[t_prime]
+                report.record("restriction_is_progressive", progressive[t_prime], payload)
                 for t in times:
                     report.record(
                         "flow_factors_through_restriction",
@@ -455,7 +508,7 @@ def _check_schedule_laws(report, net, base, eq, graph_ach, rng):
                 )
 
 
-def _check_achievability(report, net, base, eq, graph_ach, reach):
+def _check_achievability(report, net, base, eq, graph_ach, answers, reach):
     """Every graph-achievable omega set is achievable and its witness
     schedule replays to it; reachable and fixed-point sets are n-invariant."""
     if graph_ach is not None:
@@ -474,35 +527,29 @@ def _check_achievability(report, net, base, eq, graph_ach, reach):
                 report.record("achievable_omega_witness_replays", ok, payload)
     for mu in net.states():
         payload = {**base, "mu": format_bits(mu, net.n)}
-        report.record(
-            "reachable_set_is_n_invariant",
-            graph.is_n_invariant(net, reach[mu]),
-            payload,
-        )
+        report.record("reachable_set_is_n_invariant", answers.n_inv(reach[mu]), payload)
     if eq:
-        report.record(
-            "fixed_point_set_is_n_invariant",
-            graph.is_n_invariant(net, eq),
-            base,
-        )
+        report.record("fixed_point_set_is_n_invariant", answers.n_inv(eq), base)
         for mu in eq:
             report.record(
                 "fixed_point_singleton_is_n_invariant",
-                graph.is_n_invariant(net, frozenset({mu})),
+                answers.n_inv(frozenset({mu})),
                 {**base, "mu": format_bits(mu, net.n)},
             )
 
 
-def _check_set_basins(report, net, base, eq, graph_ach, runs, word_omegas, max_sets, rng):
+def _check_set_basins(
+    report, net, base, eq, graph_ach, answers, runs, word_omegas, max_sets, rng
+):
     """Invariance and basin theorems over sampled state sets, with the
     word oracle's basins bracketing the graph's."""
     states = net.states()
     basins: dict[frozenset[int], tuple[frozenset[int], frozenset[int]]] = {}
     for a in _sample_sets(net, eq, max_sets, rng):
-        p_inv = graph.is_p_invariant(net, a)
-        n_inv = graph.is_n_invariant(net, a)
-        w_p = basins_mod.basin_p(net, a, with_witnesses=False).members
-        w_n = basins_mod.basin_n(net, a).members
+        p_inv = answers.p_inv(a)
+        n_inv = answers.n_inv(a)
+        w_p = answers.basin_p(a)
+        w_n = answers.basin_n(a)
         basins[a] = (w_p, w_n)
         payload = {**base, "A": sorted(format_bits(s, net.n) for s in a)}
         report.record(
@@ -520,12 +567,12 @@ def _check_set_basins(report, net, base, eq, graph_ach, runs, word_omegas, max_s
         report.record("n_basin_inside_p_basin", w_n <= w_p, payload)
         report.record(
             "nonempty_p_basin_is_p_invariant",
-            (not w_p) or graph.is_p_invariant(net, w_p),
+            (not w_p) or answers.p_inv(w_p),
             payload,
         )
         report.record(
             "nonempty_n_basin_is_n_invariant",
-            (not w_n) or graph.is_n_invariant(net, w_n),
+            (not w_n) or answers.n_inv(w_n),
             payload,
         )
         if graph_ach is not None:
@@ -573,7 +620,7 @@ def _check_set_basins(report, net, base, eq, graph_ach, runs, word_omegas, max_s
             )
 
 
-def _check_flow_basins(report, net, base, eq, rng):
+def _check_flow_basins(report, net, base, eq, answers, rng):
     """Orbit and omega basins of sampled flows against each other and
     against the set basins of the orbit and the omega-limit set."""
     for rho in _sample_schedules(net, rng):
@@ -595,48 +642,34 @@ def _check_flow_basins(report, net, base, eq, rng):
             )
             report.record(
                 "orbit_p_basin_equals_set_basin_of_orbit",
-                ob_p == basins_mod.basin_p(net, orbit, with_witnesses=False).members,
+                ob_p == answers.basin_p(orbit),
                 payload,
             )
             report.record(
                 "orbit_n_basin_inside_set_basin_of_orbit",
-                ob_n <= basins_mod.basin_n(net, orbit).members,
+                ob_n <= answers.basin_n(orbit),
                 payload,
             )
             report.record(
                 "omega_p_basin_equals_set_basin_of_omega",
-                om_p == basins_mod.basin_p(net, omega, with_witnesses=False).members,
+                om_p == answers.basin_p(omega),
                 payload,
             )
-            report.record(
-                "orbit_p_basin_is_p_invariant",
-                graph.is_p_invariant(net, ob_p),
-                payload,
-            )
+            report.record("orbit_p_basin_is_p_invariant", answers.p_inv(ob_p), payload)
             if ob_n:
-                report.record(
-                    "orbit_n_basin_is_n_invariant",
-                    graph.is_n_invariant(net, ob_n),
-                    payload,
-                )
+                report.record("orbit_n_basin_is_n_invariant", answers.n_inv(ob_n), payload)
             report.record("orbit_n_basin_inside_omega_n_basin", ob_n <= om_n, payload)
             report.record(
                 "omega_n_basin_inside_set_basin_of_omega",
-                om_n <= basins_mod.basin_n(net, omega).members,
+                om_n <= answers.basin_n(omega),
                 payload,
             )
             if om_n:
-                report.record(
-                    "omega_n_basin_is_n_invariant",
-                    graph.is_n_invariant(net, om_n),
-                    payload,
-                )
+                report.record("omega_n_basin_is_n_invariant", answers.n_inv(om_n), payload)
             if len(omega) == 1:
-                star = frozenset(omega)
-                w_n_star = basins_mod.basin_n(net, star).members
                 report.record(
                     "constant_tail_n_basins_collapse",
-                    ob_n == om_n == w_n_star,
+                    ob_n == om_n == answers.basin_n(omega),
                     payload,
                 )
             if mu in eq:
@@ -644,8 +677,8 @@ def _check_flow_basins(report, net, base, eq, rng):
                     "fixed_point_basins_all_coincide",
                     ob_p
                     == om_p
-                    == basins_mod.basin_p(net, frozenset({mu}), False).members
-                    and ob_n == basins_mod.basin_n(net, frozenset({mu})).members,
+                    == answers.basin_p(frozenset({mu}))
+                    and ob_n == answers.basin_n(frozenset({mu})),
                     payload,
                 )
 
@@ -673,6 +706,14 @@ def verify_theorems(
     seeded with 0, so a reported counterexample replays exactly.  Failures
     are data, not errors: each one lands in the report with a replayable
     payload.
+
+    Each fact is computed once per call: the word runs fold every (state,
+    cycle word) loop through one step table of the net; each translated
+    and restricted schedule is built once per sampled schedule, for all
+    start states; and the set-level reference answers (invariance, and the
+    p- and n-basin of a given set) are memoized per call, shared by the
+    families and dropped when the call returns.  The functions under test
+    (orbit and omega basins, witnesses, flows) run once per flow.
     """
     rng = random.Random(0)
     report = VerificationReport()
@@ -689,8 +730,11 @@ def verify_theorems(
             mu: frozenset(omega for _, omega in pairs) for mu, pairs in runs.items()
         }
         _check_word_oracle(report, net, base, bounds, eq, graph_ach, runs, word_omegas)
-    _check_schedule_laws(report, net, base, eq, graph_ach, rng)
-    _check_achievability(report, net, base, eq, graph_ach, reach)
-    _check_set_basins(report, net, base, eq, graph_ach, runs, word_omegas, max_sets, rng)
-    _check_flow_basins(report, net, base, eq, rng)
+    answers = _SetAnswers(net)
+    _check_schedule_laws(report, net, base, eq, graph_ach, answers, rng)
+    _check_achievability(report, net, base, eq, graph_ach, answers, reach)
+    _check_set_basins(
+        report, net, base, eq, graph_ach, answers, runs, word_omegas, max_sets, rng
+    )
+    _check_flow_basins(report, net, base, eq, answers, rng)
     return report

@@ -304,7 +304,7 @@ def omega_limit(net: Network, mu: int, rho: Schedule) -> frozenset[int]:
 
 def translate(rho: Schedule, d: Fraction) -> Schedule:
     """Shift every event time by +d; cycle structure is unchanged."""
-    d = Fraction(d)
+    d = Fraction(_rational(d))
     return Schedule(
         rho.n,
         tuple((t + d, fire) for t, fire in rho.prefix),
@@ -320,7 +320,7 @@ def restrict_after(rho: Schedule, t_prime: Fraction) -> Schedule:
     Cycle occurrences cut in half by t_prime are moved into the prefix;
     the cycle itself is untouched, so progressiveness is preserved.
     """
-    t_prime = Fraction(t_prime)
+    _rational(t_prime)
     prefix = [(t, f) for t, f in rho.prefix if t > t_prime]
     if rho.cycle_start > t_prime:
         return Schedule(rho.n, tuple(prefix), rho.cycle, rho.period, rho.cycle_start)

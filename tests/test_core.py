@@ -53,6 +53,18 @@ def test_network_validates_table_length():
         Network(2, (0, 1, 2, 4))  # entry out of range
 
 
+@pytest.mark.parametrize(
+    "table, first",
+    [((0, -1, 2, 3), -1), ((3, 2, -5, 9), -5), ((0, 4, 2, 3), 4), ((3, 9, -2, 0), 9)],
+    ids=["negative", "first-of-two-negative", "oversize", "first-of-two-oversize"],
+)
+def test_network_names_the_first_out_of_range_entry(table, first):
+    # a table built directly through the API is fully validated, in one pass
+    with pytest.raises(DimensionError) as exc:
+        Network(2, table)
+    assert str(exc.value) == f"table entry {first} out of range for n=2"
+
+
 def test_network_from_rows_rejects_duplicates_and_gaps():
     with pytest.raises(DimensionError, match="duplicate"):
         Network.from_rows(1, [(0, 0), (0, 1), (1, 1)])

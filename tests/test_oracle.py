@@ -4,6 +4,8 @@ import functools
 import itertools
 import operator
 import random
+import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -24,7 +26,14 @@ from asyncbool import (
     verify_theorems,
 )
 from asyncbool import basins as basins_mod
-from asyncbool.oracle import _anchored_omegas, _prefix_outcomes, oracle_achievable_omegas_all
+from asyncbool import graph
+from asyncbool.oracle import (
+    _anchored_omegas,
+    _prefix_outcomes,
+    _progressive_cycles,
+    _word_runs,
+    oracle_achievable_omegas_all,
+)
 from tests.conftest import all_networks
 
 # checks recorded only from the bounded word enumeration
@@ -296,6 +305,69 @@ def test_verify_detects_injected_mutation(net1, monkeypatch):
     assert not report.ok
     bad = report.counterexamples[0]
     assert "check" in bad and "table" in bad
+
+
+def test_word_runs_match_the_public_simulation():
+    # the step-table fold gives every (state, cycle word) loop the public
+    # simulate_word_schedule gives, crossed with the prefix outcomes in the
+    # same first-seen order, and the same pairs as every literal word pair
+    rng = random.Random(20261018)
+    for _ in range(12):
+        n = rng.choice((1, 2, 3))
+        net = Network(n, tuple(rng.randrange(1 << n) for _ in range(1 << n)))
+        bounds = OracleBounds(1, 2)
+        cycles = _progressive_cycles(n, bounds)
+        runs = _word_runs(net, bounds)
+        for mu in net.states():
+            want = {}
+            for state, visited in _prefix_outcomes(net, mu, bounds):
+                for cycle in cycles:
+                    orbit, omega = simulate_word_schedule(net, state, (), cycle)
+                    want[visited | orbit, omega] = None
+            assert runs[mu] == tuple(want)
+            prefixes = [()] + [(fire,) for fire in range(1 << n)]
+            assert set(runs[mu]) == {
+                simulate_word_schedule(net, mu, prefix, cycle)
+                for prefix in prefixes
+                for cycle in cycles
+            }
+
+
+def test_verify_detects_lying_p_invariance(net1, monkeypatch):
+    # memoized set answers are still filled through graph.is_p_invariant,
+    # so a patched fault there reaches the checks
+    real = graph.is_p_invariant
+
+    def lying(net, states):
+        return real(net, states) != (len(states) == 2)
+
+    monkeypatch.setattr(graph, "is_p_invariant", lying)
+    report = verify_theorems(net1, OracleBounds(1, 2))
+    assert not report.ok
+    failed = {name for name, (_, fails) in report.checks.items() if fails}
+    assert {"orbit_is_p_invariant", "n_invariant_implies_p_invariant"} <= failed
+
+
+def test_set_basins_are_computed_once_per_call(net1, monkeypatch):
+    # every distinct set's reference n-basin is computed once per call and
+    # again in the next call: no answer outlives verify_theorems.  Calls
+    # made inside orbit_basin_n and omega_basin_n, the functions under
+    # test, are not the reference side and are not counted.
+    real = basins_mod.basin_n
+    calls = Counter()
+
+    def counting(net, attractor):
+        if sys._getframe(1).f_globals["__name__"] == "asyncbool.oracle":
+            calls[attractor] += 1
+        return real(net, attractor)
+
+    monkeypatch.setattr(basins_mod, "basin_n", counting)
+    for _ in range(2):
+        calls.clear()
+        assert verify_theorems(net1, OracleBounds(1, 2)).ok
+        # the sample holds every nonempty set of the 4 states
+        assert len(calls) == 15
+        assert set(calls.values()) == {1}
 
 
 def test_word_oracle_skipped_above_n3():

@@ -130,6 +130,22 @@ def test_restrict_after_drops_past_events():
     assert tail2.cycle_start == F(11)
 
 
+def test_shift_and_cut_must_be_int_or_fraction():
+    # a float shift used to be taken silently, leaving a binary-float time
+    # with a 2**55 denominator in the translated schedule
+    rho = mk(2, [(0, 1)], [(0, 3), (F(1, 2), 2)], 1, 1)
+    for transform in (translate, restrict_after):
+        with pytest.raises(ScheduleError, match="is not an int or Fraction") as exc:
+            transform(rho, 0.1)
+        assert "\n" not in str(exc.value)
+        assert transform(rho, 2) == transform(rho, F(2))
+        assert transform(rho, F(1, 3)).cycle is rho.cycle
+    assert translate(rho, 2).cycle_start == F(3)
+    assert translate(rho, F(1, 3)).prefix == ((F(1, 3), 1),)
+    assert restrict_after(rho, 2).prefix == ((F(5, 2), 2),)
+    assert restrict_after(rho, F(1, 3)).cycle_start == F(1)
+
+
 def test_flows_eventually_equal_same_flow(net1):
     ok, witness = flows_eventually_equal(net1, 0b00, synchronous(2), 0b00, synchronous(2))
     assert ok
