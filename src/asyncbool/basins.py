@@ -1,10 +1,12 @@
 """Basins of attraction of sets, fixed points, orbits and omega-limit sets.
 
-Every basin is one backward closure over the implicit edge relation of
-`graph`: the states that can reach some set of fair SCCs, by multi-source
-BFS on reversed edges.  basin_p(A) closes over the fair SCCs of the
-subgraph induced on A; basin_n(A) is the complement of the closure of
-every full-graph fair SCC not contained in A.
+Every basin is one backward closure in `graph`: the states that can
+reach some set of fair SCCs, by multi-source BFS over the predecessor
+tuples that the network's transition graph keeps from its first
+whole-graph pass on.  basin_p(A) closes over the fair SCCs of the
+subgraph induced on A, which `graph` finds inside the graph's cached
+SCCs; basin_n(A) is the complement of the closure of every full-graph
+fair SCC not contained in A.  Each call builds only its own BFS tree.
 
 Existential ("p") basins come with constructive witness schedules taken
 from the same BFS tree: its next-hop pointers give every member a

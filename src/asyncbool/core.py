@@ -70,6 +70,11 @@ class Network:
         if not 0 <= min(self.table) <= max(self.table) < size:
             check_state(next(r for r in self.table if not 0 <= r < size), self.n, "table entry")
 
+    def __getstate__(self):
+        # the fields only: graph.py keeps its transition graph on the
+        # instance, and a pickle need not carry it
+        return {"n": self.n, "table": self.table}
+
     @classmethod
     def from_rows(cls, n: int, rows: Iterable[tuple[int, int]]) -> "Network":
         """Build from (state, image) pairs; every state must appear once."""

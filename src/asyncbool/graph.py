@@ -8,18 +8,24 @@ reachable from mu.  The construction direction of this equivalence lives
 in basins.witness_schedule; the oracle module validates both directions
 by bounded schedule enumeration.
 
-The graph is never stored.  Firing a nonempty fire set nu inside the
-unstable coordinates of mu flips exactly those bits, so the proper edges
-are mu -> mu ^ nu and the internal loops enumerate them from the truth
-table with bit arithmetic (`_targets`).  Whole-state-space questions are
-single linear passes: Tarjan's SCCs over an induced subgraph, and
-backward closures by multi-source BFS over predecessor lists that live
-only for the duration of one call.
+Firing a nonempty fire set nu inside the unstable coordinates of mu flips
+exactly those bits, so the proper edges are mu -> mu ^ nu, enumerated from
+the truth table with bit arithmetic (`_targets`).  Walks from one state
+(reachability, shortest paths, n-invariance, fair covers) step with it and
+store nothing.  Whole-state-space passes read one structure per network
+instead (`_graph`): the predecessor tuples, the SCCs of more than one
+state and the fixed points.  It is built on the first such pass and kept
+on the immutable Network, outside its fields, so equality, hash, repr and
+pickling do not see it, and a network that never needs it never builds
+it.  It holds no answer to any query, only the graph: backward closures
+walk its predecessors, and the SCCs of a subgraph induced on a domain are
+found inside its SCCs, since every SCC of an induced subgraph lies in one
+SCC of the whole graph.
 """
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .core import (
     GRAPH_CAP,
@@ -46,8 +52,10 @@ def _check_states(net: Network, states: Iterable[int]) -> None:
     the table with its members: a negative member would index from the
     end and make the subset enumeration in `_targets` run forever."""
     _check_graph_cap(net)
-    for mu in states:
-        check_state(mu, net.n)
+    # one bounds pass; a failure names the first out-of-range member
+    size = len(net.table)
+    if states and not 0 <= min(states) <= max(states) < size:
+        check_state(next(mu for mu in states if not 0 <= mu < size), net.n)
 
 
 def _targets(table: tuple[int, ...], mu: int) -> list[int]:
@@ -85,23 +93,50 @@ def _adjacency(net: Network, domain) -> dict[int, list[int]]:
     return {mu: [t for t in _targets(table, mu) if t in domain] for mu in domain}
 
 
+# one int object per state, referenced by the predecessor tuples of every
+# network instead of a copy per network
+_STATES = tuple(range(1 << GRAPH_CAP))
+
+
+class _Graph(NamedTuple):
+    pred: tuple[tuple[int, ...], ...]  # pred[t]: sources of proper edges into t, increasing
+    sccs: list[frozenset[int]]  # the SCCs of more than one state
+    fixed: frozenset[int]  # the fixed points, the only fair one-state SCCs
+
+
+def _graph(net: Network) -> _Graph:
+    """The whole transition graph of a capped network, built on first use
+    and kept on the network for every later whole-graph pass."""
+    cached = net.__dict__.get("_graph")
+    if cached is not None:
+        return cached
+    table = net.table
+    # the successor lists live only while the graph is built
+    succ = {mu: _targets(table, mu) for mu in _STATES[:len(table)]}
+    sccs = [frozenset(scc) for scc in _tarjan_sccs(succ) if len(scc) > 1]
+    pred: list[list[int]] = [[] for _ in table]
+    for mu, targets in succ.items():
+        for t in targets:
+            pred[t].append(mu)
+    fixed = frozenset(mu for mu in succ if table[mu] == mu)
+    built = _Graph(tuple(map(tuple, pred)), sccs, fixed)
+    object.__setattr__(net, "_graph", built)
+    return built
+
+
 def _backward_closure(net: Network, sources, domain=None) -> dict[int, int]:
     """Multi-source BFS over reversed proper edges, restricted to `domain`
     when given.  Maps every state that reaches a source to its next hop on
-    a shortest path there; sources map to themselves."""
+    a shortest path there; sources map to themselves.  Predecessors are
+    visited in increasing order, which fixes the BFS tree."""
     if not sources:
         return {}
-    table = net.table
-    pred: list[list[int]] = [[] for _ in table]
-    for mu in range(len(table)) if domain is None else domain:
-        for t in _targets(table, mu):
-            if domain is None or t in domain:
-                pred[t].append(mu)
+    pred = _graph(net).pred
     hop = {s: s for s in sources}
     queue = list(hop)
     for state in queue:  # the loop also visits states appended while it runs
         for p in pred[state]:
-            if p not in hop:
+            if p not in hop and (domain is None or p in domain):
                 hop[p] = state
                 queue.append(p)
     return hop
@@ -132,50 +167,43 @@ def is_n_invariant(net: Network, states: frozenset[int]) -> bool:
 
 
 def _tarjan_sccs(adjacency: dict[int, list[int]]) -> list[list[int]]:
-    """Iterative Tarjan over an explicit adjacency map."""
+    """Iterative Tarjan over an explicit adjacency map.  A state's index is
+    raised past every other once its SCC is emitted, so it lowers no
+    lowlink: that test replaces the on-stack set."""
     index: dict[int, int] = {}
-    lowlink: dict[int, int] = {}
-    on_stack: set[int] = set()
+    low: dict[int, int] = {}
     stack: list[int] = []
     sccs: list[list[int]] = []
-    counter = 0
+    done = len(adjacency)
     for root in adjacency:
         if root in index:
             continue
-        work = [(root, iter(adjacency[root]))]
-        index[root] = lowlink[root] = counter
-        counter += 1
+        index[root] = low[root] = len(index)
         stack.append(root)
-        on_stack.add(root)
+        work = [(root, iter(adjacency[root]))]
         while work:
             node, edges = work[-1]
-            advanced = False
             for target in edges:
                 if target not in index:
-                    index[target] = lowlink[target] = counter
-                    counter += 1
+                    index[target] = low[target] = len(index)
                     stack.append(target)
-                    on_stack.add(target)
                     work.append((target, iter(adjacency[target])))
-                    advanced = True
                     break
-                if target in on_stack:
-                    lowlink[node] = min(lowlink[node], index[target])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                lowlink[parent] = min(lowlink[parent], lowlink[node])
-            if lowlink[node] == index[node]:
-                scc = []
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    scc.append(w)
-                    if w == node:
-                        break
-                sccs.append(scc)
+                if index[target] < low[node]:
+                    low[node] = index[target]
+            else:  # every edge of node is done
+                work.pop()
+                if work and low[node] < low[work[-1][0]]:
+                    low[work[-1][0]] = low[node]
+                if low[node] == index[node]:
+                    scc = []
+                    while True:
+                        w = stack.pop()
+                        index[w] = done
+                        scc.append(w)
+                        if w == node:
+                            break
+                    sccs.append(scc)
     return sccs
 
 
@@ -222,13 +250,26 @@ def is_fair_set(net: Network, states: frozenset[int]) -> bool:
 
 
 def _fair_sccs(net: Network, domain=None) -> list[frozenset[int]]:
-    """fair_sccs on a validated domain."""
-    adjacency = _adjacency(net, net.states() if domain is None else domain)
-    result = [
-        scc
-        for scc in map(frozenset, _tarjan_sccs(adjacency))
-        if _fair_cover(net, scc) is not None
-    ]
+    """fair_sccs on a validated domain.
+
+    Every SCC of the subgraph induced on the domain lies inside one SCC of
+    the whole graph, so only the parts of the cached nontrivial SCCs in the
+    domain are searched, and a part that is the whole SCC is not searched
+    at all.  A one-state SCC is fair iff it is a fixed point, and fixed
+    points lie in no nontrivial SCC.
+    """
+    g = _graph(net)
+    fixed = g.fixed if domain is None else g.fixed.intersection(domain)
+    result = [frozenset((mu,)) for mu in fixed]
+    for scc in g.sccs:
+        part = scc if domain is None else scc.intersection(domain)
+        if len(part) == len(scc):
+            parts = [scc]
+        elif len(part) > 1:
+            parts = map(frozenset, _tarjan_sccs(_adjacency(net, part)))
+        else:
+            continue
+        result.extend(p for p in parts if len(p) > 1 and _fair_cover(net, p) is not None)
     result.sort(key=sorted)
     return result
 

@@ -61,6 +61,14 @@ class _Cycle(tuple):
         den = math.lcm(period.denominator, *(off.denominator for off, _ in self))
         return den, [_ticks(off, den) for off, _ in self], _ticks(period, den)
 
+    @cached_property
+    def fires(self) -> int:
+        """The union of the cycle's fire sets."""
+        union = 0
+        for _, fire in self:
+            union |= fire
+        return union
+
 
 def _validated_cycle(cycle, n: int, period: Fraction) -> _Cycle:
     prev = None
@@ -149,23 +157,16 @@ def synchronous(n: int) -> Schedule:
     return Schedule(n, (), ((Fraction(0), full_mask(n)),), Fraction(1), Fraction(0))
 
 
-def _missing(rho: Schedule, n: int) -> list[int]:
-    """1-based coordinates of an n-coordinate network the cycle never fires."""
-    union = 0
-    for _, fire in rho.cycle:
-        union |= fire
-    return [i + 1 for i in range(n) if not union & (1 << (n - 1 - i))]
-
-
 def is_progressive(rho: Schedule) -> bool:
-    return not _missing(rho, rho.n)
+    return not full_mask(rho.n) & ~rho.cycle.fires
 
 
 def _require_progressive(rho: Schedule, n: int) -> None:
     """Refuse a schedule that leaves some coordinate of an n-coordinate
     network unfired."""
-    missing = _missing(rho, n)
-    if missing:
+    unfired = full_mask(n) & ~rho.cycle.fires
+    if unfired:
+        missing = [i + 1 for i in range(n) if unfired & (1 << (n - 1 - i))]
         raise NotProgressiveError(f"coordinate {', '.join(map(str, missing))} never fires")
 
 

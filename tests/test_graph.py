@@ -1,12 +1,20 @@
+import dataclasses
+import pickle
+import random
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from asyncbool import (
     CapExceededError,
     DimensionError,
     Network,
+    Schedule,
     achievable_omegas_from,
+    basin_n,
+    basin_p,
     fair_sccs,
     fair_subsets,
     is_achievable_from,
@@ -17,7 +25,10 @@ from asyncbool import (
     reachable_set,
     successors,
 )
-from asyncbool.graph import _tarjan_sccs
+from asyncbool import graph
+from asyncbool.basins import _hop_word
+from asyncbool.formats import render_schedule
+from asyncbool.graph import _fair_cover, _tarjan_sccs, _targets
 
 
 def test_successors_one_per_unstable_subset(net1):
@@ -134,3 +145,134 @@ def test_graph_cap_enforced():
     big = Network(11, tuple(range(2048)))
     with pytest.raises(CapExceededError):
         successors(big, 0)
+
+
+# --- the cached transition graph against per-call references ------------------
+
+
+def _reference_fair_sccs(net, domain):
+    """The fair SCCs of the subgraph induced on `domain`, from one plain
+    Tarjan over that whole subgraph."""
+    adjacency = {mu: [t for t in _targets(net.table, mu) if t in domain] for mu in domain}
+    fair = [s for s in map(frozenset, _tarjan_sccs(adjacency)) if _fair_cover(net, s) is not None]
+    return sorted(fair, key=sorted)
+
+
+def _reference_closure(net, sources, domain=None):
+    """Backward BFS over predecessor lists built for this call only, each
+    in increasing source order."""
+    pred = [[] for _ in net.table]
+    for mu in net.states():
+        for t in _targets(net.table, mu):
+            if domain is None or (mu in domain and t in domain):
+                pred[t].append(mu)
+    hop = {s: s for s in sources}
+    queue = list(hop)
+    for state in queue:
+        for p in pred[state]:
+            if p not in hop:
+                hop[p] = state
+                queue.append(p)
+    return hop
+
+
+@st.composite
+def nets_and_domains(draw):
+    n = draw(st.integers(1, 6))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        table = [rng.randrange(1 << n) for _ in range(1 << n)]
+    else:  # one flipped bit per state: many small SCCs, some fixed points
+        table = [mu if rng.random() < 0.1 else mu ^ (1 << rng.randrange(n)) for mu in range(1 << n)]
+    states = range(1 << n)
+    domain = frozenset(draw(st.lists(st.sampled_from(states), min_size=1, max_size=1 << n)))
+    return Network(n, tuple(table)), domain
+
+
+@settings(max_examples=200, deadline=None)
+@given(nets_and_domains())
+def test_cached_graph_matches_per_call_reference(case):
+    net, domain = case
+    everything = frozenset(net.states())
+    assert fair_sccs(net) == _reference_fair_sccs(net, everything)
+    fair = _reference_fair_sccs(net, domain)
+    assert graph._fair_sccs(net, domain) == fair
+    assert is_p_invariant(net, domain) == (
+        bool(fair) and len(_reference_closure(net, [min(s) for s in fair], domain)) == len(domain)
+    )
+    hop = _reference_closure(net, [min(s) for s in fair])
+    assert basin_p(net, domain, with_witnesses=False).members == frozenset(hop)
+    escapes = [min(s) for s in fair_sccs(net) if not s <= domain]
+    assert basin_n(net, domain).members == everything - frozenset(_reference_closure(net, escapes))
+    # every witness walks the reference hop tree, then repeats its anchor's cycle
+    result = basin_p(net, domain)
+    assert set(result.witnesses) == set(hop)
+    for mu, witness in result.witnesses.items():
+        word, anchor = _hop_word(hop, mu)
+        own = result.witnesses[anchor]
+        assert own.prefix == ()
+        expected = Schedule(net.n, tuple(enumerate(word)), own.cycle, own.period, len(word))
+        assert render_schedule(witness) == render_schedule(expected)
+
+
+def test_whole_graph_tarjan_runs_once_per_network(monkeypatch):
+    calls = []
+
+    def counting(adjacency):
+        calls.append(len(adjacency))
+        return _tarjan_sccs(adjacency)
+
+    monkeypatch.setattr(graph, "_tarjan_sccs", counting)
+    rng = random.Random(4)
+    net = Network(5, tuple(rng.randrange(32) for _ in range(32)))
+    half = frozenset(range(0, 32, 2))
+    for _ in range(3):
+        fair_sccs(net)
+        basin_n(net, half)
+        basin_p(net, half)
+        basin_p(net, frozenset(net.states()))
+        is_p_invariant(net, half)
+    assert calls.count(32) == 1
+    # an equal but distinct network builds its own graph
+    basin_n(Network(5, net.table), half)
+    assert calls.count(32) == 2
+
+
+def test_fair_sccs_result_is_the_callers_to_mutate(net1):
+    first = fair_sccs(net1)
+    first.clear()
+    assert fair_sccs(net1) == [frozenset({0b01, 0b11}), frozenset({0b10})]
+    restricted = fair_sccs(net1, frozenset({0b00, 0b10}))
+    restricted.append(frozenset({0b00}))
+    assert fair_sccs(net1, frozenset({0b00, 0b10})) == [frozenset({0b10})]
+
+
+def test_cached_graph_is_invisible_to_value_semantics():
+    rng = random.Random(9)
+    table = tuple(rng.randrange(64) for _ in range(64))
+    net, fresh = Network(6, table), Network(6, table)
+    basin_n(net, frozenset({0}))  # builds the graph on net only
+    assert net == fresh and hash(net) == hash(fresh) and repr(net) == repr(fresh)
+    copy = dataclasses.replace(net)
+    assert copy == fresh and vars(copy) == vars(fresh)
+    assert dataclasses.replace(net, table=tuple(range(64))) == Network(6, tuple(range(64)))
+    assert pickle.dumps(net) == pickle.dumps(fresh)
+    back = pickle.loads(pickle.dumps(net))
+    assert back == net and vars(back) == vars(fresh)
+    assert fair_sccs(back) == fair_sccs(net)
+
+
+def test_state_sets_checked_in_one_bounds_pass(monkeypatch):
+    calls = []
+    monkeypatch.setattr(graph, "check_state", lambda *args: calls.append(args))
+    net = Network(10, tuple(mu ^ 1 for mu in range(1024)))
+    is_p_invariant(net, frozenset(range(0, 1024, 2)))
+    assert calls == []
+
+
+def test_out_of_range_member_named_as_before():
+    net = Network(3, tuple(range(8)))
+    for states in ({1, 9, -2}, {-5, 3}, {8}, {100, 2, 40}):
+        first = next(mu for mu in frozenset(states) if not 0 <= mu < 8)
+        with pytest.raises(DimensionError, match=f"^state {first} out of range for n=3$"):
+            is_p_invariant(net, frozenset(states))

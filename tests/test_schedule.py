@@ -61,6 +61,20 @@ def test_progressiveness(net1):
         omega_limit(net1, 0, rho)
 
 
+def test_progressiveness_reads_one_union_per_cycle():
+    # coordinates 1 and 3 of n=3 never fire; in a wider network the fired
+    # coordinate is 3, so 1, 2 and 4 are missing
+    rho = mk(3, [], [(0, 0b010), (F(1, 2), 0b010)], 1, 0)
+    assert not is_progressive(rho)
+    assert vars(rho.cycle)["fires"] == 0b010
+    shifted = translate(rho, F(3))
+    assert shifted.cycle is rho.cycle
+    with pytest.raises(NotProgressiveError, match="^coordinate 1, 3 never fires$"):
+        omega_limit(Network(3, tuple(range(8))), 0, shifted)
+    with pytest.raises(NotProgressiveError, match="^coordinate 1, 2, 4 never fires$"):
+        omega_limit(Network(4, tuple(range(16))), 0, rho)
+
+
 def test_flow_before_first_event_is_initial(net1):
     rho = synchronous(2)
     assert flow_at(net1, 0b00, rho, F(-1)) == 0b00
