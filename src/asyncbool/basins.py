@@ -23,7 +23,7 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from . import graph
-from .core import Network, all_states, full_mask, is_fixed_point
+from .core import Network, all_states, full_mask
 from .schedule import Schedule, omega_limit, orbit_trace, restrict_after
 
 
@@ -278,16 +278,11 @@ def omega_basin_n(net: Network, mu: int, rho: Schedule) -> BasinResult:
     omega-limit set exactly."""
     graph._check_graph_cap(net)
     omega = omega_limit(net, mu, rho)
-    if len(omega) == 1 and is_fixed_point(net, next(iter(omega))):
-        return basin_n(net, omega)
-    # nonempty only when omega is a maximal fair SCC admitting no proper
-    # fair strongly connected subset; the members then reach omega and no
-    # other fair SCC.  Fairness is monotone along strongly connected
-    # supersets, so such a subset exists iff omega minus one state still
-    # has a fair SCC: |omega| SCC passes, no subset enumeration.
+    # nonempty only when omega is a fair SCC admitting no proper fair
+    # strongly connected subset, as a fixed point is.  Fairness is monotone
+    # along strongly connected supersets, so such a subset exists iff omega
+    # minus one state still has a fair SCC: |omega| SCC passes.
     fair = graph._fair_sccs(net)
     if omega not in fair or any(graph._fair_sccs(net, omega - {s}) for s in omega):
         return BasinResult(frozenset())
-    inside = graph._backward_closure(net, [min(omega)])
-    outside = graph._backward_closure(net, [min(scc) for scc in fair if scc != omega])
-    return BasinResult(frozenset(mu2 for mu2 in inside if mu2 not in outside))
+    return basin_n(net, omega)

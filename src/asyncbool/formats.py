@@ -81,13 +81,29 @@ def render_network_table(net: Network) -> str:
 #   and    := unary ('&' unary)*
 #   unary  := '!' unary | atom
 #   atom   := '0' | '1' | x<i> | '(' expr ')'
+#
+# Every rule returns the truth column of what it parsed: an int of 2**n
+# bits whose bit mu is the subexpression's value at state mu.  Each
+# operator then evaluates at every state in one bitwise operation.
+
+
+def _columns(n: int) -> list[int]:
+    """Truth columns of the constant 1 (index 0) and of x1..xn (index i)."""
+    ones = (1 << (1 << n)) - 1
+    columns, low = [ones], ones
+    for i in range(1, n + 1):
+        # bit mu of `low` is set iff bit n - i of mu is clear
+        low = (low ^ low << (1 << (n - i))) & ones
+        columns.append(ones ^ low)
+    return columns
 
 
 class _ExprParser:
-    def __init__(self, text: str, n: int):
+    def __init__(self, text: str, n: int, columns: list[int]):
         self.text = text
         self.pos = 0
         self.n = n
+        self.columns = columns
 
     def error(self, message: str):
         raise ParseError(message, column=self.pos + 1)
@@ -97,53 +113,53 @@ class _ExprParser:
             self.pos += 1
         return self.text[self.pos] if self.pos < len(self.text) else ""
 
-    def parse(self):
-        node = self.expr()
+    def parse(self) -> int:
+        column = self.expr()
         if self.peek():
             self.error(f"unexpected {self.text[self.pos]!r}")
-        return node
+        return column
 
-    def expr(self):
-        node = self.xor()
+    def expr(self) -> int:
+        column = self.xor()
         while self.peek() == "|":
             self.pos += 1
-            node = ("or", node, self.xor())
-        return node
+            column |= self.xor()
+        return column
 
-    def xor(self):
-        node = self.and_()
+    def xor(self) -> int:
+        column = self.and_()
         while self.peek() == "^":
             self.pos += 1
-            node = ("xor", node, self.and_())
-        return node
+            column ^= self.and_()
+        return column
 
-    def and_(self):
-        node = self.unary()
+    def and_(self) -> int:
+        column = self.unary()
         while self.peek() == "&":
             self.pos += 1
-            node = ("and", node, self.unary())
-        return node
+            column &= self.unary()
+        return column
 
-    def unary(self):
+    def unary(self) -> int:
         if self.peek() == "!":
             self.pos += 1
-            return ("not", self.unary())
+            return self.columns[0] ^ self.unary()
         return self.atom()
 
-    def atom(self):
+    def atom(self) -> int:
         c = self.peek()
         if not c:
             self.error("syntax error at end of input")
         if c == "(":
             self.pos += 1
-            node = self.expr()
+            column = self.expr()
             if self.peek() != ")":
                 self.error("expected ')'")
             self.pos += 1
-            return node
+            return column
         if c in "01":
             self.pos += 1
-            return ("const", int(c))
+            return self.columns[0] if c == "1" else 0
         if c == "x":
             self.pos += 1
             start = self.pos
@@ -154,30 +170,13 @@ class _ExprParser:
             idx = int(self.text[start : self.pos])
             if not 1 <= idx <= self.n:
                 self.error(f"variable x{idx} outside 1..{self.n}")
-            return ("var", idx)
+            return self.columns[idx]
         self.error(f"unexpected {c!r}")
-
-
-def _eval_expr(node, mu: int, n: int) -> int:
-    kind = node[0]
-    if kind == "const":
-        return node[1]
-    if kind == "var":
-        return (mu >> (n - node[1])) & 1
-    if kind == "not":
-        return 1 - _eval_expr(node[1], mu, n)
-    a = _eval_expr(node[1], mu, n)
-    b = _eval_expr(node[2], mu, n)
-    if kind == "and":
-        return a & b
-    if kind == "or":
-        return a | b
-    return a ^ b
 
 
 def parse_network_exprs(text: str) -> Network:
     """Lines `y<i> = <expr>`, one per coordinate, compiled to a truth table."""
-    defs: dict[int, object] = {}
+    defs: dict[int, int] = {}
     lines = _content_lines(text)
     if not lines:
         raise ParseError("empty expression file")
@@ -185,6 +184,7 @@ def parse_network_exprs(text: str) -> Network:
     # the table has 2**n rows; refuse before parsing or compiling anything
     if n > STEP_CAP:
         raise ParseError(f"dimension must be in 1..{STEP_CAP}, got {n} coordinates")
+    columns = _columns(n)
     for lineno, line in lines:
         lhs, sep, rhs = line.partition("=")
         lhs = lhs.strip()
@@ -196,18 +196,19 @@ def parse_network_exprs(text: str) -> Network:
         if idx in defs:
             raise ParseError(f"coordinate y{idx} defined twice", lineno)
         try:
-            defs[idx] = _ExprParser(rhs, n).parse()
+            defs[idx] = _ExprParser(rhs, n, columns).parse()
         except ParseError as exc:
             raise ParseError(str(exc), lineno) from exc
-    missing = [i for i in range(1, n + 1) if i not in defs]
-    if missing:
-        raise ParseError(f"coordinate y{missing[0]} undefined")
-    table = []
-    for mu in range(1 << n):
-        value = 0
-        for i in range(1, n + 1):
-            value = (value << 1) | _eval_expr(defs[i], mu, n)
-        table.append(value)
+    # n lines with distinct indices in 1..n have defined every coordinate.
+    # Row mu of the table is bit mu of y1..yn, y1 the most significant.
+    # Columns are read back as bit strings, 2**16 states at a time; format
+    # writes the highest state first, so each string is reversed
+    ys = [defs[i] for i in range(1, n + 1)]
+    size = min(1 << n, 1 << 16)
+    table: list[int] = []
+    for lo in range(0, 1 << n, size):
+        bits = [format(y >> lo & (1 << size) - 1, f"0{size}b")[::-1] for y in ys]
+        table.extend(int("".join(row), 2) for row in zip(*bits))
     return Network(n, tuple(table))
 
 

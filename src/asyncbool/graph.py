@@ -214,8 +214,9 @@ def _fair_cover(net: Network, states: frozenset[int]) -> list[tuple[int, int]] |
 
     A coordinate stable at some member is covered there by co-firing it as
     a no-op, which is what makes fairness decidable edge-locally.  Members
-    are scanned in iteration order and each member's targets in `_targets`
-    order, keeping only edges that fire a still-uncovered coordinate.
+    are scanned in increasing order and each member's targets in `_targets`
+    order, keeping only edges that fire a still-uncovered coordinate, so
+    the edges depend on the set alone, not on the order it was built in.
     """
     table = net.table
     needed = full_mask(net.n)
@@ -224,7 +225,7 @@ def _fair_cover(net: Network, states: frozenset[int]) -> list[tuple[int, int]] |
         if not needed:
             return []
     edges = []
-    for mu in states:
+    for mu in sorted(states):
         for t in _targets(table, mu):
             if t in states and (mu ^ t) & needed:
                 edges.append((mu, t))

@@ -14,10 +14,12 @@ adds nothing.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from types import SimpleNamespace
 
 from . import basins as basins_mod
 from . import graph
@@ -303,37 +305,6 @@ class VerificationReport:
         return self.total_failures == 0
 
 
-class _SetAnswers:
-    """Set-level graph answers on one net, each computed once per set.
-
-    One instance lives for one verify_theorems call and is shared by its
-    check families.  It holds only the reference side, the invariance and
-    basins of a given set; an entry is filled through the `graph` and
-    `basins` module attributes, so a patched function is the one asked."""
-
-    def __init__(self, net: Network):
-        self.net = net
-        self.memo: dict[tuple[str, frozenset[int]], object] = {}
-
-    def _ask(self, kind: str, a: frozenset[int], compute):
-        key = (kind, a)
-        if key not in self.memo:
-            self.memo[key] = compute(self.net, a)
-        return self.memo[key]
-
-    def p_inv(self, a: frozenset[int]) -> bool:
-        return self._ask("p_inv", a, graph.is_p_invariant)
-
-    def n_inv(self, a: frozenset[int]) -> bool:
-        return self._ask("n_inv", a, graph.is_n_invariant)
-
-    def basin_p(self, a: frozenset[int]) -> frozenset[int]:
-        return self._ask("p", a, lambda net, a: basins_mod.basin_p(net, a, False).members)
-
-    def basin_n(self, a: frozenset[int]) -> frozenset[int]:
-        return self._ask("n", a, lambda net, a: basins_mod.basin_n(net, a).members)
-
-
 def _sample_sets(
     net: Network, eq: frozenset[int], max_sets: int | None, rng: random.Random
 ):
@@ -544,13 +515,12 @@ def _check_set_basins(
     """Invariance and basin theorems over sampled state sets, with the
     word oracle's basins bracketing the graph's."""
     states = net.states()
-    basins: dict[frozenset[int], tuple[frozenset[int], frozenset[int]]] = {}
-    for a in _sample_sets(net, eq, max_sets, rng):
+    sets = _sample_sets(net, eq, max_sets, rng)
+    for a in sets:
         p_inv = answers.p_inv(a)
         n_inv = answers.n_inv(a)
         w_p = answers.basin_p(a)
         w_n = answers.basin_n(a)
-        basins[a] = (w_p, w_n)
         payload = {**base, "A": sorted(format_bits(s, net.n) for s in a)}
         report.record(
             "single_step_closure_matches_n_invariance",
@@ -590,23 +560,23 @@ def _check_set_basins(
 
     # the sample always holds the full space and every singleton
     full = frozenset(states)
-    p_full, n_full = basins[full]
-    report.record("full_space_p_basin_is_everything", p_full == full, base)
-    report.record("full_space_n_basin_is_everything", n_full == full, base)
+    report.record("full_space_p_basin_is_everything", answers.basin_p(full) == full, base)
+    report.record("full_space_n_basin_is_everything", answers.basin_n(full) == full, base)
 
-    ordered = sorted(basins, key=len)
+    ordered = sorted(sets, key=len)
     for i, a in enumerate(ordered):
         for b in ordered[i + 1 :]:
             if a <= b:
                 report.record(
                     "basin_monotonicity",
-                    basins[a][0] <= basins[b][0] and basins[a][1] <= basins[b][1],
+                    answers.basin_p(a) <= answers.basin_p(b)
+                    and answers.basin_n(a) <= answers.basin_n(b),
                     base,
                 )
 
     for mu in states:
         single = frozenset({mu})
-        w_p, w_n = basins[single]
+        w_p, w_n = answers.basin_p(single), answers.basin_n(single)
         payload = {**base, "mu": format_bits(mu, net.n)}
         fixed = mu in eq
         report.record(
@@ -730,7 +700,15 @@ def verify_theorems(
             mu: frozenset(omega for _, omega in pairs) for mu, pairs in runs.items()
         }
         _check_word_oracle(report, net, base, bounds, eq, graph_ach, runs, word_omegas)
-    answers = _SetAnswers(net)
+    # the set-level reference answers, each computed once per set and
+    # dropped when the call returns; each looks its function up in `graph`
+    # or `basins` when called, so a patched function is the one asked
+    answers = SimpleNamespace(
+        p_inv=functools.cache(lambda a: graph.is_p_invariant(net, a)),
+        n_inv=functools.cache(lambda a: graph.is_n_invariant(net, a)),
+        basin_p=functools.cache(lambda a: basins_mod.basin_p(net, a, False).members),
+        basin_n=functools.cache(lambda a: basins_mod.basin_n(net, a).members),
+    )
     _check_schedule_laws(report, net, base, eq, graph_ach, answers, rng)
     _check_achievability(report, net, base, eq, graph_ach, answers, reach)
     _check_set_basins(

@@ -380,8 +380,9 @@ def flows_eventually_equal(
     if mu != mu2:
         # the flows already differ on the segment before the first breakpoint
         last_bad_end = points[0]
+    flow1, flow2 = _flow(net, mu, rho), _flow(net, mu2, rho2)
     for i, t in enumerate(points):
-        if trace1.value_at(t) != trace2.value_at(t):
+        if flow1(t) != flow2(t):
             if t >= t0:
                 return False, None
             last_bad_end = points[i + 1] if i + 1 < len(points) else horizon

@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from asyncbool import cli
+from asyncbool import Network, cli, covering_walk, render_network_table
 from asyncbool.cli import _COMMANDS, _build_parser, main
 from tests.conftest import NET1_TABLE_TEXT
 
@@ -131,6 +131,28 @@ def test_search_witness(net_file, capsys):
         capsys, "search-witness", "--net", net_file, "--from", "11", "--set", "10"
     )
     assert code == 1
+
+
+# a fair SCC {0110, 0111, 1110, 1111} whose members 14 and 15 collide in a
+# frozenset's hash table, so the set iterates in insertion order there
+COVER4 = (10, 8, 1, 2, 4, 13, 11, 14, 3, 9, 9, 0, 8, 1, 2, 4)
+
+
+def test_covering_cycle_depends_on_the_set_not_its_insertion_order(tmp_path, capsys):
+    net = Network(4, COVER4)
+    built = [frozenset((6, 7, 14, 15)), frozenset((6, 7, 15, 14))]
+    assert list(built[0]) != list(built[1])
+    assert covering_walk(net, built[0], 6) == covering_walk(net, built[1], 6)
+    path = tmp_path / "cover4.tbl"
+    path.write_text(render_network_table(net))
+    outs = []
+    for literal in ("0110,0111,1110,1111", "0110,0111,1111,1110"):
+        code, out, _ = run(
+            capsys, "search-witness", "--net", str(path), "--from", "0110", "--set", literal
+        )
+        assert code == 0
+        outs.append(out)
+    assert outs[0] == outs[1] == "cycle 0:1011 1:1100 2:1111 3:1011 ; period 4 ; start 0\n"
 
 
 def test_portrait(net_file, capsys):

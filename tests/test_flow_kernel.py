@@ -2,7 +2,9 @@
 against the literal event-by-event fold, `flow_at`'s cost far out in time,
 input validation at entry, and the integer time grid: `Schedule` accepts
 what the plain-Fraction validator accepts, each cycle is validated once,
-and counts and traces on the grid match plain-Fraction references."""
+and counts and traces on the grid match plain-Fraction references.
+`flows_eventually_equal` matches a reference that reads every value off
+`OrbitTrace.value_at`."""
 
 import dataclasses
 import time
@@ -23,9 +25,11 @@ from asyncbool import (
     apply_fire_set,
     basin_p,
     flow_at,
+    flows_eventually_equal,
     full_mask,
     iterate_word,
     omega_limit,
+    orbit_basin_p,
     orbit_trace,
     restrict_after,
     simulate_word_schedule,
@@ -381,3 +385,60 @@ def test_times_must_be_int_or_fraction(net1):
     for t in (0.5, 2.5):
         with pytest.raises(ScheduleError, match="is not an int or Fraction"):
             flow_at(net1, 0, rho, t)
+
+
+def eventually_equal_by_value_at(net, mu, rho, mu2, rho2):
+    """flows_eventually_equal reading each breakpoint's values through
+    `OrbitTrace.value_at`, which rescans the trace on every call."""
+    trace1, _ = orbit_trace(net, mu, rho)
+    trace2, _ = orbit_trace(net, mu2, rho2)
+    p1 = sum((d for _, d in trace1.loop), F(0))
+    p2 = sum((d for _, d in trace2.loop), F(0))
+    t0 = max(trace1.loop_entry, trace2.loop_entry)
+    horizon = t0 + schedule_mod._lcm_fraction(p1, p2)
+    breakpoints = {t0}
+    for trace in (trace1, trace2):
+        breakpoints.update(t for t, _ in trace.changes)
+        cursor = trace.loop_entry
+        while cursor < horizon:
+            for _, dwell in trace.loop:
+                breakpoints.add(cursor)
+                cursor += dwell
+    points = sorted(t for t in breakpoints if t < horizon)
+    last_bad_end = points[0] if mu != mu2 else None
+    for i, t in enumerate(points):
+        if trace1.value_at(t) != trace2.value_at(t):
+            if t >= t0:
+                return False, None
+            last_bad_end = points[i + 1] if i + 1 < len(points) else horizon
+    if last_bad_end is not None:
+        return True, last_bad_end
+    return True, points[0] if points else t0
+
+
+@st.composite
+def flow_pairs(draw):
+    """Two flows on one net: the second is an orbit p-basin witness, a
+    translation or a restriction of the first (eventually equal), or
+    another start state or schedule (mostly not)."""
+    net, mu, rho, probes = draw(grid_cases())
+    kind = draw(st.sampled_from(["witness", "translate", "restrict", "state", "schedule"]))
+    if kind == "witness":
+        result = orbit_basin_p(net, mu, rho)
+        mu2 = draw(st.sampled_from(sorted(result.members)))
+        return net, mu, rho, mu2, result.witnesses[mu2]
+    if kind == "translate":
+        return net, mu, rho, mu, translate(rho, draw(rationals))
+    if kind == "restrict":
+        cut = draw(st.sampled_from(probes))
+        return net, mu, rho, flow_at(net, mu, rho, cut), restrict_after(rho, cut)
+    if kind == "state":
+        return net, mu, rho, draw(st.integers(0, (1 << net.n) - 1)), rho
+    other = draw(grid_cases().filter(lambda case: case[0].n == net.n))
+    return net, mu, rho, other[1], other[2]
+
+
+@settings(max_examples=300, deadline=None)
+@given(flow_pairs())
+def test_flows_eventually_equal_matches_value_at_reference(pair):
+    assert flows_eventually_equal(*pair) == eventually_equal_by_value_at(*pair)

@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from asyncbool import (
     Network,
@@ -15,6 +17,8 @@ from asyncbool import (
     render_state_set,
     synchronous,
 )
+from asyncbool.core import STEP_CAP
+from asyncbool.formats import _content_lines
 from tests.conftest import NET1_TABLE_TEXT
 
 
@@ -79,6 +83,198 @@ def test_expr_constants_and_parens():
 def test_expr_parse_errors(bad):
     with pytest.raises(ParseError):
         parse_network_exprs(bad)
+
+
+# --- a per-row reference for the expression compiler ----------------------
+#
+# The same grammar parsed into a tuple tree, then evaluated once per state
+# and coordinate.  The compiler builds each subexpression's truth column
+# instead; both must give the same table and the same ParseError text.
+
+
+class _TreeParser:
+    def __init__(self, text, n):
+        self.text = text
+        self.pos = 0
+        self.n = n
+
+    def error(self, message):
+        raise ParseError(message, column=self.pos + 1)
+
+    def peek(self):
+        while self.pos < len(self.text) and self.text[self.pos].isspace():
+            self.pos += 1
+        return self.text[self.pos] if self.pos < len(self.text) else ""
+
+    def parse(self):
+        node = self.expr()
+        if self.peek():
+            self.error(f"unexpected {self.text[self.pos]!r}")
+        return node
+
+    def binary(self, symbol, kind, operand):
+        node = operand()
+        while self.peek() == symbol:
+            self.pos += 1
+            node = (kind, node, operand())
+        return node
+
+    def expr(self):
+        return self.binary("|", "or", self.xor)
+
+    def xor(self):
+        return self.binary("^", "xor", self.and_)
+
+    def and_(self):
+        return self.binary("&", "and", self.unary)
+
+    def unary(self):
+        if self.peek() == "!":
+            self.pos += 1
+            return ("not", self.unary())
+        return self.atom()
+
+    def atom(self):
+        c = self.peek()
+        if not c:
+            self.error("syntax error at end of input")
+        if c == "(":
+            self.pos += 1
+            node = self.expr()
+            if self.peek() != ")":
+                self.error("expected ')'")
+            self.pos += 1
+            return node
+        if c in "01":
+            self.pos += 1
+            return ("const", int(c))
+        if c == "x":
+            self.pos += 1
+            start = self.pos
+            while self.pos < len(self.text) and self.text[self.pos].isdigit():
+                self.pos += 1
+            if start == self.pos:
+                self.error("expected variable index after 'x'")
+            idx = int(self.text[start : self.pos])
+            if not 1 <= idx <= self.n:
+                self.error(f"variable x{idx} outside 1..{self.n}")
+            return ("var", idx)
+        self.error(f"unexpected {c!r}")
+
+
+def _eval_tree(node, mu, n):
+    kind = node[0]
+    if kind == "const":
+        return node[1]
+    if kind == "var":
+        return (mu >> (n - node[1])) & 1
+    if kind == "not":
+        return 1 - _eval_tree(node[1], mu, n)
+    a, b = _eval_tree(node[1], mu, n), _eval_tree(node[2], mu, n)
+    return {"and": a & b, "or": a | b, "xor": a ^ b}[kind]
+
+
+def reference_exprs(text):
+    """parse_network_exprs by tree walks: 2**n * n of them."""
+    defs = {}
+    lines = _content_lines(text)
+    if not lines:
+        raise ParseError("empty expression file")
+    n = len(lines)
+    if n > STEP_CAP:
+        raise ParseError(f"dimension must be in 1..{STEP_CAP}, got {n} coordinates")
+    for lineno, line in lines:
+        lhs, sep, rhs = line.partition("=")
+        lhs = lhs.strip()
+        if not sep or not lhs.startswith("y") or not lhs[1:].isdigit():
+            raise ParseError(f"expected 'y<i> = <expr>', got {line!r}", lineno)
+        idx = int(lhs[1:])
+        if not 1 <= idx <= n:
+            raise ParseError(f"coordinate y{idx} outside 1..{n}", lineno)
+        if idx in defs:
+            raise ParseError(f"coordinate y{idx} defined twice", lineno)
+        try:
+            defs[idx] = _TreeParser(rhs, n).parse()
+        except ParseError as exc:
+            raise ParseError(str(exc), lineno) from exc
+    missing = [i for i in range(1, n + 1) if i not in defs]
+    if missing:
+        raise ParseError(f"coordinate y{missing[0]} undefined")
+    return Network(n, tuple(
+        sum(_eval_tree(defs[i], mu, n) << (n - i) for i in range(1, n + 1))
+        for mu in range(1 << n)
+    ))
+
+
+def outcome(parse, text):
+    try:
+        return parse(text)
+    except ParseError as exc:
+        return str(exc)
+
+
+spaces = st.sampled_from(["", " ", "  ", "\t"])
+
+
+constants = st.sampled_from(["0", "1"])
+operators = st.sampled_from("&^|")
+
+
+def draw_expression(draw, n, depth):
+    """A random expression over x1..xn, nested at most `depth` deep."""
+    kind = draw(st.integers(0, 4 if depth else 1))
+    if kind == 0:
+        return draw(constants)
+    if kind == 1:
+        return f"x{draw(st.integers(1, n))}"
+    if kind == 2:
+        return "!" + draw(spaces) + draw_expression(draw, n, depth - 1)
+    if kind == 3:
+        return "(" + draw(spaces) + draw_expression(draw, n, depth - 1) + draw(spaces) + ")"
+    left, right = draw_expression(draw, n, depth - 1), draw_expression(draw, n, depth - 1)
+    return left + draw(spaces) + draw(operators) + draw(spaces) + right
+
+
+@st.composite
+def expression_files(draw):
+    """A valid file with n <= 6: one line per coordinate in random order,
+    with random spacing, comments and blank lines."""
+    n = draw(st.integers(1, 6))
+    lines = [
+        f"{draw(spaces)}y{i}{draw(spaces)}={draw(spaces)}{draw_expression(draw, n, 3)}"
+        for i in range(1, n + 1)
+    ]
+    lines = draw(st.permutations(lines))
+    for extra in draw(st.lists(st.sampled_from(["", "  ", "# note"]), max_size=2)):
+        lines.insert(draw(st.integers(0, len(lines))), extra)
+    return "\n".join(lines) + draw(st.sampled_from(["", "\n"]))
+
+
+@st.composite
+def malformed_files(draw):
+    """A valid file with one to three characters deleted, inserted or
+    replaced: mostly malformed, sometimes still valid."""
+    chars = list(draw(expression_files()))
+    for _ in range(draw(st.integers(1, 3))):
+        pos = draw(st.integers(0, len(chars)))
+        if chars and draw(st.booleans()):
+            del chars[min(pos, len(chars) - 1)]
+        else:
+            chars.insert(pos, draw(st.sampled_from("!&^|()01x9yz= \n#")))
+    return "".join(chars)
+
+
+@settings(max_examples=300, deadline=None)
+@given(expression_files())
+def test_expr_columns_match_per_row_reference(text):
+    net = parse_network_exprs(text)
+    assert net == reference_exprs(text)
+
+
+@settings(max_examples=400, deadline=None)
+@given(malformed_files())
+def test_expr_parse_errors_match_per_row_reference(text):
+    assert outcome(parse_network_exprs, text) == outcome(reference_exprs, text)
 
 
 def test_schedule_roundtrip():
