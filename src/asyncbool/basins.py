@@ -23,7 +23,7 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from . import graph
-from .core import Network, all_states, full_mask
+from .core import Network, all_states, check_state, full_mask
 from .schedule import Schedule, omega_limit, orbit_trace, restrict_after
 
 
@@ -182,20 +182,27 @@ def witness_schedule(
     pointwise with the (mu, rho) flow from some time on: reach a state the
     reference flow holds during one of its periodic segments, then copy
     the reference schedule verbatim.
+
+    The witness decides achievability: ValueError when no walk reaches the
+    target, or when its covering walk finds it not fair or not strongly
+    connected.  An aligned target is the omega of a fair flow, so it is both.
     """
-    if not graph.is_achievable_from(net, target, mu_from):
-        raise ValueError("target is not achievable from the given state")
-
+    check_state(mu_from, net.n)
+    _check_target(net, target)
     if align_to is None:
-        word, anchor = _bfs_path(net, mu_from, target)
-        return _walk_then_cycle(net.n, word, *_covering_cycle(net, target, anchor))
-
-    ref_mu, ref_rho = align_to
-    trace, _ = orbit_trace(net, ref_mu, ref_rho)
-    if trace.loop_states != target:
-        raise ValueError("align_to flow does not have the target as omega-limit set")
-    seg_state, witness = _splicer(trace, ref_rho)
-    word, _ = _bfs_path(net, mu_from, frozenset({seg_state}))
+        found = _bfs_path(net, mu_from, target)
+    else:
+        ref_mu, ref_rho = align_to
+        trace, _ = orbit_trace(net, ref_mu, ref_rho)
+        if trace.loop_states != target:
+            raise ValueError("align_to flow does not have the target as omega-limit set")
+        seg_state, witness = _splicer(trace, ref_rho)
+        found = _bfs_path(net, mu_from, frozenset({seg_state}))
+    if found is None:
+        raise ValueError("target is not achievable from the given state")
+    word, end = found
+    if align_to is None:
+        return _walk_then_cycle(net.n, word, *_covering_cycle(net, target, end))
     return witness(word)
 
 

@@ -84,33 +84,28 @@ def simulate_word_schedule(
     check_state(mu, net.n)
     for fire in itertools.chain(prefix_word, cycle_word):
         check_state(fire, net.n, "fire set")
-    return _fold(_Steps(net, set(prefix_word).union(cycle_word)), mu, prefix_word, cycle_word)
-
-
-class _Steps(dict):
-    """One-step rows built on first use: self[state][fire] is the state
-    after firing `fire`, for the given fire sets only."""
-
-    def __init__(self, net: Network, fires):
-        super().__init__()
-        self.table = net.table
-        self.fires = fires
-
-    def __missing__(self, state):
-        image = self.table[state]
-        row = self[state] = {fire: (state & ~fire) | (image & fire) for fire in self.fires}
-        return row
-
-
-def _fold(step, mu: int, prefix_word, cycle_word) -> tuple[frozenset[int], frozenset[int]]:
-    """simulate_word_schedule on validated input, through a step table:
-    step[state][fire] is the state after firing `fire` at `state`."""
+    table = net.table
     state = mu
     trail = [mu]  # the state after every step, in order
     for fire in prefix_word:
-        state = step[state][fire]
+        state = (state & ~fire) | (table[state] & fire)
         trail.append(state)
     seen: dict[int, int] = {}  # cycle-boundary state -> its index in trail
+    while state not in seen:
+        seen[state] = len(trail)
+        for fire in cycle_word:
+            state = (state & ~fire) | (table[state] & fire)
+            trail.append(state)
+    return frozenset(trail), frozenset(trail[seen[state] :])
+
+
+def _fold(step, mu: int, cycle_word) -> tuple[frozenset[int], frozenset[int]]:
+    """(orbit, omega) of repeating a valid cycle word from mu, through a
+    step table: step[state][fire] is the state after firing `fire` at
+    `state`."""
+    state = mu
+    trail = [mu]
+    seen: dict[int, int] = {}
     while state not in seen:
         seen[state] = len(trail)
         for fire in cycle_word:
@@ -178,7 +173,7 @@ def _word_runs(
         for state, visited in _prefix_outcomes(net, mu, bounds):
             if state not in loops:
                 loops[state] = tuple(
-                    dict.fromkeys(_fold(step, state, (), cycle) for cycle in cycles)
+                    dict.fromkeys(_fold(step, state, cycle) for cycle in cycles)
                 )
             for loop_orbit, omega in loops[state]:
                 pairs[visited | loop_orbit, omega] = None
@@ -308,8 +303,9 @@ class VerificationReport:
 def _sample_sets(
     net: Network, eq: frozenset[int], max_sets: int | None, rng: random.Random
 ):
-    """Every nonempty state set, or at most `max_sets` of them: always the
-    full space, every singleton and the fixed-point set, then random ones."""
+    """Every nonempty state set, or at most `max_sets` of them: the full
+    space, the fixed-point set and the singletons in increasing order while
+    the budget lasts, then random ones."""
     universe = sorted(net.states())
     # asking for at least every nonempty set means all of them; sampling
     # could never reach that many distinct draws
@@ -319,10 +315,10 @@ def _sample_sets(
             frozenset(s for i, s in enumerate(universe) if mask & (1 << i))
             for mask in masks
         ]
-    chosen = {frozenset(universe)}
-    chosen.update(frozenset({s}) for s in universe)
-    if eq:
-        chosen.add(eq)
+    chosen = set()
+    for a in (frozenset(universe), eq, *(frozenset({s}) for s in universe)):
+        if a and len(chosen) < max_sets:
+            chosen.add(a)
     while len(chosen) < max_sets:
         size = rng.randint(1, len(universe))
         chosen.add(frozenset(rng.sample(universe, size)))
@@ -558,7 +554,8 @@ def _check_set_basins(
                 "oracle_p_invariance_subset_of_graph", (not oracle_p_inv) or p_inv, payload
             )
 
-    # the sample always holds the full space and every singleton
+    # the full space and every singleton are checked whether or not the
+    # sample holds them
     full = frozenset(states)
     report.record("full_space_p_basin_is_everything", answers.basin_p(full) == full, base)
     report.record("full_space_n_basin_is_everything", answers.basin_n(full) == full, base)

@@ -51,27 +51,12 @@ def _ticks(x: Fraction | int, den: int) -> int:
 
 class _Cycle(tuple):
     """A cycle validated for the (n, period) in `key`, which Schedule does
-    not check again."""
-
-    @cached_property
-    def grid(self) -> tuple[int, list[int], int]:
-        """(den, offset ticks, period ticks): the offsets and the period as
-        ints over their least common denominator."""
-        period = self.key[1]
-        den = math.lcm(period.denominator, *(off.denominator for off, _ in self))
-        return den, [_ticks(off, den) for off, _ in self], _ticks(period, den)
-
-    @cached_property
-    def fires(self) -> int:
-        """The union of the cycle's fire sets."""
-        union = 0
-        for _, fire in self:
-            union |= fire
-        return union
+    not check again; `fires` is the union of its fire sets."""
 
 
 def _validated_cycle(cycle, n: int, period: Fraction) -> _Cycle:
     prev = None
+    fires = 0
     for off, fire in cycle:
         check_state(fire, n, "fire set")
         if not 0 <= _rational(off) < period:
@@ -79,8 +64,10 @@ def _validated_cycle(cycle, n: int, period: Fraction) -> _Cycle:
         if prev is not None and off <= prev:
             raise ScheduleError("cycle offsets must strictly increase")
         prev = off
+        fires |= fire
     out = _Cycle(cycle)
     out.key = (n, period)
+    out.fires = fires
     return out
 
 
@@ -125,12 +112,11 @@ class Schedule:
         """Every event time as an int over one denominator: (den, prefix
         ticks, cycle-start tick, offset ticks, period ticks).  Derived on
         the first fold that needs times, not at construction."""
-        cycle_den, offsets, span = self.cycle.grid
-        den = math.lcm(cycle_den, self.cycle_start.denominator,
-                       *(t.denominator for t, _ in self.prefix))
-        scale = den // cycle_den
+        den = math.lcm(self.period.denominator, self.cycle_start.denominator,
+                       *(t.denominator for t, _ in self.prefix),
+                       *(off.denominator for off, _ in self.cycle))
         return (den, [_ticks(t, den) for t, _ in self.prefix], _ticks(self.cycle_start, den),
-                [tick * scale for tick in offsets], span * scale)
+                [_ticks(off, den) for off, _ in self.cycle], _ticks(self.period, den))
 
     def _count(self, t: Fraction | int) -> int:
         """The number of events at times <= t."""

@@ -1,8 +1,13 @@
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from asyncbool import (
+    CapExceededError,
+    DimensionError,
     Network,
     Schedule,
     all_states,
@@ -10,7 +15,10 @@ from asyncbool import (
     basin_n,
     basin_p,
     covering_walk,
+    fair_sccs,
     flows_eventually_equal,
+    full_mask,
+    is_achievable_from,
     is_progressive,
     iterate_word,
     omega_basin_n,
@@ -23,6 +31,7 @@ from asyncbool import (
     synchronous,
     witness_schedule,
 )
+from asyncbool import basins as basins_mod
 
 
 def test_point_basins_of_net1(net1):
@@ -169,3 +178,89 @@ def test_identity_point_basins(id2):
     for mu in id2.states():
         assert basin_p(id2, frozenset({mu})).members == {mu}
         assert basin_n(id2, frozenset({mu})).members == {mu}
+
+
+# --- witness_schedule decides achievability by building the witness --------
+
+
+def test_witness_schedule_contract(net1):
+    # 10 is a fixed point that 11 cannot reach
+    with pytest.raises(ValueError, match="not achievable"):
+        witness_schedule(net1, 0b11, frozenset({0b10}))
+    # reachable from 00, but 00 is not fixed, and nothing leads from 10
+    # back to 00
+    with pytest.raises(ValueError, match="not fair"):
+        witness_schedule(net1, 0b00, frozenset({0b00}))
+    with pytest.raises(ValueError, match="not strongly connected"):
+        witness_schedule(net1, 0b00, frozenset({0b00, 0b10}))
+    with pytest.raises(ValueError):
+        witness_schedule(net1, 0b00, frozenset())
+    for mu, target in ((4, frozenset({0b10})), (-1, frozenset({0b10})),
+                       (0b00, frozenset({0b10, 4})), (0b00, frozenset({-1}))):
+        with pytest.raises(DimensionError):
+            witness_schedule(net1, mu, target)
+    # the flow of 11 under the synchronous schedule ends in {01, 11}
+    with pytest.raises(ValueError, match="align_to"):
+        witness_schedule(net1, 0b00, frozenset({0b10}), align_to=(0b11, synchronous(2)))
+    with pytest.raises(CapExceededError):
+        witness_schedule(Network(11, tuple(range(2048))), 0, frozenset({0}))
+
+
+def parent_witness_schedule(net, mu_from, target, align_to=None):
+    """witness_schedule as it read when it tested achievability up front,
+    through the graph, before building anything."""
+    if not is_achievable_from(net, target, mu_from):
+        raise ValueError("target is not achievable from the given state")
+    if align_to is None:
+        word, anchor = basins_mod._bfs_path(net, mu_from, target)
+        return basins_mod._walk_then_cycle(
+            net.n, word, *basins_mod._covering_cycle(net, target, anchor))
+    ref_mu, ref_rho = align_to
+    trace, _ = orbit_trace(net, ref_mu, ref_rho)
+    if trace.loop_states != target:
+        raise ValueError("align_to flow does not have the target as omega-limit set")
+    seg_state, witness = basins_mod._splicer(trace, ref_rho)
+    word, _ = basins_mod._bfs_path(net, mu_from, frozenset({seg_state}))
+    return witness(word)
+
+
+def _rendered_or_refused(make):
+    try:
+        return render_schedule(make())
+    except ValueError:
+        return None
+
+
+@st.composite
+def witness_cases(draw):
+    """A net with n <= 5, a start state, a target (a fair SCC or any
+    nonempty set) and an optional reference flow to align to."""
+    n = draw(st.integers(1, 5))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    net = Network(n, tuple(rng.randrange(1 << n) for _ in range(1 << n)))
+    states = list(net.states())
+    mu = draw(st.sampled_from(states))
+    target = frozenset(draw(st.lists(st.sampled_from(states), min_size=1, max_size=6)))
+    if draw(st.booleans()):
+        target = draw(st.sampled_from(fair_sccs(net)))
+    align_to = None
+    if draw(st.booleans()):
+        fires = [rng.randrange(1 << n) for _ in range(rng.randint(1, 3))]
+        fires[0] |= full_mask(n)
+        cycle = tuple((Fraction(k, 3), fire) for k, fire in enumerate(fires))
+        timed = Schedule(n, (), cycle, Fraction(len(fires)), 0)
+        rho = draw(st.sampled_from([synchronous(n), timed]))
+        ref_mu = draw(st.sampled_from(states))
+        align_to = (ref_mu, rho)
+        if draw(st.booleans()):
+            target = omega_limit(net, ref_mu, rho)
+    return net, mu, target, align_to
+
+
+@settings(max_examples=300, deadline=None)
+@given(witness_cases())
+def test_witness_schedule_matches_the_up_front_achievability_test(case):
+    net, mu, target, align_to = case
+    got = _rendered_or_refused(lambda: witness_schedule(net, mu, target, align_to))
+    want = _rendered_or_refused(lambda: parent_witness_schedule(net, mu, target, align_to))
+    assert got == want

@@ -158,6 +158,25 @@ def test_flow_at_matches_event_fold(case):
     assert orbit == frozenset([mu, *values])
 
 
+# shifts over denominators that no grid_cases schedule uses, so every
+# derived schedule puts its times over a new common denominator
+new_shifts = st.builds(F, st.integers(-50, 50), st.sampled_from([7, 11, 13, 35]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(grid_cases(), new_shifts, new_shifts)
+def test_flow_at_on_derived_schedules_matches_event_fold(case, d, cut):
+    # translate and restrict_after pass the validated cycle on unchanged;
+    # each derived schedule still builds its own tick grid
+    net, mu, rho, probes = case
+    moved = translate(rho, d)
+    for derived in (moved, restrict_after(rho, cut), restrict_after(moved, cut)):
+        assert derived.cycle is rho.cycle
+        for t in probes:
+            for when in (t, t + d):
+                assert flow_at(net, mu, derived, when) == event_fold(net, mu, derived, when)
+
+
 def _far_schedules():
     rational = Schedule(
         3,

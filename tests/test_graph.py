@@ -276,3 +276,33 @@ def test_out_of_range_member_named_as_before():
         first = next(mu for mu in frozenset(states) if not 0 <= mu < 8)
         with pytest.raises(DimensionError, match=f"^state {first} out of range for n=3$"):
             is_p_invariant(net, frozenset(states))
+
+
+def tarjan_over_reach(net, mu):
+    """achievable_omegas_from as it read when it ran Tarjan over the
+    subgraph induced on the reach instead of reading the cached SCCs."""
+    reach = reachable_set(net, mu)
+    result = set()
+    for scc in sorted(_tarjan_sccs(graph._adjacency(net, reach)), key=len, reverse=True):
+        result.update(fair_subsets(net, frozenset(scc)))
+    return frozenset(result)
+
+
+@st.composite
+def small_nets(draw):
+    """A net with n <= 4.  Up to n = 3 any table; at n = 4 each state is
+    fixed or flips one coordinate, which keeps the SCCs small enough to
+    enumerate their 2**|SCC| subsets from every state."""
+    n = draw(st.integers(1, 4))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    if n <= 3:
+        return Network(n, tuple(rng.randrange(1 << n) for _ in range(1 << n)))
+    flips = [0] + [1 << i for i in range(n)]
+    return Network(n, tuple(mu ^ rng.choice(flips) for mu in range(1 << n)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_nets())
+def test_achievable_omegas_read_off_the_cached_sccs(net):
+    for mu in net.states():
+        assert achievable_omegas_from(net, mu) == tarjan_over_reach(net, mu)

@@ -27,6 +27,7 @@ from asyncbool import (
 )
 from asyncbool import basins as basins_mod
 from asyncbool import graph
+from asyncbool.oracle import _fold as oracle_fold
 from asyncbool.oracle import (
     _anchored_omegas,
     _prefix_outcomes,
@@ -291,6 +292,17 @@ def test_max_sets_covering_every_set_enumerates_them_all(net1):
     assert verify_theorems(net1, bounds, max_sets=16).checks == every
 
 
+def test_max_sets_bounds_the_sample_past_the_singletons():
+    # at n = 7 the full space, the fixed-point set and the 128 singletons
+    # alone are 129 or 130 sets: all of them used to be checked whatever
+    # max_sets said
+    rng = random.Random(7)
+    net = Network(7, tuple(rng.randrange(128) for _ in range(128)))
+    report = verify_theorems(net, OracleBounds(1, 2), max_sets=64)
+    assert report.ok
+    assert report.checks["n_basin_inside_p_basin"] == [64, 0]
+
+
 def test_verify_detects_injected_mutation(net1, monkeypatch):
     # corrupt the n-basin computation mid-check: the harness must notice
     # and produce a replayable counterexample
@@ -309,8 +321,9 @@ def test_verify_detects_injected_mutation(net1, monkeypatch):
 
 def test_word_runs_match_the_public_simulation():
     # the step-table fold gives every (state, cycle word) loop the public
-    # simulate_word_schedule gives, crossed with the prefix outcomes in the
-    # same first-seen order, and the same pairs as every literal word pair
+    # simulate_word_schedule gives, through its own literal fold on the
+    # table, crossed with the prefix outcomes in the same first-seen
+    # order, and the same pairs as every literal word pair
     rng = random.Random(20261018)
     for _ in range(12):
         n = rng.choice((1, 2, 3))
@@ -318,7 +331,10 @@ def test_word_runs_match_the_public_simulation():
         bounds = OracleBounds(1, 2)
         cycles = _progressive_cycles(n, bounds)
         runs = _word_runs(net, bounds)
+        step = [[_fold(net, state, fire) for fire in range(1 << n)] for state in net.states()]
         for mu in net.states():
+            for cycle in cycles:
+                assert oracle_fold(step, mu, cycle) == simulate_word_schedule(net, mu, (), cycle)
             want = {}
             for state, visited in _prefix_outcomes(net, mu, bounds):
                 for cycle in cycles:
