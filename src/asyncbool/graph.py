@@ -326,14 +326,11 @@ def achievable_omegas_from(net: Network, mu: int) -> frozenset[frozenset[int]]:
     the fair strongly connected subsets (maximal SCCs and sub-SCCs)
     reachable from mu."""
     reach = reachable_set(net, mu)
-    g = _graph(net)
-    # the reach is closed under successors, so its SCCs are the cached SCCs
-    # that meet it and its one-state SCCs, fair only at fixed points
-    result = {frozenset((s,)) for s in g.fixed & reach}
+    result: set[frozenset[int]] = set()
     # largest first, so an SCC over the fair_subsets cap raises before any
     # SCC is enumerated
-    for scc in sorted((c for c in g.sccs if not c.isdisjoint(reach)), key=len, reverse=True):
-        result.update(fair_subsets(net, scc))
+    for scc in sorted(_tarjan_sccs(_adjacency(net, reach)), key=len, reverse=True):
+        result.update(fair_subsets(net, frozenset(scc)))
     return frozenset(result)
 
 

@@ -304,8 +304,8 @@ def _sample_sets(
     net: Network, eq: frozenset[int], max_sets: int | None, rng: random.Random
 ):
     """Every nonempty state set, or at most `max_sets` of them: the full
-    space, the fixed-point set and the singletons in increasing order while
-    the budget lasts, then random ones."""
+    space, the fixed-point set, every singleton if they all fit, then
+    random ones."""
     universe = sorted(net.states())
     # asking for at least every nonempty set means all of them; sampling
     # could never reach that many distinct draws
@@ -316,9 +316,14 @@ def _sample_sets(
             for mask in masks
         ]
     chosen = set()
-    for a in (frozenset(universe), eq, *(frozenset({s}) for s in universe)):
+    for a in (frozenset(universe), eq):
         if a and len(chosen) < max_sets:
             chosen.add(a)
+    # all singletons or none: the state loop of _check_set_basins covers
+    # each point's basins, so a budget they overrun goes to random sets
+    singletons = {frozenset({s}) for s in universe}
+    if len(chosen | singletons) <= max_sets:
+        chosen |= singletons
     while len(chosen) < max_sets:
         size = rng.randint(1, len(universe))
         chosen.add(frozenset(rng.sample(universe, size)))
