@@ -11,10 +11,13 @@ fair SCC not contained in A.  Each call builds only its own BFS tree.
 Existential ("p") basins come with constructive witness schedules taken
 from the same BFS tree: its next-hop pointers give every member a
 shortest walk to a source, and one covering cycle per source is shared
-by every member that ends there.  A reported membership can always be
-replayed through the schedule module and checked against the claimed
-omega-limit relation.  Universal ("n") basins are decided by graph
-conditions alone and carry no witnesses.
+by every member that ends there.  A covering cycle is any closed walk
+through every state of the fair SCC: each coordinate unstable throughout
+a fair set takes both values inside it, so the walk fires it, and the
+cycle co-fires the coordinates stable where it stands.  A reported
+membership can always be replayed through the schedule module and
+checked against the claimed omega-limit relation.  Universal ("n")
+basins are decided by graph conditions alone and carry no witnesses.
 """
 
 from __future__ import annotations
@@ -86,14 +89,14 @@ def _hop_word(hop: dict[int, int], mu: int) -> tuple[list[int], int]:
 
 
 def covering_walk(net: Network, target: frozenset[int], anchor: int) -> list[int]:
-    """A closed walk from `anchor` through every state of `target` that also
-    traverses, for every coordinate unstable throughout `target`, an internal
-    edge firing it.  Returns the fire-set word of the walk (possibly empty)."""
+    """A closed walk from `anchor` through every state of a fair `target`,
+    on edges internal to it.  A coordinate unstable throughout a fair set
+    takes both values inside it, so the walk fires it.  Returns the
+    fire-set word of the walk (possibly empty)."""
     graph._check_states(net, target)
     if anchor not in target:
         raise ValueError("anchor must lie in the target")
-    edges = graph._fair_cover(net, target)
-    if edges is None:
+    if not graph._is_fair(net, target):
         raise ValueError("target set is not fair")
 
     def leg(start: int, goals) -> tuple[list[int], int]:
@@ -105,19 +108,11 @@ def covering_walk(net: Network, target: frozenset[int], anchor: int) -> list[int
     word: list[int] = []
     current = anchor
     pending = set(target) - {anchor}
-    for mu, nxt in edges:
-        word.extend(leg(current, {mu})[0])
-        word.append(mu ^ nxt)
-        current = nxt
-        pending.discard(mu)
-        pending.discard(nxt)
     while pending:
         step, current = leg(current, pending)
         word.extend(step)
         pending.discard(current)
-    if current != anchor:
-        word.extend(leg(current, {anchor})[0])
-    return word
+    return word + leg(current, {anchor})[0]
 
 
 def _covering_cycle(net: Network, target: frozenset[int], anchor: int):
@@ -250,13 +245,14 @@ def orbit_basin_p(
     flow from some time on: the predecessors of its omega-limit set."""
     graph._check_graph_cap(net)
     trace, _ = orbit_trace(net, mu, rho)
-    seg_state, witness = _splicer(trace, rho)
     # omega is the periodic tail of one flow, so it is strongly connected
-    # and its backward closure is that of the splice state; the BFS tree
-    # toward that state gives every member its walk to the splice
-    hop = graph._backward_closure(net, [seg_state])
-    witnesses = {mu2: witness(_hop_word(hop, mu2)[0]) for mu2 in hop} if with_witnesses else {}
-    return BasinResult(frozenset(hop), witnesses)
+    # and its backward closure is that of the splice state, the first of
+    # the tail; the BFS tree toward it gives every member its walk there
+    hop = graph._backward_closure(net, [trace.loop[0][0]])
+    if not with_witnesses:
+        return BasinResult(frozenset(hop))
+    witness = _splicer(trace, rho)[1]
+    return BasinResult(frozenset(hop), {mu2: witness(_hop_word(hop, mu2)[0]) for mu2 in hop})
 
 
 def orbit_basin_n(net: Network, mu: int, rho: Schedule) -> BasinResult:
@@ -287,8 +283,9 @@ def omega_basin_n(net: Network, mu: int, rho: Schedule) -> BasinResult:
     omega = omega_limit(net, mu, rho)
     # nonempty only when omega is a fair SCC admitting no proper fair
     # strongly connected subset, as a fixed point is.  Fairness is monotone
-    # along strongly connected supersets, so such a subset exists iff omega
-    # minus one state still has a fair SCC: |omega| SCC passes.
+    # along strongly connected supersets (a superset has no more coordinates
+    # unstable at every member, and no fewer that vary), so such a subset
+    # exists iff omega minus one state still has a fair SCC: |omega| passes.
     fair = graph._fair_sccs(net)
     if omega not in fair or any(graph._fair_sccs(net, omega - {s}) for s in omega):
         return BasinResult(frozenset())

@@ -2,17 +2,17 @@
 
 Every quantification over schedules reduces to graph conditions here: a
 set T is an achievable omega-limit set from mu iff T is strongly
-connected, fair (every coordinate can be fired along an internal edge,
-counting no-op firings of coordinates that are stable at the source) and
-reachable from mu.  The construction direction of this equivalence lives
-in basins.witness_schedule; the oracle module validates both directions
-by bounded schedule enumeration.
+connected, fair (every coordinate is stable at some member or takes both
+values inside T, so an internal edge or a no-op firing fires it; `_is_fair`
+tests this on the members alone) and reachable from mu.  The construction
+direction of this equivalence lives in basins.witness_schedule; the
+oracle module validates both directions by bounded schedule enumeration.
 
 Firing a nonempty fire set nu inside the unstable coordinates of mu flips
 exactly those bits, so the proper edges are mu -> mu ^ nu, enumerated from
 the truth table with bit arithmetic (`_targets`).  Walks from one state
-(reachability, shortest paths, n-invariance, fair covers) step with it and
-store nothing.  Whole-state-space passes read one structure per network
+(reachability, shortest paths, n-invariance) step with it and store
+nothing.  Whole-state-space passes read one structure per network
 instead (`_graph`): the predecessor tuples, the SCCs of more than one
 state and the fixed points.  It is built on the first such pass and kept
 on the immutable Network, outside its fields, so equality, hash, repr and
@@ -207,39 +207,30 @@ def _tarjan_sccs(adjacency: dict[int, list[int]]) -> list[list[int]]:
     return sccs
 
 
-def _fair_cover(net: Network, states: frozenset[int]) -> list[tuple[int, int]] | None:
-    """Internal edges (source, target) that between them fire every
-    coordinate unstable at every member of `states`, or None when no such
-    edges exist, i.e. when `states` is not fair.
+def _is_fair(net: Network, states: frozenset[int]) -> bool:
+    """Fairness of a strongly connected set: every coordinate is stable at
+    some member or takes both values inside the set.
 
-    A coordinate stable at some member is covered there by co-firing it as
-    a no-op, which is what makes fairness decidable edge-locally.  Members
-    are scanned in increasing order and each member's targets in `_targets`
-    order, keeping only edges that fire a still-uncovered coordinate, so
-    the edges depend on the set alone, not on the order it was built in.
+    A path inside the set between two members that differ in a bit flips
+    it along an internal edge, and an internal edge flipping it joins two
+    members that differ in it; a coordinate stable at a member is fired
+    there as a no-op.  So no edge needs to be looked at.
     """
     table = net.table
-    needed = full_mask(net.n)
+    base = next(iter(states))
+    unstable = full_mask(net.n)
+    varies = 0
     for mu in states:
-        needed &= mu ^ table[mu]
-        if not needed:
-            return []
-    edges = []
-    for mu in sorted(states):
-        for t in _targets(table, mu):
-            if t in states and (mu ^ t) & needed:
-                edges.append((mu, t))
-                needed &= ~(mu ^ t)
-                if not needed:
-                    return edges
-    return None
+        unstable &= mu ^ table[mu]
+        varies |= mu ^ base
+    return not unstable & ~varies
 
 
 def _is_fair_set(net: Network, states: frozenset[int]) -> bool:
     # singletons are strongly connected via their empty-fire self-loop
     if len(states) > 1 and len(_tarjan_sccs(_adjacency(net, states))) != 1:
         return False
-    return _fair_cover(net, states) is not None
+    return _is_fair(net, states)
 
 
 def is_fair_set(net: Network, states: frozenset[int]) -> bool:
@@ -270,7 +261,7 @@ def _fair_sccs(net: Network, domain=None) -> list[frozenset[int]]:
             parts = map(frozenset, _tarjan_sccs(_adjacency(net, part)))
         else:
             continue
-        result.extend(p for p in parts if len(p) > 1 and _fair_cover(net, p) is not None)
+        result.extend(p for p in parts if len(p) > 1 and _is_fair(net, p))
     result.sort(key=sorted)
     return result
 

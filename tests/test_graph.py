@@ -21,14 +21,15 @@ from asyncbool import (
     is_fair_set,
     is_n_invariant,
     is_p_invariant,
+    omega_limit,
     proper_successors,
     reachable_set,
     successors,
 )
 from asyncbool import graph
-from asyncbool.basins import _hop_word
+from asyncbool.basins import _covering_cycle, _hop_word, _walk_then_cycle
 from asyncbool.formats import render_schedule
-from asyncbool.graph import _fair_cover, _tarjan_sccs, _targets
+from asyncbool.graph import _tarjan_sccs, _targets
 
 
 def test_successors_one_per_unstable_subset(net1):
@@ -150,11 +151,28 @@ def test_graph_cap_enforced():
 # --- the cached transition graph against per-call references ------------------
 
 
-def _reference_fair_sccs(net, domain):
-    """The fair SCCs of the subgraph induced on `domain`, from one plain
-    Tarjan over that whole subgraph."""
+def _reference_is_fair(net, states):
+    """The edge-scan fairness rule: every coordinate unstable at every
+    member of `states` is fired by some edge internal to it."""
+    needed = (1 << net.n) - 1
+    for mu in states:
+        needed &= mu ^ net.table[mu]
+    for mu in states:
+        for t in _targets(net.table, mu):
+            if t in states:
+                needed &= ~(mu ^ t)
+    return not needed
+
+
+def _reference_sccs(net, domain):
+    """Every SCC of the subgraph induced on `domain`, singletons included,
+    from one plain Tarjan over that whole subgraph."""
     adjacency = {mu: [t for t in _targets(net.table, mu) if t in domain] for mu in domain}
-    fair = [s for s in map(frozenset, _tarjan_sccs(adjacency)) if _fair_cover(net, s) is not None]
+    return list(map(frozenset, _tarjan_sccs(adjacency)))
+
+
+def _reference_fair_sccs(net, domain):
+    fair = [s for s in _reference_sccs(net, domain) if _reference_is_fair(net, s)]
     return sorted(fair, key=sorted)
 
 
@@ -213,6 +231,26 @@ def test_cached_graph_matches_per_call_reference(case):
         assert own.prefix == ()
         expected = Schedule(net.n, tuple(enumerate(word)), own.cycle, own.period, len(word))
         assert render_schedule(witness) == render_schedule(expected)
+
+
+@settings(max_examples=200, deadline=None)
+@given(nets_and_domains())
+def test_fairness_bit_rule_matches_edge_scan_and_covering_cycles_replay(case):
+    net, domain = case
+    full = (1 << net.n) - 1
+    for scc in _reference_sccs(net, domain):
+        fair = graph._is_fair(net, scc)
+        assert fair == _reference_is_fair(net, scc)
+        if not fair:
+            continue
+        for anchor in scc:
+            cycle, period = _covering_cycle(net, scc, anchor)
+            fired = 0
+            for _, fire in cycle:
+                fired |= fire
+            assert fired == full
+            witness = _walk_then_cycle(net.n, [], cycle, period)
+            assert omega_limit(net, anchor, witness) == scc
 
 
 def test_whole_graph_tarjan_runs_once_per_network(monkeypatch):
