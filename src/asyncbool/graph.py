@@ -226,19 +226,15 @@ def _is_fair(net: Network, states: frozenset[int]) -> bool:
     return not unstable & ~varies
 
 
-def _is_fair_set(net: Network, states: frozenset[int]) -> bool:
-    # singletons are strongly connected via their empty-fire self-loop
-    if len(states) > 1 and len(_tarjan_sccs(_adjacency(net, states))) != 1:
-        return False
-    return _is_fair(net, states)
-
-
 def is_fair_set(net: Network, states: frozenset[int]) -> bool:
     """Strongly connected and fair: a candidate omega-limit set."""
     if not states:
         return False
     _check_states(net, states)
-    return _is_fair_set(net, states)
+    # singletons are strongly connected via their empty-fire self-loop
+    if len(states) > 1 and len(_tarjan_sccs(_adjacency(net, states))) != 1:
+        return False
+    return _is_fair(net, states)
 
 
 def _fair_sccs(net: Network, domain=None) -> list[frozenset[int]]:
@@ -295,8 +291,28 @@ def is_p_invariant(net: Network, states: frozenset[int]) -> bool:
     return len(_backward_closure(net, [min(scc) for scc in fair], states)) == len(states)
 
 
+def _closure(edges: list[int], mask: int) -> int:
+    """The bits reached from the lowest bit of `mask` along `edges` (bit i
+    to the bits of edges[i]) without leaving `mask`."""
+    reached = frontier = mask & -mask
+    while frontier:
+        step = 0
+        while frontier:
+            low = frontier & -frontier
+            step |= edges[low.bit_length() - 1]
+            frontier ^= low
+        frontier = step & mask & ~reached
+        reached |= frontier
+    return reached
+
+
 def fair_subsets(net: Network, scc: frozenset[int]) -> list[frozenset[int]]:
-    """All fair strongly connected subsets of one SCC."""
+    """All fair strongly connected subsets of one SCC, in increasing order
+    of their masks over the sorted members.
+
+    Each subset is a mask over the members' indices; it is strongly
+    connected iff one forward and one backward closure from its lowest
+    member, inside the mask, both reach all of it."""
     if len(scc) > (1 << SUBSET_CAP):
         raise CapExceededError(
             f"fair-subset enumeration is capped at SCCs of {1 << SUBSET_CAP} states,"
@@ -304,11 +320,21 @@ def fair_subsets(net: Network, scc: frozenset[int]) -> list[frozenset[int]]:
         )
     _check_states(net, scc)
     members = sorted(scc)
+    index = {mu: i for i, mu in enumerate(members)}
+    succ = [0] * len(members)
+    pred = [0] * len(members)
+    for i, mu in enumerate(members):
+        for t in _targets(net.table, mu):
+            j = index.get(t)
+            if j is not None:
+                succ[i] |= 1 << j
+                pred[j] |= 1 << i
     found = []
     for mask in range(1, 1 << len(members)):
-        subset = frozenset(members[i] for i in range(len(members)) if mask & (1 << i))
-        if _is_fair_set(net, subset):
-            found.append(subset)
+        if _closure(succ, mask) == mask and _closure(pred, mask) == mask:
+            subset = frozenset(mu for i, mu in enumerate(members) if mask >> i & 1)
+            if _is_fair(net, subset):
+                found.append(subset)
     return found
 
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -61,21 +62,6 @@ def default_bounds(n: int) -> OracleBounds:
     return OracleBounds(1 << n, n << n)
 
 
-def _progressive_cycles(n: int, bounds: OracleBounds) -> list[tuple[int, ...]]:
-    """All cycle words up to the bound whose fire sets jointly cover every
-    coordinate."""
-    full = full_mask(n)
-    cycles = []
-    for q in range(1, bounds.max_cycle_len + 1):
-        for word in itertools.product(range(1 << n), repeat=q):
-            union = 0
-            for fire in word:
-                union |= fire
-            if union == full:
-                cycles.append(word)
-    return cycles
-
-
 def simulate_word_schedule(
     net: Network, mu: int, prefix_word: tuple[int, ...], cycle_word: tuple[int, ...]
 ) -> tuple[frozenset[int], frozenset[int]]:
@@ -95,21 +81,6 @@ def simulate_word_schedule(
         seen[state] = len(trail)
         for fire in cycle_word:
             state = (state & ~fire) | (table[state] & fire)
-            trail.append(state)
-    return frozenset(trail), frozenset(trail[seen[state] :])
-
-
-def _fold(step, mu: int, cycle_word) -> tuple[frozenset[int], frozenset[int]]:
-    """(orbit, omega) of repeating a valid cycle word from mu, through a
-    step table: step[state][fire] is the state after firing `fire` at
-    `state`."""
-    state = mu
-    trail = [mu]
-    seen: dict[int, int] = {}
-    while state not in seen:
-        seen[state] = len(trail)
-        for fire in cycle_word:
-            state = step[state][fire]
             trail.append(state)
     return frozenset(trail), frozenset(trail[seen[state] :])
 
@@ -157,27 +128,57 @@ def _word_runs(
     net: Network, bounds: OracleBounds
 ) -> dict[int, tuple[tuple[frozenset[int], frozenset[int]], ...]]:
     """For every start state, the distinct (orbit, omega) pairs over all
-    bounded word schedules, in the order the enumeration meets them.  Each
-    (state, cycle word) loop is folded once, whichever start state and
-    prefix reach it, through one step table of the net; the cycle words
-    are valid and progressive by construction.  Each prefix outcome is
-    crossed only with the distinct loop results of its state, kept in
-    first-seen order, so the pairs arrive in the same order as over every
-    cycle word."""
-    cycles = _progressive_cycles(net.n, bounds)
-    step = [_images(net, state) for state in net.states()]
-    loops: dict[int, tuple[tuple[frozenset[int], frozenset[int]], ...]] = {}
+    bounded word schedules, in increasing order of their state masks.
+
+    Repeating a cycle word from a state depends only on the word's action:
+    where one pass of the word ends and which states it visits, from every
+    start state at once.  Extending a word by one letter depends only on
+    its action too, so the layered search over actions, which carries the
+    union of the fire sets for progressiveness, meets the action of every
+    cycle word within the bound without enumerating the words.  Each
+    progressive action is folded from every state at once by doubling on
+    bit masks, each prefix outcome is crossed with the distinct loop
+    results of its state, and masks become state sets only at the end."""
+    states = net.states()
+    full = full_mask(net.n)
+    bits = tuple(1 << s for s in states)
+    # after[fire][state]: the state after firing `fire` at `state`
+    after = list(enumerate(zip(*(_images(net, state) for state in states))))
+
+    def expand(action):
+        # an action: the end state and the one-pass visited mask from each
+        # state, and the union of the fire sets
+        ends, visits, fired = action
+        for fire, column in after:
+            moved = tuple(map(column.__getitem__, ends))
+            visits2 = tuple(map(operator.or_, visits, map(bits.__getitem__, moved)))
+            yield moved, visits2, fired | fire
+
+    start = (tuple(states), bits, 0)
+    folded = set()  # (orbit, omega) masks from every state, per action
+    for ends, orbits, fired in _layers(start, bounds.max_cycle_len, expand):
+        if fired != full:
+            continue
+        # after n doublings, orbits[s] is the union of the visits of the
+        # first 2**n passes from s, whose start states are all the states
+        # the run from s ever starts a pass at, and ends[s] is the state
+        # 2**n passes on, which lies on the run's cycle: its orbit is omega
+        for _ in range(net.n):
+            orbits = tuple(map(operator.or_, orbits, map(orbits.__getitem__, ends)))
+            ends = tuple(map(ends.__getitem__, ends))
+        folded.add((orbits, tuple(map(orbits.__getitem__, ends))))
+    loops = [set() for _ in states]  # per state, its distinct (orbit, omega) masks
+    for orbits, omegas in folded:
+        for loop, pair in zip(loops, zip(orbits, omegas)):
+            loop.add(pair)
+    members = functools.cache(lambda mask: frozenset(s for s in states if mask >> s & 1))
     runs = {}
-    for mu in net.states():
-        pairs = {}
+    for mu in states:
+        pairs = set()
         for state, visited in _prefix_outcomes(net, mu, bounds):
-            if state not in loops:
-                loops[state] = tuple(
-                    dict.fromkeys(_fold(step, state, cycle) for cycle in cycles)
-                )
-            for loop_orbit, omega in loops[state]:
-                pairs[visited | loop_orbit, omega] = None
-        runs[mu] = tuple(pairs)
+            prefix = sum(1 << s for s in visited)
+            pairs.update((prefix | orbit, omega) for orbit, omega in loops[state])
+        runs[mu] = tuple((members(orbit), members(omega)) for orbit, omega in sorted(pairs))
     return runs
 
 
@@ -679,8 +680,8 @@ def verify_theorems(
     are data, not errors: each one lands in the report with a replayable
     payload.
 
-    Each fact is computed once per call: the word runs fold every (state,
-    cycle word) loop through one step table of the net; each translated
+    Each fact is computed once per call: the word runs fold each distinct
+    action of a bounded cycle word once, from every state; each translated
     and restricted schedule is built once per sampled schedule, for all
     start states; and the set-level reference answers (invariance, and the
     p- and n-basin of a given set) are memoized per call, shared by the

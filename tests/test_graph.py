@@ -348,3 +348,26 @@ def test_achievable_omegas_match_the_cached_sccs(net):
     # Tarjan over the reach alone finds the same SCCs as the whole graph's
     for mu in net.states():
         assert achievable_omegas_from(net, mu) == from_cached_sccs(net, mu)
+
+
+def _reference_fair_subsets(net, scc):
+    """fair_subsets by one Tarjan per subset: every subset, in increasing
+    order of its mask over the sorted members, that is one SCC of the
+    subgraph it induces and fair by the edge scan."""
+    members = sorted(scc)
+    found = []
+    for mask in range(1, 1 << len(members)):
+        subset = frozenset(mu for i, mu in enumerate(members) if mask >> i & 1)
+        if len(_reference_sccs(net, subset)) == 1 and _reference_is_fair(net, subset):
+            found.append(subset)
+    return found
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_nets())
+def test_fair_subsets_match_one_tarjan_per_subset(net):
+    # every SCC of the whole graph, singletons included, up to 10 states so
+    # the reference's 2**|SCC| Tarjan passes stay cheap
+    for scc in _reference_sccs(net, frozenset(net.states())):
+        if len(scc) <= 10:
+            assert fair_subsets(net, scc) == _reference_fair_subsets(net, scc)

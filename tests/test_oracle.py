@@ -9,6 +9,8 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from asyncbool import (
     DimensionError,
@@ -27,11 +29,9 @@ from asyncbool import (
 )
 from asyncbool import basins as basins_mod
 from asyncbool import graph
-from asyncbool.oracle import _fold as oracle_fold
 from asyncbool.oracle import (
     _anchored_omegas,
     _prefix_outcomes,
-    _progressive_cycles,
     _word_runs,
     oracle_achievable_omegas_all,
 )
@@ -319,34 +319,74 @@ def test_verify_detects_injected_mutation(net1, monkeypatch):
     assert "check" in bad and "table" in bad
 
 
+def _literal_word_runs(net: Network, bounds: OracleBounds) -> dict[int, set]:
+    """The (orbit, omega) pairs of every word schedule within bounds, each
+    run through the public simulate_word_schedule: every prefix word of
+    length <= P, and every cycle word of length 1..L whose fire sets cover
+    every coordinate."""
+    letters = range(1 << net.n)
+    full = (1 << net.n) - 1
+    prefixes = [
+        w for p in range(bounds.max_prefix_len + 1) for w in itertools.product(letters, repeat=p)
+    ]
+    cycles = [
+        w
+        for q in range(1, bounds.max_cycle_len + 1)
+        for w in itertools.product(letters, repeat=q)
+        if functools.reduce(operator.or_, w) == full
+    ]
+    return {
+        mu: {
+            simulate_word_schedule(net, mu, prefix, cycle)
+            for prefix in prefixes
+            for cycle in cycles
+        }
+        for mu in net.states()
+    }
+
+
+def _assert_word_runs_are_literal(net: Network, bounds: OracleBounds) -> None:
+    runs = _word_runs(net, bounds)
+    want = _literal_word_runs(net, bounds)
+    assert set(runs) == set(want)
+
+    def masks(pair):
+        return tuple(sum(1 << s for s in part) for part in pair)
+
+    for mu, pairs in runs.items():
+        assert set(pairs) == want[mu]
+        # no pair twice, and in increasing order of the state masks, so a
+        # counterexample payload replays in the same order
+        assert len(pairs) == len(set(pairs))
+        assert list(pairs) == sorted(pairs, key=masks)
+
+
 def test_word_runs_match_the_public_simulation():
-    # the step-table fold gives every (state, cycle word) loop the public
-    # simulate_word_schedule gives, through its own literal fold on the
-    # table, crossed with the prefix outcomes in the same first-seen
-    # order, and the same pairs as every literal word pair
+    # the word oracle's pairs are exactly those of every literal (prefix
+    # word, progressive cycle word) pair, each run on its own
     rng = random.Random(20261018)
     for _ in range(12):
         n = rng.choice((1, 2, 3))
         net = Network(n, tuple(rng.randrange(1 << n) for _ in range(1 << n)))
-        bounds = OracleBounds(1, 2)
-        cycles = _progressive_cycles(n, bounds)
-        runs = _word_runs(net, bounds)
-        step = [[_fold(net, state, fire) for fire in range(1 << n)] for state in net.states()]
-        for mu in net.states():
-            for cycle in cycles:
-                assert oracle_fold(step, mu, cycle) == simulate_word_schedule(net, mu, (), cycle)
-            want = {}
-            for state, visited in _prefix_outcomes(net, mu, bounds):
-                for cycle in cycles:
-                    orbit, omega = simulate_word_schedule(net, state, (), cycle)
-                    want[visited | orbit, omega] = None
-            assert runs[mu] == tuple(want)
-            prefixes = [()] + [(fire,) for fire in range(1 << n)]
-            assert set(runs[mu]) == {
-                simulate_word_schedule(net, mu, prefix, cycle)
-                for prefix in prefixes
-                for cycle in cycles
-            }
+        _assert_word_runs_are_literal(net, OracleBounds(1, 2))
+
+
+@st.composite
+def word_oracle_cases(draw):
+    """A net with n <= 3 and bounds P in 0..2, L in 1..3; at n = 3 the
+    literal side runs 8**(P + L) word pairs per state, so P <= 1, L <= 2."""
+    n = draw(st.integers(1, 3))
+    table = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1 << n, max_size=1 << n))
+    small = n == 3
+    prefix_len = draw(st.integers(0, 1 if small else 2))
+    cycle_len = draw(st.integers(1, 2 if small else 3))
+    return Network(n, tuple(table)), OracleBounds(prefix_len, cycle_len)
+
+
+@settings(max_examples=100, deadline=None)
+@given(word_oracle_cases())
+def test_word_runs_match_every_literal_word_pair(case):
+    _assert_word_runs_are_literal(*case)
 
 
 def test_verify_detects_lying_p_invariance(net1, monkeypatch):
