@@ -10,24 +10,25 @@ fair SCC not contained in A.  Each call builds only its own BFS tree.
 
 Existential ("p") basins come with constructive witness schedules taken
 from the same BFS tree: its next-hop pointers give every member a
-shortest walk to a source, and one covering cycle per source is shared
-by every member that ends there.  A covering cycle is any closed walk
-through every state of the fair SCC: each coordinate unstable throughout
-a fair set takes both values inside it, so the walk fires it, and the
-cycle co-fires the coordinates stable where it stands.  A reported
-membership can always be replayed through the schedule module and
-checked against the claimed omega-limit relation.  Universal ("n")
-basins are decided by graph conditions alone and carry no witnesses.
+shortest walk to a source, its next hop's walk with one step in front,
+and one covering cycle per source is shared by every member that ends
+there.  A covering cycle is any closed walk through every state of the
+fair SCC: each coordinate unstable throughout a fair set takes both
+values inside it, so the walk fires it, and the cycle co-fires the
+coordinates stable where it stands.  A reported membership can always
+be replayed through the schedule module and checked against the claimed
+omega-limit relation.  Universal ("n") basins are decided by graph
+conditions alone and carry no witnesses.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import graph
 from .core import Network, all_states, check_state, full_mask
-from .schedule import Schedule, omega_limit, orbit_trace, restrict_after
+from .schedule import Schedule, _led_by, omega_limit, orbit_trace, restrict_after
 
 
 @dataclass(frozen=True)
@@ -73,19 +74,13 @@ def _bfs_path(net: Network, start: int, goals: frozenset[int], domain=None):
                 continue
             parent[target] = state
             if target in goals:
-                return _hop_word(parent, target)[0][::-1], target
+                word, mu = [], target
+                while mu != start:
+                    word.append(mu ^ parent[mu])
+                    mu = parent[mu]
+                return word[::-1], target
             queue.append(target)
     return None
-
-
-def _hop_word(hop: dict[int, int], mu: int) -> tuple[list[int], int]:
-    """Fire-set word following `hop` pointers from mu until a state that
-    points to itself; returns the word and that state."""
-    word = []
-    while hop[mu] != mu:
-        word.append(mu ^ hop[mu])
-        mu = hop[mu]
-    return word, mu
 
 
 def covering_walk(net: Network, target: frozenset[int], anchor: int) -> list[int]:
@@ -143,23 +138,18 @@ def _splicer(trace, rho: Schedule):
     """Where a witness joins the reference flow of `trace` under `rho`.
 
     Returns a state the reference flow holds during the first segment of
-    its periodic tail, and a function turning a walk to that state into a
-    witness whose flow coincides pointwise with the reference flow from
-    some time on: the walk ends just before a time t2 strictly inside that
-    segment, after which the reference schedule is copied verbatim.
+    its periodic tail, a time t2 strictly inside that segment, and the
+    reference schedule restricted to times after t2.  A walk of length L
+    to that state, fired at times t2 - L, ..., t2 - 1 in front of the
+    tail, is a witness whose flow coincides pointwise with the reference
+    flow from t2 on.
     """
     seg_state, seg_dwell = trace.loop[0]
     # Fraction keeps t2 exact when the schedule was built with int times
     t2 = trace.loop_entry + Fraction(seg_dwell) / 2
     # t2 lies past the cycle start, so the cut occurrence joins the prefix
     # and the whole occurrences after t2 stay the cycle
-    tail = restrict_after(rho, t2)
-
-    def witness(word: list[int]) -> Schedule:
-        prefix = tuple((t2 - len(word) + k, fire) for k, fire in enumerate(word))
-        return replace(tail, prefix=prefix + tail.prefix)
-
-    return seg_state, witness
+    return seg_state, t2, restrict_after(rho, t2)
 
 
 def witness_schedule(
@@ -191,14 +181,18 @@ def witness_schedule(
         trace, _ = orbit_trace(net, ref_mu, ref_rho)
         if trace.loop_states != target:
             raise ValueError("align_to flow does not have the target as omega-limit set")
-        seg_state, witness = _splicer(trace, ref_rho)
+        seg_state, t2, tail = _splicer(trace, ref_rho)
         found = _bfs_path(net, mu_from, frozenset({seg_state}))
     if found is None:
         raise ValueError("target is not achievable from the given state")
     word, end = found
     if align_to is None:
         return _walk_then_cycle(net.n, word, *_covering_cycle(net, target, end))
-    return witness(word)
+    witness = tail
+    for k in reversed(range(len(word))):
+        witness = _led_by(tail.n, t2 - len(word) + k, word[k], witness.prefix,
+                          tail.cycle, tail.period, tail.cycle_start)
+    return witness
 
 
 def basin_p(net: Network, attractor: frozenset[int], with_witnesses: bool = True) -> BasinResult:
@@ -212,13 +206,20 @@ def basin_p(net: Network, attractor: frozenset[int], with_witnesses: bool = True
     hop = graph._backward_closure(net, list(anchors))
     witnesses: dict[int, Schedule] = {}
     if with_witnesses:
-        # each anchor's own witness validates its covering cycle once; the
-        # members ending there share that validated cycle
-        own = {a: _walk_then_cycle(net.n, [], *_covering_cycle(net, scc, a))
-               for a, scc in anchors.items()}
-        for mu in hop:
-            word, anchor = _hop_word(hop, mu)
-            witnesses[mu] = _walk_then_cycle(net.n, word, own[anchor].cycle, own[anchor].period)
+        # a member's word is its next hop's with one letter in front, fired
+        # at times 0, 1, 2, ...; _backward_closure puts every next hop
+        # first.  Each anchor's own witness validates its covering cycle
+        # once, and the members ending there share that validated cycle.
+        words: dict[int, tuple[int, ...]] = {}
+        for mu, nxt in hop.items():
+            if mu == nxt:
+                words[mu] = ()
+                witnesses[mu] = _walk_then_cycle(net.n, [], *_covering_cycle(net, anchors[mu], mu))
+            else:
+                words[mu] = (mu ^ nxt,) + words[nxt]
+                ahead = witnesses[nxt]
+                witnesses[mu] = _led_by(net.n, 0, mu ^ nxt, tuple(enumerate(words[nxt], 1)),
+                                        ahead.cycle, ahead.period, len(words[mu]))
     return BasinResult(frozenset(hop), witnesses)
 
 
@@ -251,8 +252,16 @@ def orbit_basin_p(
     hop = graph._backward_closure(net, [trace.loop[0][0]])
     if not with_witnesses:
         return BasinResult(frozenset(hop))
-    witness = _splicer(trace, rho)[1]
-    return BasinResult(frozenset(hop), {mu2: witness(_hop_word(hop, mu2)[0]) for mu2 in hop})
+    # a member at depth d fires its first letter at t2 - d, in front of its
+    # next hop's witness; _backward_closure puts every next hop first
+    seg_state, t2, tail = _splicer(trace, rho)
+    witnesses, depth = {seg_state: tail}, {seg_state: 0}
+    for mu2, nxt in hop.items():
+        if mu2 != nxt:
+            depth[mu2] = depth[nxt] + 1
+            witnesses[mu2] = _led_by(tail.n, t2 - depth[mu2], mu2 ^ nxt, witnesses[nxt].prefix,
+                                     tail.cycle, tail.period, tail.cycle_start)
+    return BasinResult(frozenset(hop), witnesses)
 
 
 def orbit_basin_n(net: Network, mu: int, rho: Schedule) -> BasinResult:

@@ -14,7 +14,9 @@ one grid per schedule: every event time over a common denominator,
 derived on the schedule's first fold that needs times.  `flow_at` counts
 events on that grid; `orbit_trace` makes Fractions only of the times it
 reports.  A cycle is validated once and then passed on unchanged by
-`translate`, `restrict_after` and `dataclasses.replace`.
+`translate`, `restrict_after` and `dataclasses.replace`; `_led_by` puts
+one checked event in front of parts already checked, so a chain of
+schedules each one event longer checks every event once.
 """
 
 from __future__ import annotations
@@ -68,6 +70,20 @@ def _validated_cycle(cycle, n: int, period: Fraction) -> _Cycle:
     out = _Cycle(cycle)
     out.key = (n, period)
     out.fires = fires
+    return out
+
+
+def _led_by(n: int, t, fire: int, prefix, cycle: _Cycle, period, cycle_start) -> Schedule:
+    """Schedule(n, ((t, fire),) + prefix, cycle, period, cycle_start) for
+    parts a Schedule of this n already checked: only the new event is
+    checked, its fire set against n and t against the first prefix time,
+    or cycle_start.  No grid is carried over: t may need a finer one."""
+    check_state(fire, n, "fire set")
+    if not _rational(t) < (prefix[0][0] if prefix else cycle_start):
+        raise ScheduleError(f"event at t={t} does not precede the schedule it leads")
+    out = object.__new__(Schedule)
+    out.__dict__.update(n=n, prefix=((t, fire),) + prefix, cycle=cycle, period=period,
+                        cycle_start=cycle_start)
     return out
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -219,9 +220,10 @@ def parent_witness_schedule(net, mu_from, target, align_to=None):
     trace, _ = orbit_trace(net, ref_mu, ref_rho)
     if trace.loop_states != target:
         raise ValueError("align_to flow does not have the target as omega-limit set")
-    seg_state, witness = basins_mod._splicer(trace, ref_rho)
+    seg_state, t2, tail = basins_mod._splicer(trace, ref_rho)
     word, _ = basins_mod._bfs_path(net, mu_from, frozenset({seg_state}))
-    return witness(word)
+    prefix = tuple((t2 - len(word) + k, fire) for k, fire in enumerate(word))
+    return dataclasses.replace(tail, prefix=prefix + tail.prefix)
 
 
 def _rendered_or_refused(make):

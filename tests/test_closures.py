@@ -6,10 +6,14 @@ in the p-basin of A iff it reaches a fair SCC of the subgraph induced on
 A, in the n-basin iff every fair SCC it reaches lies in A.  The fair SCCs
 a state mu reaches are fair_sccs(net, reachable_set(net, mu)): the SCCs of
 the subgraph induced on a forward-closed set are SCCs of the full graph.
-Every witness the closures return must replay.
+Every witness the closures return must replay, and must equal the one the
+old per-member builder makes from the same BFS tree.
 """
 
+import dataclasses
 import random
+from fractions import Fraction
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings
@@ -19,10 +23,12 @@ from asyncbool import (
     CapExceededError,
     DimensionError,
     Network,
+    Schedule,
     attractivity_class,
     basin_n,
     basin_p,
     fair_sccs,
+    flow_at,
     flows_eventually_equal,
     is_fair_set,
     is_fixed_point,
@@ -33,11 +39,16 @@ from asyncbool import (
     omega_limit,
     orbit_basin_n,
     orbit_basin_p,
+    orbit_trace,
     proper_successors,
     reachable_set,
+    render_schedule,
+    restrict_after,
     synchronous,
     witness_schedule,
 )
+from asyncbool import graph
+from asyncbool.basins import _covering_cycle
 
 # --- per-state reference definitions ----------------------------------------
 
@@ -230,3 +241,122 @@ def test_flow_basins_respect_graph_cap(query, table):
     # two-state cycle; both basins would walk all 2^11 states
     with pytest.raises(CapExceededError):
         query(Network(11, table), 0, synchronous(11))
+
+
+# --- witnesses along the BFS tree against the per-member builder -------------
+
+
+def ref_hop_word(hop, mu):
+    """The fire-set word following `hop` from mu to a state pointing to itself."""
+    word = []
+    while hop[mu] != mu:
+        word.append(mu ^ hop[mu])
+        mu = hop[mu]
+    return word, mu
+
+
+def ref_basin_p_witnesses(net, a):
+    """basin_p's witnesses as the per-member builder made them: each
+    member's word walked from the BFS tree, fired at times 0, 1, 2, ...
+    through the checking constructor, then the anchor's covering cycle."""
+    anchors = {min(scc): scc for scc in graph._fair_sccs(net, a)}
+    hop = graph._backward_closure(net, list(anchors))
+    cycles = {anchor: _covering_cycle(net, scc, anchor) for anchor, scc in anchors.items()}
+    out = {}
+    for mu in hop:
+        word, anchor = ref_hop_word(hop, mu)
+        out[mu] = Schedule(net.n, tuple(enumerate(word)), *cycles[anchor], len(word))
+    return out
+
+
+def ref_orbit_basin_p_witnesses(net, mu, rho):
+    """orbit_basin_p's witnesses as the per-member builder made them: each
+    member's word fired just before t2, inside the first segment of the
+    flow's periodic tail, in front of the schedule cut after t2."""
+    trace, _ = orbit_trace(net, mu, rho)
+    seg_state, seg_dwell = trace.loop[0]
+    t2 = trace.loop_entry + Fraction(seg_dwell) / 2
+    tail = restrict_after(rho, t2)
+    hop = graph._backward_closure(net, [seg_state])
+    out = {}
+    for mu2 in hop:
+        word = ref_hop_word(hop, mu2)[0]
+        prefix = tuple((t2 - len(word) + k, fire) for k, fire in enumerate(word))
+        out[mu2] = dataclasses.replace(tail, prefix=prefix + tail.prefix)
+    return out
+
+
+def permuted_mask_table(n, rng):
+    """Images whose masks (image XOR state) are a permutation of all 2**n
+    masks: one fixed point and 3**n - 2**n proper edges."""
+    masks = list(range(1 << n))
+    rng.shuffle(masks)
+    return tuple(mu ^ mask for mu, mask in enumerate(masks))
+
+
+@st.composite
+def witness_tree_cases(draw):
+    """A net with n <= 6, a target set, a start state and a schedule: the
+    synchronous one, or a random rational one whose cycle has several
+    events, so that cutting it inside the flow's tail can leave some of
+    the cut occurrence in the prefix."""
+    n = draw(st.integers(1, 6))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    net = Network(n, (permuted_mask_table if draw(st.booleans()) else sparse_table)(n, rng))
+    states = list(net.states())
+    a = frozenset(draw(st.lists(st.sampled_from(states), min_size=1, max_size=len(states))))
+    if draw(st.booleans()):  # a random set seldom holds a fair SCC
+        a |= draw(st.sampled_from(fair_sccs(net)))
+    rho = synchronous(n)
+    if draw(st.booleans()):
+        period = Fraction(rng.randint(1, 5), rng.randint(1, 3))
+        offsets = sorted({period * Fraction(rng.randrange(12), 12) for _ in range(rng.randint(2, 4))})
+        fires = [rng.randrange(1 << n) for _ in offsets]
+        fires[0] |= (1 << n) - 1
+        start = Fraction(rng.randint(0, 6), rng.randint(1, 4))
+        times = sorted({start - Fraction(rng.randint(1, 9), 5) for _ in range(rng.randint(0, 3))})
+        prefix = tuple((t, rng.randrange(1 << n)) for t in times)
+        rho = Schedule(n, prefix, tuple(zip(offsets, fires)), period, start)
+    return net, a, draw(st.sampled_from(states)), rho
+
+
+def _exact(witnesses):
+    """Every field of every witness with its type, in dict order."""
+    return [(mu, w.n, repr(w.prefix), repr(tuple(w.cycle)), repr(w.period),
+             repr(w.cycle_start), render_schedule(w)) for mu, w in witnesses.items()]
+
+
+def _literal_flow(net, mu, events, t):
+    state = mu
+    for time, fire in events:
+        if time > t:
+            break
+        state = (state & ~fire) | (net.table[state] & fire)
+    return state
+
+
+def check_witness_rebuilds(net, witnesses):
+    """Each witness is one the checking constructor accepts, and its flow
+    read on its own time grid is the literal fold of its events: a grid
+    left over from a shorter schedule would misplace some event."""
+    for mu, w in witnesses.items():
+        assert w == Schedule(w.n, w.prefix, tuple(w.cycle), w.period, w.cycle_start)
+        events = list(islice(w.events(), len(w.prefix) + 2 * len(w.cycle)))
+        times = [t for t, _ in events]
+        probes = [times[0] - 1, *times, *(Fraction(s + t) / 2 for s, t in zip(times, times[1:]))]
+        for t in probes:
+            assert flow_at(net, mu, w, t) == _literal_flow(net, mu, events, t), (mu, t)
+
+
+@settings(max_examples=200, deadline=None)
+@given(witness_tree_cases())
+def test_tree_witnesses_equal_the_per_member_builder(case):
+    net, a, mu, rho = case
+    omega = omega_limit(net, mu, rho)
+    for got, want in (
+        (basin_p(net, a), ref_basin_p_witnesses(net, a)),
+        (orbit_basin_p(net, mu, rho), ref_orbit_basin_p_witnesses(net, mu, rho)),
+        (omega_basin_p(net, mu, rho), ref_basin_p_witnesses(net, omega)),
+    ):
+        assert _exact(got.witnesses) == _exact(want)
+        check_witness_rebuilds(net, got.witnesses)

@@ -27,7 +27,7 @@ from asyncbool import (
     successors,
 )
 from asyncbool import graph
-from asyncbool.basins import _covering_cycle, _hop_word, _walk_then_cycle
+from asyncbool.basins import _covering_cycle, _walk_then_cycle
 from asyncbool.formats import render_schedule
 from asyncbool.graph import _tarjan_sccs, _targets
 
@@ -192,6 +192,16 @@ def _reference_closure(net, sources, domain=None):
                 hop[p] = state
                 queue.append(p)
     return hop
+
+
+def _hop_word(hop, mu):
+    """The fire-set word following `hop` from mu to a state pointing to
+    itself, and that state."""
+    word = []
+    while hop[mu] != mu:
+        word.append(mu ^ hop[mu])
+        mu = hop[mu]
+    return word, mu
 
 
 @st.composite

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from asyncbool import (
+    DimensionError,
     Network,
     NotProgressiveError,
     Schedule,
@@ -16,6 +17,7 @@ from asyncbool import (
     synchronous,
     translate,
 )
+from asyncbool.schedule import _led_by
 
 F = Fraction
 
@@ -142,6 +144,40 @@ def test_restrict_after_drops_past_events():
     tail2 = restrict_after(rho, F(10))
     assert tail2.prefix == ()
     assert tail2.cycle_start == F(11)
+
+
+def _lead(t, fire, rest):
+    return _led_by(rest.n, t, fire, rest.prefix, rest.cycle, rest.period, rest.cycle_start)
+
+
+def test_leading_event_is_checked():
+    # the fast path skips the events a Schedule already checked, not the new one
+    rho = mk(2, [(1, 0b01)], [(0, 0b11)], 1, 2)
+    with pytest.raises(DimensionError):
+        _lead(0, 0b100, rho)
+    with pytest.raises(DimensionError):
+        _lead(0, -1, rho)
+    for t in (1, F(3, 2), 5):  # at, or after, the first event
+        with pytest.raises(ScheduleError):
+            _lead(t, 0b01, rho)
+    no_prefix = mk(2, [], [(0, 0b11)], 1, 2)
+    for t in (2, F(5, 2)):  # at, or after, the cycle start
+        with pytest.raises(ScheduleError):
+            _lead(t, 0b01, no_prefix)
+    with pytest.raises(ScheduleError):
+        _lead(0.5, 0b01, rho)
+    led = _lead(F(-1, 3), 0b10, _lead(0, 0b01, no_prefix))
+    assert led == mk(2, [(F(-1, 3), 0b10), (0, 0b01)], [(0, 0b11)], 1, 2)
+
+
+def test_leading_event_derives_its_own_grid(net1):
+    rho = Schedule(2, ((1, 0b01),), ((0, 0b11),), 1, 2)
+    flow_at(net1, 0b00, rho, 5)  # derives rho's grid, all on whole ticks
+    led = _lead(F(-1, 3), 0b10, rho)
+    want = Schedule(2, ((F(-1, 3), 0b10), (1, 0b01)), ((0, 0b11),), 1, 2)
+    for t in (F(-1, 2), F(-1, 3), F(-1, 6), 0, 1, F(3, 2), 2, F(7, 3)):
+        assert flow_at(net1, 0b00, led, t) == flow_at(net1, 0b00, want, t)
+    assert flow_at(net1, 0b00, led, F(-1, 3)) == 0b10
 
 
 def test_shift_and_cut_must_be_int_or_fraction():
