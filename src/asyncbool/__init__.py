@@ -3,6 +3,7 @@
 from .basins import (
     AttractivityClass,
     BasinResult,
+    NotAchievableError,
     attractivity_class,
     basin_n,
     basin_p,
@@ -24,8 +25,6 @@ from .core import (
     fixed_points,
     format_bits,
     full_mask,
-    is_fixed_point,
-    iterate_word,
     parse_bits,
     stable_set,
     unstable_set,
@@ -46,7 +45,6 @@ from .graph import (
     achievable_omegas_from,
     fair_sccs,
     fair_subsets,
-    is_achievable_from,
     is_fair_set,
     is_n_invariant,
     is_p_invariant,

@@ -27,8 +27,12 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import graph
-from .core import Network, all_states, check_state, full_mask
+from .core import Network, check_state, full_mask
 from .schedule import Schedule, _led_by, omega_limit, orbit_trace, restrict_after
+
+
+class NotAchievableError(ValueError):
+    """The target is not fair, not strongly connected or not reachable."""
 
 
 @dataclass(frozen=True)
@@ -49,7 +53,7 @@ class AttractivityClass:
 def _classify(members: frozenset[int], n: int) -> str:
     if not members:
         return "not"
-    if members == all_states(n):
+    if len(members) == 1 << n:
         return "total"
     return "partial"
 
@@ -92,12 +96,12 @@ def covering_walk(net: Network, target: frozenset[int], anchor: int) -> list[int
     if anchor not in target:
         raise ValueError("anchor must lie in the target")
     if not graph._is_fair(net, target):
-        raise ValueError("target set is not fair")
+        raise NotAchievableError("target set is not fair")
 
     def leg(start: int, goals) -> tuple[list[int], int]:
         step = _bfs_path(net, start, frozenset(goals), domain=target)
         if step is None:
-            raise ValueError("target set is not strongly connected")
+            raise NotAchievableError("target set is not strongly connected")
         return step
 
     word: list[int] = []
@@ -168,9 +172,11 @@ def witness_schedule(
     reference flow holds during one of its periodic segments, then copy
     the reference schedule verbatim.
 
-    The witness decides achievability: ValueError when no walk reaches the
-    target, or when its covering walk finds it not fair or not strongly
-    connected.  An aligned target is the omega of a fair flow, so it is both.
+    The witness decides achievability: NotAchievableError when no walk
+    reaches the target, or when its covering walk finds it not fair or not
+    strongly connected.  An aligned target is the omega of a fair flow, so
+    it is both; a reference flow whose omega is not the target is a plain
+    ValueError.
     """
     check_state(mu_from, net.n)
     _check_target(net, target)
@@ -184,7 +190,7 @@ def witness_schedule(
         seg_state, t2, tail = _splicer(trace, ref_rho)
         found = _bfs_path(net, mu_from, frozenset({seg_state}))
     if found is None:
-        raise ValueError("target is not achievable from the given state")
+        raise NotAchievableError("target is not achievable from the given state")
     word, end = found
     if align_to is None:
         return _walk_then_cycle(net.n, word, *_covering_cycle(net, target, end))
@@ -290,12 +296,15 @@ def omega_basin_n(net: Network, mu: int, rho: Schedule) -> BasinResult:
     omega-limit set exactly."""
     graph._check_graph_cap(net)
     omega = omega_limit(net, mu, rho)
-    # nonempty only when omega is a fair SCC admitting no proper fair
-    # strongly connected subset, as a fixed point is.  Fairness is monotone
-    # along strongly connected supersets (a superset has no more coordinates
-    # unstable at every member, and no fewer that vary), so such a subset
-    # exists iff omega minus one state still has a fair SCC: |omega| passes.
-    fair = graph._fair_sccs(net)
-    if omega not in fair or any(graph._fair_sccs(net, omega - {s}) for s in omega):
+    # nonempty only when omega is a whole fair SCC admitting no proper fair
+    # strongly connected subset, as a fixed point is.  A nonempty
+    # basin_n(omega) implies the first: every state reaches a terminal SCC,
+    # which is fair, and an SCC inside the strongly connected omega is all
+    # of omega.  Fairness is monotone along strongly connected supersets (a
+    # superset has no more coordinates unstable at every member, and no
+    # fewer that vary), so such a subset exists iff omega minus one state
+    # still has a fair SCC: |omega| passes.
+    result = basin_n(net, omega)
+    if result.members and any(graph._fair_sccs(net, omega - {s}) for s in omega):
         return BasinResult(frozenset())
-    return basin_n(net, omega)
+    return result

@@ -226,13 +226,14 @@ def _cmd_oracle(args, net, out) -> int:
 def _cmd_search_witness(args, net, out) -> int:
     mu = _state_arg(args, net)
     target = _set_arg(args, net)
-    if not graph.is_achievable_from(net, target, mu):
-        out.record("witness", "no witness: target not achievable", found=False)
-        return 1
     align = None
     if args.align_from is not None:
         align = (parse_bits(args.align_from, net.n), _load_schedule(args, net.n))
-    witness = basins.witness_schedule(net, mu, target, align_to=align)
+    try:
+        witness = basins.witness_schedule(net, mu, target, align_to=align)
+    except basins.NotAchievableError:
+        out.record("witness", "no witness: target not achievable", found=False)
+        return 1
     out.record("witness", render_schedule(witness), found=True,
                schedule=render_schedule(witness))
     return 0

@@ -9,7 +9,7 @@ truth table, one successor per state.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 # 2**n state enumeration (graphs, basins, oracle) stays desk-scale up to
 # here; pure step evaluation is allowed a bit more room.
@@ -100,17 +100,6 @@ def apply_fire_set(net: Network, mu: int, nu: int) -> int:
     return (mu & ~nu) | (net.table[mu] & nu)
 
 
-def iterate_word(net: Network, mu: int, word: Sequence[int]) -> int:
-    """Left fold of apply_fire_set; the empty word is the identity."""
-    check_state(mu, net.n)
-    table = net.table
-    state = mu
-    for nu in word:
-        check_state(nu, net.n, "fire set")
-        state = (state & ~nu) | (table[state] & nu)
-    return state
-
-
 def unstable_set(net: Network, mu: int) -> int:
     """Fire set of the coordinates that would change value at mu."""
     check_state(mu, net.n)
@@ -123,11 +112,6 @@ def stable_set(net: Network, mu: int) -> int:
 
 def fixed_points(net: Network) -> frozenset[int]:
     return frozenset(mu for mu in net.states() if net.table[mu] == mu)
-
-
-def is_fixed_point(net: Network, mu: int) -> bool:
-    check_state(mu, net.n)
-    return net.table[mu] == mu
 
 
 def all_states(n: int) -> frozenset[int]:

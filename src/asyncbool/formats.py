@@ -215,11 +215,21 @@ def parse_network_exprs(text: str) -> Network:
 # --- schedules and state sets ---------------------------------------------
 
 
+# the most digits Python converts in an integer string
+_MAX_EXPONENT = 4300
+
+
 def _parse_rational(text: str) -> Fraction:
+    text = text.strip()
+    # Fraction computes 10**|e| before anything else looks at the value, so
+    # a larger exponent is refused first, without converting it
+    exponent = text.lower().partition("e")[2].lstrip("+-").replace("_", "").lstrip("0")
+    if exponent.isdecimal() and (len(exponent) > 4 or int(exponent) > _MAX_EXPONENT):
+        raise ParseError(f"time value {text!r} has an exponent beyond {_MAX_EXPONENT}")
     try:
-        return Fraction(text.strip())
+        return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
-        raise ParseError(f"bad time value {text.strip()!r}") from exc
+        raise ParseError(f"bad time value {text!r}") from exc
 
 
 def _parse_timed_events(body: str, n: int) -> list[tuple[Fraction, int]]:

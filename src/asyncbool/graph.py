@@ -350,12 +350,3 @@ def achievable_omegas_from(net: Network, mu: int) -> frozenset[frozenset[int]]:
         result.update(fair_subsets(net, frozenset(scc)))
     return frozenset(result)
 
-
-def is_achievable_from(net: Network, target: frozenset[int], mu: int) -> bool:
-    """True iff `target` is strongly connected, fair and reachable from mu."""
-    if not target:
-        raise ValueError("target must be nonempty")
-    check_state(mu, net.n)
-    if not is_fair_set(net, target):
-        return False
-    return bool(reachable_set(net, mu) & target)

@@ -127,10 +127,24 @@ def test_search_witness(net_file, capsys):
     )
     assert code == 0
     assert "cycle" in out
-    code, out, _ = run(
-        capsys, "search-witness", "--net", net_file, "--from", "11", "--set", "10"
-    )
-    assert code == 1
+    # not achievable: 11 cannot reach 10, {00} is not fair, and nothing
+    # leads from 10 back to 00
+    for start, literal in (("11", "10"), ("00", "00"), ("00", "00,10")):
+        code, out, err = run(capsys, "search-witness", "--net", net_file, "--json",
+                             "--from", start, "--set", literal)
+        assert (code, err) == (1, "")
+        assert json.loads(out) == {"found": False, "record": "witness"}
+    # usage errors exit 2 whether or not the target is achievable: a
+    # missing --schedule, a reference flow whose omega is not the target,
+    # a bad bit string
+    for extra in (
+        ("--from", "11", "--set", "10", "--align-from", "00"),
+        ("--from", "11", "--set", "10", "--align-from", "00", "--schedule", SYNC),
+        ("--from", "0x", "--set", "10"),
+    ):
+        code, out, err = run(capsys, "search-witness", "--net", net_file, *extra)
+        assert (code, out) == (2, "")
+        assert len(err.splitlines()) == 1 and err.startswith("error:")
 
 
 # a fair SCC {0110, 0111, 1110, 1111} whose members 14 and 15 collide in a

@@ -10,8 +10,6 @@ from asyncbool import (
     fixed_points,
     format_bits,
     full_mask,
-    is_fixed_point,
-    iterate_word,
     parse_bits,
     stable_set,
     unstable_set,
@@ -86,15 +84,6 @@ def test_firing_stable_coordinate_is_noop(net1):
     assert apply_fire_set(net1, 0b01, 0b01) == 0b01
 
 
-def test_iterate_word_empty_is_identity(net1):
-    for mu in net1.states():
-        assert iterate_word(net1, mu, []) == mu
-
-
-def test_iterate_word_folds_left(net1):
-    assert iterate_word(net1, 0b00, [0b01, 0b10]) == 0b11
-
-
 def test_unstable_and_stable_partition(net1):
     for mu in net1.states():
         u, s = unstable_set(net1, mu), stable_set(net1, mu)
@@ -111,8 +100,6 @@ def test_net1_unstable_sets(net1):
 def test_fixed_points(net1, id2):
     assert fixed_points(net1) == {0b10}
     assert fixed_points(id2) == all_states(2)
-    assert is_fixed_point(net1, 0b10)
-    assert not is_fixed_point(net1, 0b11)
 
 
 def test_state_range_checked(net1):

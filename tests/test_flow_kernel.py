@@ -27,7 +27,6 @@ from asyncbool import (
     flow_at,
     flows_eventually_equal,
     full_mask,
-    iterate_word,
     omega_limit,
     orbit_basin_p,
     orbit_trace,
@@ -207,13 +206,6 @@ def test_simulate_word_schedule_validates_at_entry(net1):
         simulate_word_schedule(net1, 0, (), (0b11, 4))
     with pytest.raises(DimensionError):
         simulate_word_schedule(net1, 0, (-1,), (0b11,))
-
-
-def test_iterate_word_validates_every_letter(net1):
-    with pytest.raises(DimensionError):
-        iterate_word(net1, 0, [0b01, 4])
-    with pytest.raises(DimensionError):
-        iterate_word(net1, 0, [-1])
 
 
 def test_flow_rejects_fire_sets_wider_than_the_net(net1):

@@ -307,6 +307,8 @@ def test_schedule_rejects_non_progressive():
         "cycle 2:11 ; period 1 ; start 0",  # offset outside period
         "cycle 0:11 ; period 1 ; start 0 ; bogus 3",
         "cycle 0-11 ; period 1 ; start 0",
+        # Fraction would compute 10**99999999 before anything else
+        "cycle 0:11 ; period 1 ; start 1e99999999",
     ],
 )
 def test_schedule_parse_errors(bad):

@@ -11,13 +11,13 @@ from asyncbool import (
     CapExceededError,
     DimensionError,
     Network,
+    NotAchievableError,
     Schedule,
     achievable_omegas_from,
     basin_n,
     basin_p,
     fair_sccs,
     fair_subsets,
-    is_achievable_from,
     is_fair_set,
     is_n_invariant,
     is_p_invariant,
@@ -25,6 +25,7 @@ from asyncbool import (
     proper_successors,
     reachable_set,
     successors,
+    witness_schedule,
 )
 from asyncbool import graph
 from asyncbool.basins import _covering_cycle, _walk_then_cycle
@@ -106,15 +107,11 @@ def test_achievable_omegas(net1):
         frozenset({0b01, 0b11}),
     }
     assert achievable_omegas_from(net1, 0b10) == {frozenset({0b10})}
-    assert is_achievable_from(net1, frozenset({0b10}), 0b00)
-    assert not is_achievable_from(net1, frozenset({0b10}), 0b11)
-    assert not is_achievable_from(net1, frozenset({0b00}), 0b00)
-
-
-def test_is_achievable_from_rejects_out_of_range_start(net1):
-    # {01} is not fair, so the start state is checked before fairness
-    with pytest.raises(DimensionError):
-        is_achievable_from(net1, frozenset({0b01}), 9)
+    assert omega_limit(net1, 0b00, witness_schedule(net1, 0b00, frozenset({0b10}))) == {0b10}
+    # 11 cannot reach 10, and {00} is not fair
+    for mu, target in ((0b11, {0b10}), (0b00, {0b00})):
+        with pytest.raises(NotAchievableError):
+            witness_schedule(net1, mu, frozenset(target))
 
 
 def test_identity_network_everything_is_fair(id2):
