@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import os
 import sys
@@ -262,6 +263,9 @@ class _Parser(argparse.ArgumentParser):
         raise ParseError(message)
 
 
+# built on the first main call, not at import; parse_args keeps no state
+# between calls, so one parser serves every call in the process
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="asyncbool",

@@ -8,6 +8,7 @@ through their parsers and produce byte-stable output.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 from .core import STEP_CAP, DimensionError, Network, format_bits, parse_bits, unstable_set
@@ -49,8 +50,15 @@ def parse_network_table(text: str) -> Network:
     n = int(header[2:])
     if n < 1:
         raise ParseError("dimension must be positive", lineno)
+    # one fullmatch per valid row (re caches the pattern across calls); a
+    # line that does not match takes the checks below, which name its error.
+    # re cannot repeat 2**32 - 1 times, so past the cap every row does
+    row = re.compile(rf"([01]{{{n}}})\s*->\s*([01]{{{n}}})") if n <= STEP_CAP else None
     rows = []
     for lineno, line in lines[1:]:
+        if row and (match := row.fullmatch(line)):
+            rows.append((int(match[1], 2), int(match[2], 2)))
+            continue
         parts = line.split("->")
         if len(parts) != 2:
             raise ParseError(f"expected '<bits> -> <bits>', got {line!r}", lineno)
@@ -98,12 +106,17 @@ def _columns(n: int) -> list[int]:
     return columns
 
 
+# each open parenthesis costs five Python frames of recursion
+_MAX_PARENS = 100
+
+
 class _ExprParser:
     def __init__(self, text: str, n: int, columns: list[int]):
         self.text = text
         self.pos = 0
         self.n = n
         self.columns = columns
+        self.parens = 0
 
     def error(self, message: str):
         raise ParseError(message, column=self.pos + 1)
@@ -151,11 +164,15 @@ class _ExprParser:
         if not c:
             self.error("syntax error at end of input")
         if c == "(":
+            if self.parens == _MAX_PARENS:
+                self.error(f"parentheses nested deeper than {_MAX_PARENS}")
+            self.parens += 1
             self.pos += 1
             column = self.expr()
             if self.peek() != ")":
                 self.error("expected ')'")
             self.pos += 1
+            self.parens -= 1
             return column
         if c in "01":
             self.pos += 1
@@ -217,6 +234,8 @@ def parse_network_exprs(text: str) -> Network:
 
 # the most digits Python converts in an integer string
 _MAX_EXPONENT = 4300
+# the least int with more digits than that
+_DIGIT_LIMIT = 10**_MAX_EXPONENT
 
 
 def _parse_rational(text: str) -> Fraction:
@@ -227,9 +246,14 @@ def _parse_rational(text: str) -> Fraction:
     if exponent.isdecimal() and (len(exponent) > 4 or int(exponent) > _MAX_EXPONENT):
         raise ParseError(f"time value {text!r} has an exponent beyond {_MAX_EXPONENT}")
     try:
-        return Fraction(text)
+        value = Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"bad time value {text!r}") from exc
+    # a value within the exponent limit may still have too many digits to
+    # be rendered back; comparing with the bound converts nothing
+    if abs(value.numerator) >= _DIGIT_LIMIT or value.denominator >= _DIGIT_LIMIT:
+        raise ParseError(f"time value {text!r} has more than {_MAX_EXPONENT} digits")
+    return value
 
 
 def _parse_timed_events(body: str, n: int) -> list[tuple[Fraction, int]]:

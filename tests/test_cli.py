@@ -354,3 +354,46 @@ def test_help_exits_0(capsys):
         main(["-h"])
     assert exc.value.code == 0
     assert "fixed-points" in capsys.readouterr().out
+
+
+def _session(capsys, calls):
+    """(exit code, stdout, stderr) of each call, in one process."""
+    results = []
+    for argv in calls:
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # -h
+            code = exc.code
+        captured = capsys.readouterr()
+        results.append((code, captured.out, captured.err))
+    return results
+
+
+def test_one_parser_serves_every_call_as_a_fresh_one_would(net_file, monkeypatch, capsys):
+    assert _build_parser() is _build_parser()
+    calls = [
+        ["basin", "--net", net_file, "--mode", "q"],
+        ["-h"],
+        ["fixed-points", "--net", net_file, "--json"],
+        ["fixed-points", "--net", net_file],
+        ["omega", "--net", net_file, "--from", "00", "--schedule", SYNC, "--mode", "n"],
+        ["basin", "--net", net_file, "--set", "10"],
+        ["fixed-points"],
+    ]
+    shared = _session(capsys, calls)
+    assert [code for code, _, _ in shared] == [2, 0, 0, 0, 0, 0, 2]
+    assert shared[3][1] == "10\n"
+    monkeypatch.setattr(cli, "_build_parser", _build_parser.__wrapped__)
+    assert _session(capsys, calls) == shared
+
+
+def test_deep_parentheses_exit_2_in_one_line(tmp_path, capsys):
+    path = tmp_path / "deep.expr"
+    path.write_text("y1 = " + "(" * 100 + "x1" + ")" * 100 + "\n")
+    assert run(capsys, "fixed-points", "--net", str(path), "--format", "expr") == (0, "0,1\n", "")
+    # five frames of recursion per parenthesis: 200 used to end in a
+    # RecursionError traceback
+    path.write_text("y1 = " + "(" * 200 + "x1" + ")" * 200 + "\n")
+    code, out, err = run(capsys, "fixed-points", "--net", str(path), "--format", "expr")
+    assert (code, out) == (2, "")
+    assert err == "error: line 1: column 102: parentheses nested deeper than 100\n"

@@ -17,7 +17,7 @@ from asyncbool import (
     render_state_set,
     synchronous,
 )
-from asyncbool.core import STEP_CAP
+from asyncbool.core import STEP_CAP, DimensionError, parse_bits
 from asyncbool.formats import _content_lines
 from tests.conftest import NET1_TABLE_TEXT
 
@@ -277,6 +277,90 @@ def test_expr_parse_errors_match_per_row_reference(text):
     assert outcome(parse_network_exprs, text) == outcome(reference_exprs, text)
 
 
+# --- the per-row reference for the table reader ---------------------------
+#
+# The reader before it matched each row with one pattern: split on "->",
+# strip both parts and parse each as bits.  Both must give the same network
+# and the same ParseError text.
+
+
+def reference_table(text):
+    lines = _content_lines(text)
+    if not lines:
+        raise ParseError("empty network file")
+    lineno, header = lines[0]
+    if not header.startswith("n=") or not header[2:].strip().isdigit():
+        raise ParseError(f"expected 'n=<int>', got {header!r}", lineno)
+    n = int(header[2:])
+    if n < 1:
+        raise ParseError("dimension must be positive", lineno)
+    rows = []
+    for lineno, line in lines[1:]:
+        parts = line.split("->")
+        if len(parts) != 2:
+            raise ParseError(f"expected '<bits> -> <bits>', got {line!r}", lineno)
+        try:
+            mu = parse_bits(parts[0].strip(), n)
+            image = parse_bits(parts[1].strip(), n)
+        except DimensionError as exc:
+            raise ParseError(str(exc), lineno) from exc
+        rows.append((mu, image))
+    try:
+        return Network.from_rows(n, rows)
+    except DimensionError as exc:
+        raise ParseError(str(exc)) from exc
+
+
+row_spaces = st.sampled_from(["", " ", "\t", " \t ", "\t\t", "   "])
+
+
+@st.composite
+def table_files(draw):
+    """A valid table with n <= 6: rows in random order with random spacing
+    around "->", comments, blank lines, and LF or CRLF line ends."""
+    n = draw(st.integers(1, 6))
+    images = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1 << n, max_size=1 << n))
+    lines = [
+        f"{draw(row_spaces)}{mu:0{n}b}{draw(row_spaces)}->{draw(row_spaces)}"
+        f"{image:0{n}b}{draw(row_spaces)}"
+        for mu, image in enumerate(images)
+    ]
+    lines = [f"n={draw(row_spaces)}{n}", *draw(st.permutations(lines))]
+    for extra in draw(st.lists(st.sampled_from(["", " \t", "# note", "  # 00 -> 11"]),
+                               max_size=3)):
+        lines.insert(draw(st.integers(0, len(lines))), extra)
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    return end.join(lines) + draw(st.sampled_from(["", end]))
+
+
+@st.composite
+def malformed_tables(draw):
+    """A valid table with one to three characters deleted or inserted:
+    mostly malformed, sometimes still valid.  No digit but 0 and 1 is
+    inserted, so a header cannot grow to a dimension that allocates."""
+    chars = list(draw(table_files()))
+    for _ in range(draw(st.integers(1, 3))):
+        pos = draw(st.integers(0, len(chars)))
+        if chars and draw(st.booleans()):
+            del chars[min(pos, len(chars) - 1)]
+        else:
+            chars.insert(pos, draw(st.sampled_from(list("01->< \t\r\n#n=x") + ["\u00a0", "\u2003"])))
+    return "".join(chars)
+
+
+@settings(max_examples=300, deadline=None)
+@given(table_files())
+def test_table_rows_match_per_row_reference(text):
+    net = parse_network_table(text)
+    assert net == reference_table(text)
+
+
+@settings(max_examples=500, deadline=None)
+@given(malformed_tables())
+def test_table_parse_errors_match_per_row_reference(text):
+    assert outcome(parse_network_table, text) == outcome(reference_table, text)
+
+
 def test_schedule_roundtrip():
     text = "prefix -1:01 0:10 ; cycle 0:11 1/2:01 ; period 3/2 ; start 2"
     rho = parse_schedule(text, 2)
@@ -309,6 +393,9 @@ def test_schedule_rejects_non_progressive():
         "cycle 0-11 ; period 1 ; start 0",
         # Fraction would compute 10**99999999 before anything else
         "cycle 0:11 ; period 1 ; start 1e99999999",
+        # within the exponent limit, but 4 301 digits cannot be rendered back
+        "cycle 0:11 ; period 1 ; start 1e4300",
+        "cycle 0:11 ; period 1 ; start 1e-4300",
     ],
 )
 def test_schedule_parse_errors(bad):
