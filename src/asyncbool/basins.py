@@ -28,7 +28,7 @@ from fractions import Fraction
 
 from . import graph
 from .core import Network, check_state, full_mask
-from .schedule import Schedule, _led_by, omega_limit, orbit_trace, restrict_after
+from .schedule import Schedule, _led_by, _run, omega_limit, orbit_trace, restrict_after
 
 
 class NotAchievableError(ValueError):
@@ -251,16 +251,16 @@ def orbit_basin_p(
     """States whose flow can be made to coincide pointwise with the given
     flow from some time on: the predecessors of its omega-limit set."""
     graph._check_graph_cap(net)
-    trace, _ = orbit_trace(net, mu, rho)
     # omega is the periodic tail of one flow, so it is strongly connected
-    # and its backward closure is that of the splice state, the first of
-    # the tail; the BFS tree toward it gives every member its walk there
-    hop = graph._backward_closure(net, [trace.loop[0][0]])
+    # and its backward closure is that of any one of its states
     if not with_witnesses:
-        return BasinResult(frozenset(hop))
-    # a member at depth d fires its first letter at t2 - d, in front of its
-    # next hop's witness; _backward_closure puts every next hop first
-    seg_state, t2, tail = _splicer(trace, rho)
+        values, tail = _run(net, mu, rho)
+        return BasinResult(frozenset(graph._backward_closure(net, [values[tail]])))
+    # the BFS tree toward the splice state gives every member its walk
+    # there; a member at depth d fires its first letter at t2 - d, in front
+    # of its next hop's witness; _backward_closure puts every next hop first
+    seg_state, t2, tail = _splicer(orbit_trace(net, mu, rho)[0], rho)
+    hop = graph._backward_closure(net, [seg_state])
     witnesses, depth = {seg_state: tail}, {seg_state: 0}
     for mu2, nxt in hop.items():
         if mu2 != nxt:

@@ -17,7 +17,9 @@ import sys
 from . import basins, graph, oracle
 from .core import Network, fixed_points, format_bits, parse_bits
 from .formats import (
+    _MAX_EXPONENT,
     ParseError,
+    _too_long,
     export_dot,
     parse_network_exprs,
     parse_network_table,
@@ -142,6 +144,12 @@ def _cmd_orbit(args, net, out) -> int:
     mu = _state_arg(args, net)
     rho = _load_schedule(args, net.n)
     trace, orbit = orbit_trace(net, mu, rho)
+    # times derived from parsed ones, such as the loop entry, can pass the
+    # digits str() writes out: refuse before the first line is written
+    times = [t for t, _ in trace.changes] + [trace.loop_entry] + [d for _, d in trace.loop]
+    if any(map(_too_long, times)):
+        raise ParseError(f"schedule {args.schedule!r} gives orbit times of more than "
+                         f"{_MAX_EXPONENT} digits")
     n = net.n
     out.record("orbit-initial", f"t<{trace.changes[0][0] if trace.changes else trace.loop_entry}"
                f": {format_bits(trace.initial, n)}", state=format_bits(trace.initial, n))

@@ -45,9 +45,11 @@ def parse_network_table(text: str) -> Network:
     if not lines:
         raise ParseError("empty network file")
     lineno, header = lines[0]
-    if not header.startswith("n=") or not header[2:].strip().isdigit():
+    count = header[2:].strip()
+    # isdigit alone takes digits that int does not, such as '²'
+    if not header.startswith("n=") or not (count.isascii() and count.isdigit()):
         raise ParseError(f"expected 'n=<int>', got {header!r}", lineno)
-    n = int(header[2:])
+    n = int(count)
     if n < 1:
         raise ParseError("dimension must be positive", lineno)
     # one fullmatch per valid row (re caches the pattern across calls); a
@@ -250,10 +252,16 @@ def _parse_rational(text: str) -> Fraction:
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"bad time value {text!r}") from exc
     # a value within the exponent limit may still have too many digits to
-    # be rendered back; comparing with the bound converts nothing
-    if abs(value.numerator) >= _DIGIT_LIMIT or value.denominator >= _DIGIT_LIMIT:
+    # be rendered back
+    if _too_long(value):
         raise ParseError(f"time value {text!r} has more than {_MAX_EXPONENT} digits")
     return value
+
+
+def _too_long(value: Fraction | int) -> bool:
+    """Whether str() refuses to write the time out: comparing with the
+    bound converts nothing."""
+    return abs(value.numerator) >= _DIGIT_LIMIT or value.denominator >= _DIGIT_LIMIT
 
 
 def _parse_timed_events(body: str, n: int) -> list[tuple[Fraction, int]]:

@@ -27,11 +27,10 @@ from . import graph
 from .core import Network, check_state, fixed_points, format_bits, full_mask
 from .schedule import (
     Schedule,
-    _flow,
-    flow_at,
+    _run,
+    _value,
     is_progressive,
     omega_limit,
-    orbit_trace,
     restrict_after,
     synchronous,
     translate,
@@ -429,8 +428,8 @@ _PROBES = tuple(
     (t, t + _SHIFT) for t in (Fraction(-1), Fraction(1, 2), Fraction(3), Fraction(11, 2))
 )
 # each restriction time, with the times its restricted flow is compared at
-_CUTS = {cut: (cut, cut + Fraction(1, 2), cut + 3)
-         for cut in (Fraction(-10), Fraction(1, 3), Fraction(2), Fraction(9, 2))}
+_CUTS = tuple((cut, (cut, cut + Fraction(1, 2), cut + 3))
+              for cut in (Fraction(-10), Fraction(1, 3), Fraction(2), Fraction(9, 2)))
 
 
 def _check_schedule_laws(report, net, base, eq, graph_ach, answers, rng):
@@ -438,45 +437,51 @@ def _check_schedule_laws(report, net, base, eq, graph_ach, answers, rng):
     sampled rational-time schedules."""
     for rho in _sample_schedules(net, rng):
         schedule = str(rho)
-        # every transform of rho is built once, for all start states
+        # every transform of rho, and its event count at every time asked,
+        # is computed once, for all start states
         translated = [translate(rho, d) for d in _SHIFTS]
         shifted = translate(rho, _SHIFT)
-        tails = {t_prime: restrict_after(rho, t_prime) for t_prime in _CUTS}
-        progressive = {t_prime: is_progressive(tail) for t_prime, tail in tails.items()}
+        probes = [(rho._count(t), shifted._count(t2)) for t, t2 in _PROBES]
+        cuts = []
+        for t_prime, times in _CUTS:
+            tail = restrict_after(rho, t_prime)
+            cuts.append((tail, is_progressive(tail), rho._count(t_prime),
+                         [(rho._count(t), tail._count(t)) for t in times]))
         for mu in net.states():
             payload = {**base, "mu": format_bits(mu, net.n), "schedule": schedule}
-            trace, orbit = orbit_trace(net, mu, rho)
-            omega = trace.loop_states
+            # the reference flow, folded once for its orbit, omega and every
+            # value below
+            values, loop = _run(net, mu, rho)
+            orbit, omega = frozenset(values), frozenset(values[loop:])
             _check_run(report, net, mu, orbit, omega, eq, graph_ach, payload)
             report.record("orbit_is_p_invariant", answers.p_inv(orbit), payload)
             report.record("omega_is_p_invariant", answers.p_inv(omega), payload)
             for moved in translated:
+                moved_values, moved_loop = _run(net, mu, moved)
                 report.record(
                     "translation_preserves_omega",
-                    omega_limit(net, mu, moved) == omega,
+                    frozenset(moved_values[moved_loop:]) == omega,
                     payload,
                 )
-            # the reference flow, folded once for all its values below
-            reference = _flow(net, mu, rho)
-            for t, t_shifted in _PROBES:
+            shifted_run = _run(net, mu, shifted)
+            for count, shifted_count in probes:
                 report.record(
                     "translated_flow_matches_shifted_time",
-                    flow_at(net, mu, shifted, t_shifted) == reference(t),
+                    _value(*shifted_run, shifted_count) == _value(values, loop, count),
                     payload,
                 )
-            for t_prime, times in _CUTS.items():
-                mu2 = reference(t_prime)
-                tail = tails[t_prime]
-                report.record("restriction_is_progressive", progressive[t_prime], payload)
-                for t in times:
+            for tail, progressive, cut_count, counts in cuts:
+                tail_values, tail_loop = _run(net, _value(values, loop, cut_count), tail)
+                report.record("restriction_is_progressive", progressive, payload)
+                for count, tail_count in counts:
                     report.record(
                         "flow_factors_through_restriction",
-                        flow_at(net, mu2, tail, t) == reference(t),
+                        _value(tail_values, tail_loop, tail_count) == _value(values, loop, count),
                         payload,
                     )
                 report.record(
                     "omega_cocycle",
-                    omega_limit(net, mu2, tail) == omega,
+                    frozenset(tail_values[tail_loop:]) == omega,
                     payload,
                 )
 
@@ -600,8 +605,8 @@ def _check_flow_basins(report, net, base, eq, answers, rng):
         schedule = str(rho)
         for mu in net.states():
             payload = {**base, "mu": format_bits(mu, net.n), "schedule": schedule}
-            trace, orbit = orbit_trace(net, mu, rho)
-            omega = trace.loop_states
+            values, loop = _run(net, mu, rho)
+            orbit, omega = frozenset(values), frozenset(values[loop:])
             ob_p = basins_mod.orbit_basin_p(net, mu, rho, with_witnesses=False).members
             ob_n = basins_mod.orbit_basin_n(net, mu, rho).members
             om_p = basins_mod.omega_basin_p(net, mu, rho, with_witnesses=False).members
@@ -682,11 +687,15 @@ def verify_theorems(
 
     Each fact is computed once per call: the word runs fold each distinct
     action of a bounded cycle word once, from every state; each translated
-    and restricted schedule is built once per sampled schedule, for all
-    start states; and the set-level reference answers (invariance, and the
+    and restricted schedule, and its event count at every time the laws
+    ask, is built once per sampled schedule, for all start states; each
+    flow, of a sampled schedule or of a transform, is one integer run that
+    answers every value, orbit and omega asked of it, so `flow_at` and
+    `orbit_trace` are not called here (tests/test_flow_kernel.py pins them
+    to the run); and the set-level reference answers (invariance, and the
     p- and n-basin of a given set) are memoized per call, shared by the
     families and dropped when the call returns.  The functions under test
-    (orbit and omega basins, witnesses, flows) run once per flow.
+    (orbit and omega basins, witnesses) run once per flow.
     """
     rng = random.Random(0)
     report = VerificationReport()

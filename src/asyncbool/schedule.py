@@ -14,9 +14,12 @@ one grid per schedule: every event time over a common denominator,
 derived on the schedule's first fold that needs times.  `flow_at` counts
 events on that grid; `orbit_trace` makes Fractions only of the times it
 reports.  A cycle is validated once and then passed on unchanged by
-`translate`, `restrict_after` and `dataclasses.replace`; `_led_by` puts
-one checked event in front of parts already checked, so a chain of
-schedules each one event longer checks every event once.
+`translate`, `restrict_after` and `dataclasses.replace`.  Checked parts
+are passed on without checking them again: `translate` and
+`restrict_after` build their result from parts that a shift or a cut
+keeps valid, and `_led_by` puts one checked event in front of parts
+already checked, so a chain of schedules each one event longer checks
+every event once.
 """
 
 from __future__ import annotations
@@ -81,9 +84,14 @@ def _led_by(n: int, t, fire: int, prefix, cycle: _Cycle, period, cycle_start) ->
     check_state(fire, n, "fire set")
     if not _rational(t) < (prefix[0][0] if prefix else cycle_start):
         raise ScheduleError(f"event at t={t} does not precede the schedule it leads")
+    return _trusted(n, ((t, fire),) + prefix, cycle, period, cycle_start)
+
+
+def _trusted(n: int, prefix, cycle: _Cycle, period, cycle_start) -> Schedule:
+    """A Schedule of parts that are already known to be valid together,
+    built without checking any of them again."""
     out = object.__new__(Schedule)
-    out.__dict__.update(n=n, prefix=((t, fire),) + prefix, cycle=cycle, period=period,
-                        cycle_start=cycle_start)
+    out.__dict__.update(n=n, prefix=prefix, cycle=cycle, period=period, cycle_start=cycle_start)
     return out
 
 
@@ -308,13 +316,9 @@ def omega_limit(net: Network, mu: int, rho: Schedule) -> frozenset[int]:
 def translate(rho: Schedule, d: Fraction) -> Schedule:
     """Shift every event time by +d; cycle structure is unchanged."""
     d = Fraction(_rational(d))
-    return Schedule(
-        rho.n,
-        tuple((t + d, fire) for t, fire in rho.prefix),
-        rho.cycle,
-        rho.period,
-        rho.cycle_start + d,
-    )
+    # a shift keeps the prefix increasing and before the cycle start
+    return _trusted(rho.n, tuple((t + d, fire) for t, fire in rho.prefix), rho.cycle,
+                    rho.period, rho.cycle_start + d)
 
 
 def restrict_after(rho: Schedule, t_prime: Fraction) -> Schedule:
@@ -324,9 +328,11 @@ def restrict_after(rho: Schedule, t_prime: Fraction) -> Schedule:
     the cycle itself is untouched, so progressiveness is preserved.
     """
     _rational(t_prime)
+    # the kept events are a tail of rho's, and the occurrence that t_prime
+    # cuts ends before the next one starts, so every part stays valid
     prefix = [(t, f) for t, f in rho.prefix if t > t_prime]
     if rho.cycle_start > t_prime:
-        return Schedule(rho.n, tuple(prefix), rho.cycle, rho.period, rho.cycle_start)
+        return _trusted(rho.n, tuple(prefix), rho.cycle, rho.period, rho.cycle_start)
     # first occurrence that starts strictly after t_prime
     m_star = (t_prime - rho.cycle_start) // rho.period + 1
     new_start = rho.cycle_start + m_star * rho.period
@@ -335,7 +341,7 @@ def restrict_after(rho: Schedule, t_prime: Fraction) -> Schedule:
         t = partial_base + off
         if t > t_prime:
             prefix.append((t, fire))
-    return Schedule(rho.n, tuple(prefix), rho.cycle, rho.period, new_start)
+    return _trusted(rho.n, tuple(prefix), rho.cycle, rho.period, new_start)
 
 
 def _lcm_fraction(a: Fraction, b: Fraction) -> Fraction:

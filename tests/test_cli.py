@@ -68,6 +68,23 @@ def test_orbit(net_file, capsys):
     assert "00,01,11" in out
 
 
+@pytest.mark.parametrize("json_flag", [[], ["--json"]])
+def test_orbit_time_past_the_digit_limit_exits_2_before_writing(net_file, capsys, json_flag):
+    # both times parse at 4 300 digits, but the loop entry 2 * 9e4299 has
+    # 4 301: the t< and t= lines used to be written before str() refused it
+    flow = "cycle 0:11 ; period 9e4299 ; start 9e4299"
+    code, out, err = run(capsys, "orbit", "--net", net_file, "--from", "00",
+                         "--schedule", flow, *json_flag)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: schedule {flow!r} gives orbit times of more than 4300 digits\n"
+    # a loop entry of 4 300 digits is still written out
+    code, out, _ = run(capsys, "orbit", "--net", net_file, "--from", "00",
+                       "--schedule", "cycle 0:11 ; period 1 ; start 1e4299")
+    assert code == 0
+    assert out.splitlines()[2] == f"loop from t={10**4299 + 1}: 01(1) -> 11(1)"
+
+
 def test_basin_modes(net_file, capsys):
     code, out, _ = run(capsys, "basin", "--net", net_file, "--set", "10", "--mode", "p")
     assert code == 0

@@ -9,7 +9,7 @@ and counts and traces on the grid match plain-Fraction references.
 import dataclasses
 import time
 from fractions import Fraction
-from itertools import islice
+from itertools import islice, takewhile
 from unittest import mock
 
 import pytest
@@ -174,6 +174,30 @@ def test_flow_at_on_derived_schedules_matches_event_fold(case, d, cut):
         for t in probes:
             for when in (t, t + d):
                 assert flow_at(net, mu, derived, when) == event_fold(net, mu, derived, when)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(flow_cases(), grid_cases()), new_shifts, new_shifts)
+def test_public_wrappers_match_one_run(case, d, cut):
+    # verify_theorems reads every flow off one `_run` and counts events with
+    # `_count`; the public wrappers, which it does not call, must agree
+    net, mu, rho, times = case
+    values, tail = schedule_mod._run(net, mu, rho)
+    for t in times:
+        count = sum(1 for _ in takewhile(lambda e: e[0] <= t, rho.events()))
+        assert rho._count(t) == count, t
+        assert flow_at(net, mu, rho, t) == schedule_mod._value(values, tail, count), t
+    trace, orbit = orbit_trace(net, mu, rho)
+    assert orbit == frozenset(values)
+    assert trace.loop_states == omega_limit(net, mu, rho) == frozenset(values[tail:])
+    # the transforms skip validation; what they build must pass it, the
+    # cycle included (a plain tuple is validated afresh)
+    moved = translate(rho, d)
+    for derived in (moved, restrict_after(rho, cut), restrict_after(moved, cut)):
+        assert derived == Schedule(derived.n, derived.prefix, tuple(derived.cycle),
+                                   derived.period, derived.cycle_start)
+    assert (orbit_basin_p(net, mu, rho, with_witnesses=False).members
+            == orbit_basin_p(net, mu, rho).members)
 
 
 def _far_schedules():

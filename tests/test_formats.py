@@ -49,6 +49,16 @@ def test_table_parse_errors(bad):
         parse_network_table(bad)
 
 
+@pytest.mark.parametrize("count", ["two", "²", "٣", "2²", "-2"])
+def test_table_header_takes_only_ascii_digits(count):
+    # '²' and '٣' pass str.isdigit; int() refused the first with its own
+    # message and read the second as 3
+    header = f"n={count}"
+    with pytest.raises(ParseError) as exc:
+        parse_network_table(f"{header}\n00 -> 11\n")
+    assert str(exc.value) == f"line 1: expected 'n=<int>', got {header!r}"
+
+
 def test_expr_network_compiles_to_table(net1):
     # NET1 as expressions: y1 = !x2 | (x1 & x2) ... derive from the table
     text = "y1 = !(x1) | (x1 & !x2)\ny2 = !x1 | x2\n"

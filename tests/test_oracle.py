@@ -24,11 +24,14 @@ from asyncbool import (
     omega_limit,
     oracle_achievable_omegas,
     oracle_basin,
+    restrict_after,
     simulate_word_schedule,
+    translate,
     verify_theorems,
 )
 from asyncbool import basins as basins_mod
 from asyncbool import graph
+from asyncbool import oracle as oracle_mod
 from asyncbool.oracle import (
     _anchored_omegas,
     _prefix_outcomes,
@@ -402,6 +405,29 @@ def test_verify_detects_lying_p_invariance(net1, monkeypatch):
     assert not report.ok
     failed = {name for name, (_, fails) in report.checks.items() if fails}
     assert {"orbit_is_p_invariant", "n_invariant_implies_p_invariant"} <= failed
+
+
+def _drop_first_event(rho):
+    return restrict_after(rho, next(rho.events())[0])
+
+
+@pytest.mark.parametrize(
+    "name, faulty, failing",
+    [
+        ("translate", lambda rho, d: _drop_first_event(translate(rho, d)),
+         {"translated_flow_matches_shifted_time", "translation_preserves_omega"}),
+        ("restrict_after", lambda rho, t: _drop_first_event(restrict_after(rho, t)),
+         {"flow_factors_through_restriction", "omega_cocycle"}),
+    ],
+)
+def test_verify_detects_a_transform_off_by_one_event(net1, monkeypatch, name, faulty, failing):
+    # the event counts are taken once per schedule, before the state loop,
+    # but on the transformed schedules themselves: a transform that drops
+    # one event fails exactly the laws that use it
+    monkeypatch.setattr(oracle_mod, name, faulty)
+    report = verify_theorems(net1, OracleBounds(1, 2))
+    assert {check for check, (_, fails) in report.checks.items() if fails} == failing
+    assert all("schedule" in bad and "mu" in bad for bad in report.counterexamples)
 
 
 def test_set_basins_are_computed_once_per_call(net1, monkeypatch):
