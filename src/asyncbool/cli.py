@@ -93,6 +93,23 @@ def _bounds_arg(args, n: int) -> oracle.OracleBounds:
     return oracle.OracleBounds(min(1 << n, 4), min(n << n, 4))
 
 
+def _refuse_long_times(args, what: str, times) -> None:
+    """Times derived from parsed ones, such as an orbit's loop entry or a
+    witness spliced onto the reference flow, can pass the digits str()
+    writes out: refuse before the first line is written."""
+    if any(map(_too_long, times)):
+        raise ParseError(f"schedule {args.schedule!r} gives {what} times of more than "
+                         f"{_MAX_EXPONENT} digits")
+
+
+def _witness_times(witnesses):
+    for rho in witnesses:
+        yield from (t for t, _ in rho.prefix)
+        yield from (t for t, _ in rho.cycle)
+        yield rho.period
+        yield rho.cycle_start
+
+
 def _emit_set(out: _Output, kind: str, states: frozenset[int], n: int, **fields):
     out.record(kind, render_state_set(states, n) if states else "(empty)",
                states=sorted(format_bits(s, n) for s in states), **fields)
@@ -144,12 +161,8 @@ def _cmd_orbit(args, net, out) -> int:
     mu = _state_arg(args, net)
     rho = _load_schedule(args, net.n)
     trace, orbit = orbit_trace(net, mu, rho)
-    # times derived from parsed ones, such as the loop entry, can pass the
-    # digits str() writes out: refuse before the first line is written
-    times = [t for t, _ in trace.changes] + [trace.loop_entry] + [d for _, d in trace.loop]
-    if any(map(_too_long, times)):
-        raise ParseError(f"schedule {args.schedule!r} gives orbit times of more than "
-                         f"{_MAX_EXPONENT} digits")
+    _refuse_long_times(args, "orbit", [t for t, _ in trace.changes] + [trace.loop_entry]
+                       + [d for _, d in trace.loop])
     n = net.n
     out.record("orbit-initial", f"t<{trace.changes[0][0] if trace.changes else trace.loop_entry}"
                f": {format_bits(trace.initial, n)}", state=format_bits(trace.initial, n))
@@ -174,7 +187,9 @@ def _cmd_orbit_basin(args, net, out) -> int:
     mu = _state_arg(args, net)
     rho = _load_schedule(args, net.n)
     basin = basins.orbit_basin_p if args.mode == "p" else basins.orbit_basin_n
-    _emit_basin(out, f"orbit-basin-{args.mode}", basin(net, mu, rho), net)
+    result = basin(net, mu, rho)
+    _refuse_long_times(args, "witness", _witness_times(result.witnesses.values()))
+    _emit_basin(out, f"orbit-basin-{args.mode}", result, net)
     return 0
 
 
@@ -243,6 +258,7 @@ def _cmd_search_witness(args, net, out) -> int:
     except basins.NotAchievableError:
         out.record("witness", "no witness: target not achievable", found=False)
         return 1
+    _refuse_long_times(args, "witness", _witness_times([witness]))
     out.record("witness", render_schedule(witness), found=True,
                schedule=render_schedule(witness))
     return 0

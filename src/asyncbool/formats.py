@@ -11,8 +11,8 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .core import STEP_CAP, DimensionError, Network, format_bits, parse_bits, unstable_set
-from .graph import _check_graph_cap, proper_successors
+from .core import STEP_CAP, DimensionError, Network, format_bits, parse_bits
+from .graph import _check_graph_cap, _targets
 from .schedule import Schedule, ScheduleError, _require_progressive
 
 
@@ -41,6 +41,11 @@ def _content_lines(text: str) -> list[tuple[int, str]]:
 
 
 def parse_network_table(text: str) -> Network:
+    # the layout render_network_table writes takes one split; any other
+    # text, and every error, takes the line parser below
+    net = _read_rendered_table(text)
+    if net is not None:
+        return net
     lines = _content_lines(text)
     if not lines:
         raise ParseError("empty network file")
@@ -81,6 +86,44 @@ def render_network_table(net: Network) -> str:
     for mu in net.states():
         out.append(f"{format_bits(mu, net.n)} -> {format_bits(net.table[mu], net.n)}")
     return "\n".join(out) + "\n"
+
+
+def _state_names(n: int) -> list[str]:
+    """format_bits(mu, n) of every state mu, in state order: n rounds of
+    appending a bit cost less than one format call per state."""
+    names = [""]
+    for _ in range(n):
+        names = [name + bit for name in names for bit in "01"]
+    return names
+
+
+def _read_rendered_table(text: str) -> Network | None:
+    """The network of a text laid out exactly as render_network_table
+    writes it: `n=<k>`, then the 2**k rows `<bits> -> <bits>` in state
+    order, each ended by LF.  None for any other text."""
+    header, _, body = text.partition("\n")
+    count = header[2:]
+    if not (header.startswith("n=") and count.isascii() and count.isdigit()
+            and len(count) <= len(str(STEP_CAP))):
+        return None
+    n = int(count)
+    # n is checked against the cap before any size is computed from it
+    if not 1 <= n <= STEP_CAP:
+        return None
+    size, width = 1 << n, 2 * n + 5
+    # with every row `width` long and ended by LF, the split below gives
+    # 2 * size cells of n bits only if each row is one arrow between two
+    if len(body) != size * width or body[width - 1 :: width] != "\n" * size:
+        return None
+    cells = body.replace(" -> ", "\n").split("\n")
+    names = _state_names(n)
+    if len(cells) != 2 * size + 1 or cells[:-1:2] != names:
+        return None
+    index = dict(zip(names, range(size)))
+    try:
+        return Network(n, tuple(map(index.__getitem__, cells[1::2])))
+    except KeyError:
+        return None
 
 
 # --- networks: expression DSL ---------------------------------------------
@@ -182,7 +225,8 @@ class _ExprParser:
         if c == "x":
             self.pos += 1
             start = self.pos
-            while self.pos < len(self.text) and self.text[self.pos].isdigit():
+            # isdigit alone takes digits that int does not, such as '¹'
+            while self.pos < len(self.text) and self.text[self.pos] in "0123456789":
                 self.pos += 1
             if start == self.pos:
                 self.error("expected variable index after 'x'")
@@ -207,9 +251,10 @@ def parse_network_exprs(text: str) -> Network:
     for lineno, line in lines:
         lhs, sep, rhs = line.partition("=")
         lhs = lhs.strip()
-        if not sep or not lhs.startswith("y") or not lhs[1:].isdigit():
+        index = lhs[1:]
+        if not sep or not lhs.startswith("y") or not (index.isascii() and index.isdigit()):
             raise ParseError(f"expected 'y<i> = <expr>', got {line!r}", lineno)
-        idx = int(lhs[1:])
+        idx = int(index)
         if not 1 <= idx <= n:
             raise ParseError(f"coordinate y{idx} outside 1..{n}", lineno)
         if idx in defs:
@@ -364,19 +409,17 @@ def export_dot(net: Network) -> str:
     edges, matching hand-drawn portraits.
     """
     _check_graph_cap(net)
+    n, table = net.n, net.table
+    # one name per state, which also names each fire set
+    names = _state_names(n)
     lines = ["digraph portrait {", "  rankdir=LR;", '  node [shape=ellipse, fontname="monospace"];']
-    for mu in net.states():
-        unstable = unstable_set(net, mu)
-        label = "".join(
-            f"<u>{bit}</u>" if unstable & (1 << (net.n - 1 - i)) else bit
-            for i, bit in enumerate(format_bits(mu, net.n))
-        )
-        lines.append(f'  s{format_bits(mu, net.n)} [label=<{label}>];')
-    for mu in net.states():
-        for fire, target in sorted(proper_successors(net, mu)):
-            lines.append(
-                f'  s{format_bits(mu, net.n)} -> s{format_bits(target, net.n)}'
-                f' [label="{format_bits(fire, net.n)}"];'
-            )
+    for mu, name in enumerate(names):
+        unstable = names[mu ^ table[mu]]
+        label = "".join(f"<u>{bit}</u>" if flag == "1" else bit for bit, flag in zip(name, unstable))
+        lines.append(f"  s{name} [label=<{label}>];")
+    for mu, name in enumerate(names):
+        # _targets lists fire sets in decreasing order; edges go increasing
+        for target in reversed(_targets(table, mu)):
+            lines.append(f'  s{name} -> s{names[target]} [label="{names[mu ^ target]}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -1,6 +1,7 @@
 import argparse
 import io
 import json
+import re
 import sys
 import time
 
@@ -83,6 +84,28 @@ def test_orbit_time_past_the_digit_limit_exits_2_before_writing(net_file, capsys
                        "--schedule", "cycle 0:11 ; period 1 ; start 1e4299")
     assert code == 0
     assert out.splitlines()[2] == f"loop from t={10**4299 + 1}: 01(1) -> 11(1)"
+
+
+@pytest.mark.parametrize("json_flag", [[], ["--json"]])
+@pytest.mark.parametrize("command", [
+    ["orbit-basin", "--mode", "p", "--from", "00"],
+    ["search-witness", "--from", "00", "--set", "01,11", "--align-from", "00"],
+])
+def test_witness_time_past_the_digit_limit_exits_2_before_writing(net_file, capsys, command,
+                                                                   json_flag):
+    # the witnesses are spliced onto the flow whose loop entry 2 * 9e4299
+    # has 4 301 digits: orbit-basin used to write its members first, and
+    # both ended in Python's own digit-limit message
+    flow = "cycle 0:11 ; period 9e4299 ; start 9e4299"
+    code, out, err = run(capsys, *command, "--net", net_file, "--schedule", flow, *json_flag)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: schedule {flow!r} gives witness times of more than 4300 digits\n"
+    # witness times of 4 299 digits are written out
+    code, out, _ = run(capsys, *command, "--net", net_file,
+                       "--schedule", "cycle 0:11 ; period 1 ; start 1e4298")
+    assert code == 0
+    assert max(map(len, re.findall(r"\d+", out))) == 4299
 
 
 def test_basin_modes(net_file, capsys):
@@ -402,6 +425,21 @@ def test_one_parser_serves_every_call_as_a_fresh_one_would(net_file, monkeypatch
     assert shared[3][1] == "10\n"
     monkeypatch.setattr(cli, "_build_parser", _build_parser.__wrapped__)
     assert _session(capsys, calls) == shared
+
+
+@pytest.mark.parametrize("line, message", [
+    ("y\u00b2 = x1", "line 1: expected 'y<i> = <expr>', got 'y\u00b2 = x1'"),
+    ("y\u0663 = x1", "line 1: expected 'y<i> = <expr>', got 'y\u0663 = x1'"),
+    ("y1 = x\u00b9", "line 1: column 3: expected variable index after 'x'"),
+    ("y1 = x1\u00b9", "line 1: column 4: unexpected '\u00b9'"),
+])
+def test_expr_indices_take_only_ascii_digits(tmp_path, capsys, line, message):
+    # '²', '¹' and '٣' pass str.isdigit: int() refused the first two with
+    # its own message, naming no line, and read '٣' as 3
+    path = tmp_path / "sup.expr"
+    path.write_text(line + "\n", encoding="utf-8")
+    assert run(capsys, "fixed-points", "--net", str(path), "--format", "expr") == (
+        2, "", f"error: {message}\n")
 
 
 def test_deep_parentheses_exit_2_in_one_line(tmp_path, capsys):

@@ -17,8 +17,9 @@ from asyncbool import (
     render_state_set,
     synchronous,
 )
-from asyncbool.core import STEP_CAP, DimensionError, parse_bits
+from asyncbool.core import STEP_CAP, DimensionError, format_bits, parse_bits, unstable_set
 from asyncbool.formats import _content_lines
+from asyncbool.graph import _check_graph_cap, proper_successors
 from tests.conftest import NET1_TABLE_TEXT
 
 
@@ -42,6 +43,9 @@ def test_table_comments_and_blank_lines(net1):
         "n=2\n00 -> 11\n00 -> 10\n01 -> 11\n10 -> 10\n11 -> 01\n",  # duplicate
         "n=2\n00 = 11\n01 -> 11\n10 -> 10\n11 -> 01\n",  # bad separator
         "n=2\n000 -> 11\n01 -> 11\n10 -> 10\n11 -> 01\n",  # wrong width
+        # the rendered length and cells, with one row end and one arrow
+        # swapped
+        "n=2\n00\n11 -> 01 -> 11\n10 -> 10\n11 -> 01\n",
     ],
 )
 def test_table_parse_errors(bad):
@@ -161,7 +165,7 @@ class _TreeParser:
         if c == "x":
             self.pos += 1
             start = self.pos
-            while self.pos < len(self.text) and self.text[self.pos].isdigit():
+            while self.pos < len(self.text) and self.text[self.pos] in "0123456789":
                 self.pos += 1
             if start == self.pos:
                 self.error("expected variable index after 'x'")
@@ -196,7 +200,7 @@ def reference_exprs(text):
     for lineno, line in lines:
         lhs, sep, rhs = line.partition("=")
         lhs = lhs.strip()
-        if not sep or not lhs.startswith("y") or not lhs[1:].isdigit():
+        if not sep or not lhs.startswith("y") or not (lhs[1:].isascii() and lhs[1:].isdigit()):
             raise ParseError(f"expected 'y<i> = <expr>', got {line!r}", lineno)
         idx = int(lhs[1:])
         if not 1 <= idx <= n:
@@ -326,10 +330,18 @@ row_spaces = st.sampled_from(["", " ", "\t", " \t ", "\t\t", "   "])
 
 @st.composite
 def table_files(draw):
-    """A valid table with n <= 6: rows in random order with random spacing
-    around "->", comments, blank lines, and LF or CRLF line ends."""
+    """A valid table with n <= 6: either as render_network_table writes it,
+    plain or with CRLF line ends, no final LF or a leading comment; or with
+    rows in random order with random spacing around "->", comments, blank
+    lines, and LF or CRLF line ends."""
     n = draw(st.integers(1, 6))
     images = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1 << n, max_size=1 << n))
+    if draw(st.booleans()):
+        # the layout render_network_table writes, which takes the one-split
+        # reader, and variants of it that take the line parser
+        text = render_network_table(Network(n, tuple(images)))
+        return draw(st.sampled_from([text, text.replace("\n", "\r\n"), text[:-1],
+                                     "# note\n" + text]))
     lines = [
         f"{draw(row_spaces)}{mu:0{n}b}{draw(row_spaces)}->{draw(row_spaces)}"
         f"{image:0{n}b}{draw(row_spaces)}"
@@ -421,6 +433,46 @@ def test_state_set_roundtrip():
         parse_state_set("", 2)
     with pytest.raises(ParseError):
         parse_state_set("0", 2)
+
+
+def reference_dot(net):
+    """export_dot as it read before naming each state once."""
+    _check_graph_cap(net)
+    lines = ["digraph portrait {", "  rankdir=LR;", '  node [shape=ellipse, fontname="monospace"];']
+    for mu in net.states():
+        unstable = unstable_set(net, mu)
+        label = "".join(
+            f"<u>{bit}</u>" if unstable & (1 << (net.n - 1 - i)) else bit
+            for i, bit in enumerate(format_bits(mu, net.n))
+        )
+        lines.append(f'  s{format_bits(mu, net.n)} [label=<{label}>];')
+    for mu in net.states():
+        for fire, target in sorted(proper_successors(net, mu)):
+            lines.append(
+                f'  s{format_bits(mu, net.n)} -> s{format_bits(target, net.n)}'
+                f' [label="{format_bits(fire, net.n)}"];'
+            )
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+@st.composite
+def networks(draw):
+    n = draw(st.integers(1, 5))
+    return Network(n, tuple(draw(st.lists(st.integers(0, (1 << n) - 1),
+                                          min_size=1 << n, max_size=1 << n))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(networks())
+def test_export_dot_matches_reference(net):
+    assert export_dot(net) == reference_dot(net)
+
+
+def test_export_dot_matches_reference_on_a_sparse_table():
+    # n = 8, one flipped bit per state and the fixed point 00000000
+    net = Network(8, tuple(s if s == 0 else s ^ (1 << (s * 5 % 8)) for s in range(256)))
+    assert export_dot(net) == reference_dot(net)
 
 
 def test_export_dot_is_byte_stable(net1):
