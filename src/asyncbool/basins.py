@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 
 from . import graph
 from .core import Network, check_state, full_mask
@@ -64,17 +65,18 @@ def _check_target(net: Network, states: frozenset[int]) -> None:
     graph._check_states(net, states)
 
 
-def _bfs_path(net: Network, start: int, goals: frozenset[int], domain=None):
-    """Shortest fire-set word from start into `goals`, edges restricted to
-    `domain` when given.  Returns (word, end state) or None."""
+def _bfs_path(net: Network, start: int, goals, edges=None):
+    """Shortest fire-set word from start into `goals`, along the proper
+    edges, or along the successor lists of `edges` when given.  Returns
+    (word, end state) or None."""
     if start in goals:
         return [], start
-    table = net.table
+    step = edges.__getitem__ if edges is not None else partial(graph._targets, net.table)
     parent = {start: start}
     queue = [start]
     for state in queue:  # the loop also visits states appended while it runs
-        for target in graph._targets(table, state):
-            if target in parent or (domain is not None and target not in domain):
+        for target in step(state):
+            if target in parent:
                 continue
             parent[target] = state
             if target in goals:
@@ -98,8 +100,15 @@ def covering_walk(net: Network, target: frozenset[int], anchor: int) -> list[int
     if not graph._is_fair(net, target):
         raise NotAchievableError("target set is not fair")
 
+    internal = graph._adjacency(net, target)
+
     def leg(start: int, goals) -> tuple[list[int], int]:
-        step = _bfs_path(net, start, frozenset(goals), domain=target)
+        # the search's first layer returns the first goal among the
+        # successors, so it runs only when none is a goal
+        for t in internal[start]:
+            if t in goals:
+                return [start ^ t], t
+        step = _bfs_path(net, start, goals, internal)
         if step is None:
             raise NotAchievableError("target set is not strongly connected")
         return step
@@ -235,7 +244,7 @@ def basin_n(net: Network, attractor: frozenset[int]) -> BasinResult:
     _check_target(net, attractor)
     escapes = [min(scc) for scc in graph._fair_sccs(net) if not scc <= attractor]
     doomed = graph._backward_closure(net, escapes)
-    return BasinResult(frozenset(mu for mu in net.states() if mu not in doomed))
+    return BasinResult(graph._STATE_SETS[net.n].difference(doomed))
 
 
 def attractivity_class(net: Network, attractor: frozenset[int]) -> AttractivityClass:
@@ -261,11 +270,14 @@ def orbit_basin_p(
     # of its next hop's witness; _backward_closure puts every next hop first
     seg_state, t2, tail = _splicer(orbit_trace(net, mu, rho)[0], rho)
     hop = graph._backward_closure(net, [seg_state])
-    witnesses, depth = {seg_state: tail}, {seg_state: 0}
+    # the BFS visits depths in order, so times[d] = t2 - d is made once
+    witnesses, depth, times = {seg_state: tail}, {seg_state: 0}, [t2]
     for mu2, nxt in hop.items():
         if mu2 != nxt:
-            depth[mu2] = depth[nxt] + 1
-            witnesses[mu2] = _led_by(tail.n, t2 - depth[mu2], mu2 ^ nxt, witnesses[nxt].prefix,
+            d = depth[mu2] = depth[nxt] + 1
+            if d == len(times):
+                times.append(t2 - d)
+            witnesses[mu2] = _led_by(tail.n, times[d], mu2 ^ nxt, witnesses[nxt].prefix,
                                      tail.cycle, tail.period, tail.cycle_start)
     return BasinResult(frozenset(hop), witnesses)
 
@@ -303,8 +315,35 @@ def omega_basin_n(net: Network, mu: int, rho: Schedule) -> BasinResult:
     # of omega.  Fairness is monotone along strongly connected supersets (a
     # superset has no more coordinates unstable at every member, and no
     # fewer that vary), so such a subset exists iff omega minus one state
-    # still has a fair SCC: |omega| passes.
+    # still has a fair SCC.  A chain state, with one internal predecessor
+    # and one internal successor, is no fixed point, and a strongly
+    # connected subset that holds it holds its whole maximal chain: one
+    # removal per chain answers for every state of it.
     result = basin_n(net, omega)
-    if result.members and any(graph._fair_sccs(net, omega - {s}) for s in omega):
+    if result.members and any(graph._fair_sccs(net, omega - {s}) for s in _chain_cut(net, omega)):
         return BasinResult(frozenset())
     return result
+
+
+def _chain_cut(net: Network, omega: frozenset[int]) -> list[int]:
+    """One state of each maximal chain of `omega`'s internal edges, and
+    every state on no chain."""
+    succ = graph._adjacency(net, omega)
+    pred: dict[int, list[int]] = {mu: [] for mu in omega}
+    for mu, targets in succ.items():
+        for t in targets:
+            pred[t].append(mu)
+    chained = {mu for mu in omega if len(succ[mu]) == 1 and len(pred[mu]) == 1}
+    cut, covered = [], set()
+    for mu in omega:
+        if mu in covered:
+            continue
+        cut.append(mu)
+        if mu in chained:
+            covered.add(mu)
+            for step in (succ, pred):
+                t = step[mu][0]
+                while t in chained and t not in covered:
+                    covered.add(t)
+                    t = step[t][0]
+    return cut

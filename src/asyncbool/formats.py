@@ -54,6 +54,9 @@ def parse_network_table(text: str) -> Network:
     # isdigit alone takes digits that int does not, such as '²'
     if not header.startswith("n=") or not (count.isascii() and count.isdigit()):
         raise ParseError(f"expected 'n=<int>', got {header!r}", lineno)
+    # int refuses more digits than that, in a message naming no line
+    if len(count) > _MAX_EXPONENT:
+        raise ParseError(f"dimension has more than {_MAX_EXPONENT} digits", lineno)
     n = int(count)
     if n < 1:
         raise ParseError("dimension must be positive", lineno)

@@ -14,13 +14,13 @@ the truth table with bit arithmetic (`_targets`).  Walks from one state
 (reachability, shortest paths, n-invariance) step with it and store
 nothing.  Whole-state-space passes read one structure per network
 instead (`_graph`): the predecessor tuples, the SCCs of more than one
-state and the fixed points.  It is built on the first such pass and kept
-on the immutable Network, outside its fields, so equality, hash, repr and
-pickling do not see it, and a network that never needs it never builds
-it.  It holds no answer to any query, only the graph: backward closures
-walk its predecessors, and the SCCs of a subgraph induced on a domain are
-found inside its SCCs, since every SCC of an induced subgraph lies in one
-SCC of the whole graph.
+state, the fixed points and the fair SCCs.  It is built on the first such
+pass and kept on the immutable Network, outside its fields, so equality,
+hash, repr and pickling do not see it, and a network that never needs it
+never builds it.  It holds the whole graph and nothing that depends on
+a query's set: backward closures walk its predecessors, and the fair SCCs
+of a subgraph induced on a domain are found inside its fair SCCs, since
+every SCC of an induced subgraph lies in one SCC of the whole graph.
 """
 
 from __future__ import annotations
@@ -47,15 +47,22 @@ def _check_graph_cap(net: Network) -> None:
         )
 
 
+# one int object per state, referenced by the predecessor tuples of every
+# network instead of a copy per network
+_STATES = tuple(range(1 << GRAPH_CAP))
+# _STATE_SETS[n]: every state at dimension n, for one-pass membership tests
+_STATE_SETS = tuple(frozenset(_STATES[:1 << n]) for n in range(GRAPH_CAP + 1))
+
+
 def _check_states(net: Network, states: Iterable[int]) -> None:
     """Validate a state set at a public entry point, before any loop indexes
     the table with its members: a negative member would index from the
     end and make the subset enumeration in `_targets` run forever."""
     _check_graph_cap(net)
-    # one bounds pass; a failure names the first out-of-range member
-    size = len(net.table)
-    if states and not 0 <= min(states) <= max(states) < size:
-        check_state(next(mu for mu in states if not 0 <= mu < size), net.n)
+    # one subset test; a failure names the first member that is no state
+    everything = _STATE_SETS[net.n]
+    if not everything.issuperset(states):
+        check_state(next(mu for mu in states if mu not in everything), net.n)
 
 
 def _targets(table: tuple[int, ...], mu: int) -> list[int]:
@@ -93,15 +100,11 @@ def _adjacency(net: Network, domain) -> dict[int, list[int]]:
     return {mu: [t for t in _targets(table, mu) if t in domain] for mu in domain}
 
 
-# one int object per state, referenced by the predecessor tuples of every
-# network instead of a copy per network
-_STATES = tuple(range(1 << GRAPH_CAP))
-
-
 class _Graph(NamedTuple):
     pred: tuple[tuple[int, ...], ...]  # pred[t]: sources of proper edges into t, increasing
     sccs: list[frozenset[int]]  # the SCCs of more than one state
     fixed: frozenset[int]  # the fixed points, the only fair one-state SCCs
+    fair: tuple[frozenset[int], ...]  # the fair SCCs, fixed points included, by least member
 
 
 def _graph(net: Network) -> _Graph:
@@ -119,7 +122,9 @@ def _graph(net: Network) -> _Graph:
         for t in targets:
             pred[t].append(mu)
     fixed = frozenset(mu for mu in succ if table[mu] == mu)
-    built = _Graph(tuple(map(tuple, pred)), sccs, fixed)
+    # each SCC's fairness is decided here, once per network
+    fair = [frozenset((mu,)) for mu in fixed] + [scc for scc in sccs if _is_fair(net, scc)]
+    built = _Graph(tuple(map(tuple, pred)), sccs, fixed, tuple(sorted(fair, key=min)))
     object.__setattr__(net, "_graph", built)
     return built
 
@@ -134,11 +139,19 @@ def _backward_closure(net: Network, sources, domain=None) -> dict[int, int]:
     pred = _graph(net).pred
     hop = {s: s for s in sources}
     queue = list(hop)
-    for state in queue:  # the loop also visits states appended while it runs
-        for p in pred[state]:
-            if p not in hop and (domain is None or p in domain):
-                hop[p] = state
-                queue.append(p)
+    # each loop also visits states appended while it runs
+    if domain is None:
+        for state in queue:
+            for p in pred[state]:
+                if p not in hop:
+                    hop[p] = state
+                    queue.append(p)
+    else:
+        for state in queue:
+            for p in pred[state]:
+                if p not in hop and p in domain:
+                    hop[p] = state
+                    queue.append(p)
     return hop
 
 
@@ -163,7 +176,7 @@ def is_n_invariant(net: Network, states: frozenset[int]) -> bool:
         raise ValueError("invariance is defined for nonempty sets only")
     _check_states(net, states)
     table = net.table
-    return all(t in states for mu in states for t in _targets(table, mu))
+    return all(states.issuperset(_targets(table, mu)) for mu in states)
 
 
 def _tarjan_sccs(adjacency: dict[int, list[int]]) -> list[list[int]]:
@@ -238,27 +251,33 @@ def is_fair_set(net: Network, states: frozenset[int]) -> bool:
 
 
 def _fair_sccs(net: Network, domain=None) -> list[frozenset[int]]:
-    """fair_sccs on a validated domain.
+    """fair_sccs on a validated domain, ordered by least member (the order
+    of their sorted member lists, since SCCs are disjoint).
 
     Every SCC of the subgraph induced on the domain lies inside one SCC of
-    the whole graph, so only the parts of the cached nontrivial SCCs in the
-    domain are searched, and a part that is the whole SCC is not searched
-    at all.  A one-state SCC is fair iff it is a fixed point, and fixed
-    points lie in no nontrivial SCC.
+    the whole graph, and a subset of a set that is not fair is not fair
+    either: it has no fewer coordinates unstable at every member and no
+    more that vary.  So only the parts of the whole graph's fair SCCs in
+    the domain are searched, and a part that is the whole SCC, already
+    known fair, is not searched at all.  A one-state SCC is fair iff it is
+    a fixed point, and fixed points lie in no nontrivial SCC.
     """
     g = _graph(net)
-    fixed = g.fixed if domain is None else g.fixed.intersection(domain)
-    result = [frozenset((mu,)) for mu in fixed]
-    for scc in g.sccs:
-        part = scc if domain is None else scc.intersection(domain)
-        if len(part) == len(scc):
-            parts = [scc]
-        elif len(part) > 1:
-            parts = map(frozenset, _tarjan_sccs(_adjacency(net, part)))
-        else:
+    if domain is None:
+        return list(g.fair)
+    result = []
+    cut = False
+    for scc in g.fair:
+        if scc.issubset(domain):
+            result.append(scc)
             continue
-        result.extend(p for p in parts if len(p) > 1 and _is_fair(net, p))
-    result.sort(key=sorted)
+        part = scc.intersection(domain)
+        if len(part) > 1:
+            cut = True
+            parts = map(frozenset, _tarjan_sccs(_adjacency(net, part)))
+            result.extend(p for p in parts if len(p) > 1 and _is_fair(net, p))
+    if cut:
+        result.sort(key=min)
     return result
 
 

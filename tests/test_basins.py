@@ -1,5 +1,6 @@
 import dataclasses
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -35,6 +36,7 @@ from asyncbool import (
     witness_schedule,
 )
 from asyncbool import basins as basins_mod
+from asyncbool import graph
 
 
 def test_point_basins_of_net1(net1):
@@ -281,3 +283,133 @@ def test_witness_schedule_matches_the_up_front_achievability_test(case):
     got = _witness_or_refusal_type(net, mu, target, align_to)
     want = _rendered_or_refused(lambda: parent_witness_schedule(net, mu, target, align_to))
     assert got == want
+
+
+# --- covering walks and omega n-basins against their per-step references ----
+
+
+def per_leg_covering_walk(net, target, anchor):
+    """covering_walk as one breadth-first search per leg: from the current
+    state to the nearest pending state, successors in decreasing fire-set
+    order, until every state is visited; then back to the anchor."""
+
+    def leg(start, goals):
+        if start in goals:
+            return [], start
+        parent = {start: start}
+        queue = [start]
+        for state in queue:
+            for t in graph._targets(net.table, state):
+                if t in parent or t not in target:
+                    continue
+                parent[t] = state
+                if t in goals:
+                    word, mu = [], t
+                    while mu != start:
+                        word.append(mu ^ parent[mu])
+                        mu = parent[mu]
+                    return word[::-1], t
+                queue.append(t)
+        raise AssertionError("target is strongly connected")
+
+    word, current, pending = [], anchor, set(target) - {anchor}
+    while pending:
+        step, current = leg(current, frozenset(pending))
+        word += step
+        pending.discard(current)
+    return word + leg(current, frozenset({anchor}))[0]
+
+
+@st.composite
+def dense_or_sparse_nets(draw, max_n):
+    """Any table; one flipped bit per state with some fixed points, which
+    gives long simple cycles of chain states; or none, one or two flipped
+    bits per state, which gives chains that start and end at branching
+    states."""
+    n = draw(st.integers(1, max_n))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["dense", "one bit", "few bits"]))
+    if kind == "dense":
+        return Network(n, tuple(rng.randrange(1 << n) for _ in range(1 << n)))
+    if kind == "one bit":
+        masks = [0] + [1 << i for i in range(n)] * 3
+    else:
+        masks = [0, 1, 2, 3, 4, 5, 6, 8, 12, 16, 24, 32, 48]
+    return Network(n, tuple(mu ^ (rng.choice(masks) & ((1 << n) - 1)) for mu in range(1 << n)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(dense_or_sparse_nets(5))
+def test_covering_walks_equal_the_per_leg_search(net):
+    for scc in fair_sccs(net):
+        for anchor in scc:
+            assert covering_walk(net, scc, anchor) == per_leg_covering_walk(net, scc, anchor)
+
+
+def per_state_omega_basin_n(net, mu, rho):
+    """omega_basin_n with one removal per state of omega."""
+    omega = omega_limit(net, mu, rho)
+    members = basin_n(net, omega).members
+    if members and any(graph._fair_sccs(net, omega - {s}) for s in omega):
+        return frozenset()
+    return members
+
+
+def maximal_chains(net, omega):
+    """The maximal chains of the edges internal to omega: its states with
+    one internal predecessor and one internal successor, joined along the
+    edges between them."""
+    succ = {mu: [t for t in graph._targets(net.table, mu) if t in omega] for mu in omega}
+    indegree = {mu: 0 for mu in omega}
+    for targets in succ.values():
+        for t in targets:
+            indegree[t] += 1
+    group = {mu: {mu} for mu in omega if len(succ[mu]) == indegree[mu] == 1}
+    for mu in list(group):
+        t = succ[mu][0]
+        if t in group and group[t] is not group[mu]:
+            merged = group[mu] | group[t]
+            for x in merged:
+                group[x] = merged
+    return {frozenset(g) for g in group.values()}
+
+
+@settings(max_examples=200, deadline=None)
+@given(dense_or_sparse_nets(6), st.integers(0, 63))
+def test_omega_basin_n_equals_one_removal_per_state(net, start):
+    for omega in fair_sccs(net):
+        # one removal per maximal chain, whose states all answer alike
+        cut = basins_mod._chain_cut(net, omega)
+        chains = maximal_chains(net, omega)
+        on_chains = frozenset().union(*chains)
+        assert len(cut) == len(set(cut))
+        assert set(cut) - on_chains == omega - on_chains
+        assert all(len(chain.intersection(cut)) == 1 for chain in chains)
+        for chain in chains:
+            assert len({bool(graph._fair_sccs(net, omega - {s})) for s in chain}) == 1
+    # the synchronous flow, and flows whose omega is a whole fair SCC: only
+    # those can have a nonempty omega n-basin
+    flows = [(start % (1 << net.n), synchronous(net.n))]
+    flows += [(min(scc), witness_schedule(net, min(scc), scc)) for scc in fair_sccs(net)]
+    for mu, rho in flows:
+        assert omega_basin_n(net, mu, rho).members == per_state_omega_basin_n(net, mu, rho)
+
+
+def gray_cycle(n):
+    """Each state steps to the next state of the n-bit Gray code: one
+    simple cycle through all 2**n states, the synchronous omega of each."""
+    gray = [i ^ (i >> 1) for i in range(1 << n)]
+    table = [0] * (1 << n)
+    for i, g in enumerate(gray):
+        table[g] = gray[(i + 1) % (1 << n)]
+    return Network(n, tuple(table))
+
+
+def test_omega_basin_n_of_the_gray_cycle_at_the_cap():
+    # every state of the cycle is a chain state: one removal, not 1 024
+    net = gray_cycle(10)
+    start = time.perf_counter()
+    result = omega_basin_n(net, 0, synchronous(10))
+    elapsed = time.perf_counter() - start
+    assert result.members == frozenset(net.states())
+    assert elapsed < 0.5

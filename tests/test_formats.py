@@ -63,6 +63,19 @@ def test_table_header_takes_only_ascii_digits(count):
     assert str(exc.value) == f"line 1: expected 'n=<int>', got {header!r}"
 
 
+@pytest.mark.parametrize("prefix", ["", "# a comment\n"])
+def test_table_header_past_the_digit_limit_names_its_line(prefix):
+    # int() refuses more than 4300 digits with a message naming no line;
+    # both readers see the header, the one-split reader declines it
+    with pytest.raises(ParseError) as exc:
+        parse_network_table(f"{prefix}n={'9' * 5000}\n00 -> 11\n")
+    line = prefix.count("\n") + 1
+    assert str(exc.value) == f"line {line}: dimension has more than 4300 digits"
+    # 4300 digits, leading zeros included, are still read as a dimension
+    with pytest.raises(ParseError, match="^missing state 01$"):
+        parse_network_table(f"n={'0' * 4299}2\n00 -> 11\n")
+
+
 def test_expr_network_compiles_to_table(net1):
     # NET1 as expressions: y1 = !x2 | (x1 & x2) ... derive from the table
     text = "y1 = !(x1) | (x1 & !x2)\ny2 = !x1 | x2\n"

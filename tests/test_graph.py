@@ -283,6 +283,44 @@ def test_whole_graph_tarjan_runs_once_per_network(monkeypatch):
     assert calls.count(32) == 2
 
 
+def test_scc_fairness_decided_once_per_network(monkeypatch):
+    calls = []
+    is_fair = graph._is_fair
+
+    def counting(net, states):
+        calls.append(states)
+        return is_fair(net, states)
+
+    monkeypatch.setattr(graph, "_is_fair", counting)
+    # four SCCs of 3, 8, 2 and 2 states, one of them not fair, and seven
+    # fixed points
+    rng = random.Random(1)
+    net = Network(5, tuple(mu ^ rng.choice((0, 1, 2, 4, 8, 16, 3, 12)) for mu in range(32)))
+    everything = frozenset(net.states())
+    half = frozenset(range(0, 32, 2))
+    for _ in range(3):
+        union = frozenset().union(*fair_sccs(net))
+        basin_n(net, half)
+        basin_p(net, everything, with_witnesses=False)
+        basin_p(net, union, with_witnesses=False)
+    g = graph._graph(net)
+    assert len(g.fair) == len(g.sccs) - 1 + len(g.fixed)
+    # each SCC was tested once, when the graph was built
+    assert sorted(map(sorted, calls)) == sorted(map(sorted, g.sccs))
+    # an equal but distinct network decides its own
+    basin_n(Network(5, net.table), half)
+    assert len(calls) == 2 * len(g.sccs)
+
+
+def test_fair_sccs_cut_by_a_domain_keep_the_order_of_their_member_lists():
+    rng = random.Random(11)
+    for _ in range(300):
+        n = rng.randint(2, 5)
+        net = Network(n, tuple(rng.randrange(1 << n) for _ in range(1 << n)))
+        domain = frozenset(rng.sample(range(1 << n), rng.randint(1, 1 << n)))
+        assert graph._fair_sccs(net, domain) == _reference_fair_sccs(net, domain)
+
+
 def test_fair_sccs_result_is_the_callers_to_mutate(net1):
     first = fair_sccs(net1)
     first.clear()
