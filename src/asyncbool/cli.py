@@ -19,6 +19,7 @@ from .core import Network, fixed_points, format_bits, parse_bits
 from .formats import (
     _MAX_EXPONENT,
     ParseError,
+    _sorted_names,
     _too_long,
     export_dot,
     parse_network_exprs,
@@ -111,8 +112,8 @@ def _witness_times(witnesses):
 
 
 def _emit_set(out: _Output, kind: str, states: frozenset[int], n: int, **fields):
-    out.record(kind, render_state_set(states, n) if states else "(empty)",
-               states=sorted(format_bits(s, n) for s in states), **fields)
+    names = _sorted_names(states, n)
+    out.record(kind, ",".join(names) if names else "(empty)", states=names, **fields)
 
 
 def _emit_basin(out: _Output, kind: str, result: basins.BasinResult, net: Network) -> None:

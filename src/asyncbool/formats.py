@@ -8,10 +8,11 @@ through their parsers and produce byte-stable output.
 
 from __future__ import annotations
 
+import contextlib
 import re
 from fractions import Fraction
 
-from .core import STEP_CAP, DimensionError, Network, format_bits, parse_bits
+from .core import GRAPH_CAP, STEP_CAP, DimensionError, Network, format_bits, parse_bits
 from .graph import _check_graph_cap, _targets
 from .schedule import Schedule, ScheduleError, _require_progressive
 
@@ -91,13 +92,26 @@ def render_network_table(net: Network) -> str:
     return "\n".join(out) + "\n"
 
 
-def _state_names(n: int) -> list[str]:
-    """format_bits(mu, n) of every state mu, in state order: n rounds of
-    appending a bit cost less than one format call per state."""
-    names = [""]
-    for _ in range(n):
-        names = [name + bit for name in names for bit in "01"]
-    return names
+# the names of each dimension up to GRAPH_CAP, built on its first use:
+# about 2 000 strings in all.  Every caller only reads them; the index
+# stays a plain dict, since a read-only proxy doubles the cost of a lookup
+_NAME_TABLES: dict[int, tuple[tuple[str, ...], dict[str, int]]] = {}
+
+
+def _state_names(n: int) -> tuple[tuple[str, ...], dict[str, int]]:
+    """format_bits(mu, n) of every state mu, in state order, and the map
+    from each name back to its state.  Kept for the process up to
+    GRAPH_CAP; above it, built again on every call."""
+    tables = _NAME_TABLES.get(n)
+    if tables is None:
+        # n rounds of appending a bit cost less than one format call per state
+        names = [""]
+        for _ in range(n):
+            names = [name + bit for name in names for bit in "01"]
+        tables = tuple(names), dict(zip(names, range(len(names))))
+        if 1 <= n <= GRAPH_CAP:
+            _NAME_TABLES[n] = tables
+    return tables
 
 
 def _read_rendered_table(text: str) -> Network | None:
@@ -119,10 +133,9 @@ def _read_rendered_table(text: str) -> Network | None:
     if len(body) != size * width or body[width - 1 :: width] != "\n" * size:
         return None
     cells = body.replace(" -> ", "\n").split("\n")
-    names = _state_names(n)
-    if len(cells) != 2 * size + 1 or cells[:-1:2] != names:
+    names, index = _state_names(n)
+    if len(cells) != 2 * size + 1 or tuple(cells[:-1:2]) != names:
         return None
-    index = dict(zip(names, range(size)))
     try:
         return Network(n, tuple(map(index.__getitem__, cells[1::2])))
     except KeyError:
@@ -390,14 +403,30 @@ def parse_state_set(text: str, n: int) -> frozenset[int]:
     items = [item.strip() for item in text.split(",") if item.strip()]
     if not items:
         raise ParseError("empty state set literal")
+    if n <= GRAPH_CAP:
+        # the names are exactly the texts parse_bits takes; an item that is
+        # none of them takes parse_bits below, which names its error
+        with contextlib.suppress(KeyError):
+            return frozenset(map(_state_names(n)[1].__getitem__, items))
     try:
         return frozenset(parse_bits(item, n) for item in items)
     except DimensionError as exc:
         raise ParseError(str(exc)) from exc
 
 
+def _sorted_names(states: frozenset[int], n: int) -> list[str]:
+    """format_bits of every member, in increasing order."""
+    if n <= GRAPH_CAP:
+        ordered = sorted(states)
+        # a member out of range has no name, and a negative one would
+        # index the table from its end
+        if ordered and 0 <= ordered[0] and ordered[-1] < 1 << n:
+            return list(map(_state_names(n)[0].__getitem__, ordered))
+    return sorted(format_bits(s, n) for s in states)
+
+
 def render_state_set(states: frozenset[int], n: int) -> str:
-    return ",".join(sorted(format_bits(s, n) for s in states))
+    return ",".join(_sorted_names(states, n))
 
 
 # --- DOT export -----------------------------------------------------------
@@ -414,7 +443,7 @@ def export_dot(net: Network) -> str:
     _check_graph_cap(net)
     n, table = net.n, net.table
     # one name per state, which also names each fire set
-    names = _state_names(n)
+    names = _state_names(n)[0]
     lines = ["digraph portrait {", "  rankdir=LR;", '  node [shape=ellipse, fontname="monospace"];']
     for mu, name in enumerate(names):
         unstable = names[mu ^ table[mu]]

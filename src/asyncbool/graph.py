@@ -21,6 +21,12 @@ never builds it.  It holds the whole graph and nothing that depends on
 a query's set: backward closures walk its predecessors, and the fair SCCs
 of a subgraph induced on a domain are found inside its fair SCCs, since
 every SCC of an induced subgraph lies in one SCC of the whole graph.
+
+One Tarjan pass (`_tarjan_sccs`) finds SCCs for both.  The whole graph
+reaches it as a list of successor lists indexed by state, and its index
+and lowlink tables are lists too; any smaller set, such as the part of a
+domain inside one SCC, reaches it as a map from each member to its
+successors inside the set.
 """
 
 from __future__ import annotations
@@ -30,6 +36,7 @@ from typing import Iterable, NamedTuple
 from .core import (
     GRAPH_CAP,
     SUBSET_CAP,
+    DimensionError,
     Network,
     check_state,
     full_mask,
@@ -62,7 +69,11 @@ def _check_states(net: Network, states: Iterable[int]) -> None:
     # one subset test; a failure names the first member that is no state
     everything = _STATE_SETS[net.n]
     if not everything.issuperset(states):
-        check_state(next(mu for mu in states if mu not in everything), net.n)
+        bad = next(mu for mu in states if mu not in everything)
+        # a member in range that is no int, such as 0.5, passes check_state
+        if not isinstance(bad, int):
+            raise DimensionError(f"state {bad!r} is not an int")
+        check_state(bad, net.n)
 
 
 def _targets(table: tuple[int, ...], mu: int) -> list[int]:
@@ -114,14 +125,15 @@ def _graph(net: Network) -> _Graph:
     if cached is not None:
         return cached
     table = net.table
+    states = _STATES[:len(table)]
     # the successor lists live only while the graph is built
-    succ = {mu: _targets(table, mu) for mu in _STATES[:len(table)]}
+    succ = [_targets(table, mu) for mu in states]
     sccs = [frozenset(scc) for scc in _tarjan_sccs(succ) if len(scc) > 1]
     pred: list[list[int]] = [[] for _ in table]
-    for mu, targets in succ.items():
+    for mu, targets in zip(states, succ):
         for t in targets:
             pred[t].append(mu)
-    fixed = frozenset(mu for mu in succ if table[mu] == mu)
+    fixed = frozenset(mu for mu in states if table[mu] == mu)
     # each SCC's fairness is decided here, once per network
     fair = [frozenset((mu,)) for mu in fixed] + [scc for scc in sccs if _is_fair(net, scc)]
     built = _Graph(tuple(map(tuple, pred)), sccs, fixed, tuple(sorted(fair, key=min)))
@@ -179,31 +191,42 @@ def is_n_invariant(net: Network, states: frozenset[int]) -> bool:
     return all(states.issuperset(_targets(table, mu)) for mu in states)
 
 
-def _tarjan_sccs(adjacency: dict[int, list[int]]) -> list[list[int]]:
-    """Iterative Tarjan over an explicit adjacency map.  A state's index is
-    raised past every other once its SCC is emitted, so it lowers no
-    lowlink: that test replaces the on-stack set."""
-    index: dict[int, int] = {}
-    low: dict[int, int] = {}
+def _tarjan_sccs(adjacency: list[list[int]] | dict[int, list[int]]) -> list[list[int]]:
+    """Iterative Tarjan over successor lists: a list indexed by state for
+    the whole graph, or a map from each member of a part to its successors
+    inside the part.  Roots are taken in state order, or in the map's
+    order.  A state's index is raised past every other once its SCC is
+    emitted, so it lowers no lowlink: that test replaces the on-stack set."""
+    if isinstance(adjacency, dict):
+        index = dict.fromkeys(adjacency, -1)
+        roots = adjacency
+    else:
+        index = [-1] * len(adjacency)
+        roots = range(len(adjacency))
+    low = index.copy()
     stack: list[int] = []
     sccs: list[list[int]] = []
+    count = 0
     done = len(adjacency)
-    for root in adjacency:
-        if root in index:
+    for root in roots:
+        if index[root] >= 0:
             continue
-        index[root] = low[root] = len(index)
+        index[root] = low[root] = count
+        count += 1
         stack.append(root)
         work = [(root, iter(adjacency[root]))]
         while work:
             node, edges = work[-1]
             for target in edges:
-                if target not in index:
-                    index[target] = low[target] = len(index)
+                seen = index[target]
+                if seen < 0:
+                    index[target] = low[target] = count
+                    count += 1
                     stack.append(target)
                     work.append((target, iter(adjacency[target])))
                     break
-                if index[target] < low[node]:
-                    low[node] = index[target]
+                if seen < low[node]:
+                    low[node] = seen
             else:  # every edge of node is done
                 work.pop()
                 if work and low[node] < low[work[-1][0]]:

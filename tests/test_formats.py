@@ -1,9 +1,15 @@
+import os
+import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import asyncbool
 from asyncbool import (
     Network,
     ParseError,
@@ -17,8 +23,8 @@ from asyncbool import (
     render_state_set,
     synchronous,
 )
-from asyncbool.core import STEP_CAP, DimensionError, format_bits, parse_bits, unstable_set
-from asyncbool.formats import _content_lines
+from asyncbool.core import GRAPH_CAP, STEP_CAP, DimensionError, format_bits, parse_bits, unstable_set
+from asyncbool.formats import _NAME_TABLES, _content_lines, _state_names
 from asyncbool.graph import _check_graph_cap, proper_successors
 from tests.conftest import NET1_TABLE_TEXT
 
@@ -446,6 +452,58 @@ def test_state_set_roundtrip():
         parse_state_set("", 2)
     with pytest.raises(ParseError):
         parse_state_set("0", 2)
+
+
+def test_name_tables_match_format_bits_and_parse_bits():
+    for n in range(1, GRAPH_CAP + 1):
+        names, index = _state_names(n)
+        assert names == tuple(format_bits(mu, n) for mu in range(1 << n))
+        assert index == {format_bits(mu, n): mu for mu in range(1 << n)}
+        assert all(parse_bits(name, n) == mu for name, mu in index.items())
+        # built once per process
+        assert _state_names(n)[0] is names and _state_names(n)[1] is index
+        assert n in _NAME_TABLES
+        states = frozenset(range(0, 1 << n, 3))
+        assert render_state_set(states, n) == ",".join(sorted(format_bits(s, n) for s in states))
+    # a member with no name is written as format_bits writes it
+    assert render_state_set(frozenset({-1, 2, 9}), 3) == "-01,010,1001"
+
+
+def test_importing_the_package_builds_no_name_table():
+    src = str(Path(asyncbool.__file__).resolve().parents[1])
+    code = ("import asyncbool, asyncbool.cli; from asyncbool import formats; "
+            "assert formats._NAME_TABLES == {}, formats._NAME_TABLES")
+    subprocess.run([sys.executable, "-c", code], check=True,
+                   env={**os.environ, "PYTHONPATH": src})
+
+
+@pytest.mark.parametrize("n", [GRAPH_CAP + 1, GRAPH_CAP + 2])
+def test_rendered_table_above_the_cap_keeps_no_names(n):
+    rng = random.Random(n)
+    net = Network(n, tuple(mu ^ (1 << rng.randrange(n)) for mu in range(1 << n)))
+    text = render_network_table(net)
+    kept = dict(_NAME_TABLES)
+    assert parse_network_table(text) == net
+    assert _NAME_TABLES == kept
+    # the line parser reads the same text behind a comment
+    assert parse_network_table("# comment\n" + text) == net
+
+
+@pytest.mark.parametrize("n", [3, GRAPH_CAP, GRAPH_CAP + 2])
+def test_state_set_errors_read_as_before(n):
+    ones, zeros = "1" * n, "0" * n
+    assert parse_state_set(f" {ones} ,{zeros},{ones}", n) == {0, (1 << n) - 1}
+    for literal, message in [
+        ("", "empty state set literal"),
+        (" , ,", "empty state set literal"),
+        (zeros + "0", f"expected {n} bits, got {zeros + '0'!r}"),
+        (ones[1:], f"expected {n} bits, got {ones[1:]!r}"),
+        (zeros[1:] + "2", f"expected {n} bits, got {zeros[1:] + '2'!r}"),
+        (f"{zeros}, {ones[1:]}x ,{ones},0", f"expected {n} bits, got {ones[1:] + 'x'!r}"),
+    ]:
+        with pytest.raises(ParseError) as exc:
+            parse_state_set(literal, n)
+        assert str(exc.value) == message
 
 
 def reference_dot(net):

@@ -361,6 +361,79 @@ def test_out_of_range_member_named_as_before():
             is_p_invariant(net, frozenset(states))
 
 
+def test_member_in_range_but_no_int_is_refused(net1):
+    # 0.5 and 1.5 lie in range, so a range check alone let them through
+    with pytest.raises(DimensionError, match=r"^state 0\.5 is not an int$"):
+        basin_p(net1, frozenset({0.5}))
+    with pytest.raises(DimensionError, match=r"^state 1\.5 is not an int$"):
+        is_n_invariant(net1, frozenset({1.5, 3}))
+
+
+def _reference_tarjan(adjacency):
+    """_tarjan_sccs as it read with dict index and lowlink maps, filled as
+    states are visited, and a membership test for the unvisited ones."""
+    index, low, stack, sccs = {}, {}, [], []
+    done = len(adjacency)
+    for root in adjacency:
+        if root in index:
+            continue
+        index[root] = low[root] = len(index)
+        stack.append(root)
+        work = [(root, iter(adjacency[root]))]
+        while work:
+            node, edges = work[-1]
+            for target in edges:
+                if target not in index:
+                    index[target] = low[target] = len(index)
+                    stack.append(target)
+                    work.append((target, iter(adjacency[target])))
+                    break
+                if index[target] < low[node]:
+                    low[node] = index[target]
+            else:
+                work.pop()
+                if work and low[node] < low[work[-1][0]]:
+                    low[work[-1][0]] = low[node]
+                if low[node] == index[node]:
+                    scc = []
+                    while True:
+                        w = stack.pop()
+                        index[w] = done
+                        scc.append(w)
+                        if w == node:
+                            break
+                    sccs.append(scc)
+    return sccs
+
+
+@st.composite
+def nets_and_parts(draw):
+    """A dense (any image) or sparse (one flipped bit or fixed) table with
+    n <= 8, and a random part of its states in a random order."""
+    n = draw(st.integers(1, 8))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        table = [rng.randrange(1 << n) for _ in range(1 << n)]
+    else:
+        table = [mu if rng.random() < 0.1 else mu ^ (1 << rng.randrange(n)) for mu in range(1 << n)]
+    part = rng.sample(range(1 << n), rng.randint(1, 1 << n))
+    return Network(n, tuple(table)), part
+
+
+@settings(max_examples=200, deadline=None)
+@given(nets_and_parts())
+def test_list_indexed_tarjan_equals_the_dict_one(case):
+    net, part = case
+    # the whole graph as lists indexed by state, against the same lists
+    # keyed by state in state order
+    succ = [_targets(net.table, mu) for mu in net.states()]
+    assert _tarjan_sccs(succ) == _reference_tarjan(dict(enumerate(succ)))
+    # a part keeps its map, with the roots in the map's order
+    members = frozenset(part)
+    adjacency = {mu: [t for t in _targets(net.table, mu) if t in members] for mu in part}
+    assert _tarjan_sccs(adjacency) == _reference_tarjan(adjacency)
+
+
 def from_cached_sccs(net, mu):
     """achievable_omegas_from read off the whole graph's condensation: the
     reach is closed under successors, so its SCCs are the cached SCCs that
