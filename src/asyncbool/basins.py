@@ -29,7 +29,7 @@ from functools import partial
 
 from . import graph
 from .core import Network, check_state, full_mask
-from .schedule import Schedule, _led_by, _run, omega_limit, orbit_trace, restrict_after
+from .schedule import Schedule, _FlowRecord, _led_by, _run, omega_limit, restrict_after
 
 
 class NotAchievableError(ValueError):
@@ -147,22 +147,21 @@ def _walk_then_cycle(n: int, word: list[int], cycle, period: int) -> Schedule:
     return Schedule(n, tuple(enumerate(word)), cycle, period, len(word))
 
 
-def _splicer(trace, rho: Schedule):
-    """Where a witness joins the reference flow of `trace` under `rho`.
-
-    Returns a state the reference flow holds during the first segment of
-    its periodic tail, a time t2 strictly inside that segment, and the
-    reference schedule restricted to times after t2.  A walk of length L
-    to that state, fired at times t2 - L, ..., t2 - 1 in front of the
-    tail, is a witness whose flow coincides pointwise with the reference
-    flow from t2 on.
-    """
-    seg_state, seg_dwell = trace.loop[0]
-    # Fraction keeps t2 exact when the schedule was built with int times
-    t2 = trace.loop_entry + Fraction(seg_dwell) / 2
+def _splicer(net: Network, mu: int, rho: Schedule):
+    """Where a witness joins the flow of (mu, rho): its omega-limit set, a
+    state it holds during the first segment of its periodic tail, a time t2
+    strictly inside that segment, and rho restricted to times after t2.  A
+    walk of length L to that state, fired at times t2 - L, ..., t2 - 1 in
+    front of the tail, is a witness whose flow coincides pointwise with the
+    flow of (mu, rho) from t2 on."""
+    flow = _FlowRecord(net, mu, rho)
+    # the segment runs from the loop entry to the next change, or through a
+    # whole period when the tail is constant
+    end = next(flow.after(flow.entry), flow.entry + flow.period)
+    t2 = Fraction(flow.entry + end, 2 * flow.den)
     # t2 lies past the cycle start, so the cut occurrence joins the prefix
     # and the whole occurrences after t2 stay the cycle
-    return seg_state, t2, restrict_after(rho, t2)
+    return frozenset(flow.values[flow.lead:]), flow.value(flow.entry), t2, restrict_after(rho, t2)
 
 
 def witness_schedule(
@@ -192,11 +191,9 @@ def witness_schedule(
     if align_to is None:
         found = _bfs_path(net, mu_from, target)
     else:
-        ref_mu, ref_rho = align_to
-        trace, _ = orbit_trace(net, ref_mu, ref_rho)
-        if trace.loop_states != target:
+        omega, seg_state, t2, tail = _splicer(net, *align_to)
+        if omega != target:
             raise ValueError("align_to flow does not have the target as omega-limit set")
-        seg_state, t2, tail = _splicer(trace, ref_rho)
         found = _bfs_path(net, mu_from, frozenset({seg_state}))
     if found is None:
         raise NotAchievableError("target is not achievable from the given state")
@@ -268,7 +265,7 @@ def orbit_basin_p(
     # the BFS tree toward the splice state gives every member its walk
     # there; a member at depth d fires its first letter at t2 - d, in front
     # of its next hop's witness; _backward_closure puts every next hop first
-    seg_state, t2, tail = _splicer(orbit_trace(net, mu, rho)[0], rho)
+    _, seg_state, t2, tail = _splicer(net, mu, rho)
     hop = graph._backward_closure(net, [seg_state])
     # the BFS visits depths in order, so times[d] = t2 - d is made once
     witnesses, depth, times = {seg_state: tail}, {seg_state: 0}, [t2]

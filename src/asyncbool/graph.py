@@ -66,14 +66,15 @@ def _check_states(net: Network, states: Iterable[int]) -> None:
     the table with its members: a negative member would index from the
     end and make the subset enumeration in `_targets` run forever."""
     _check_graph_cap(net)
-    # one subset test; a failure names the first member that is no state
+    # one subset test, which 1.0 passes, and one sum, an int only if every
+    # member is; a failure names the first member that is no int or no state
     everything = _STATE_SETS[net.n]
-    if not everything.issuperset(states):
-        bad = next(mu for mu in states if mu not in everything)
-        # a member in range that is no int, such as 0.5, passes check_state
-        if not isinstance(bad, int):
-            raise DimensionError(f"state {bad!r} is not an int")
-        check_state(bad, net.n)
+    if everything.issuperset(states) and isinstance(sum(states), int):
+        return
+    bad = next(mu for mu in states if not isinstance(mu, int) or mu not in everything)
+    if not isinstance(bad, int):
+        raise DimensionError(f"state {bad!r} is not an int")
+    check_state(bad, net.n)
 
 
 def _targets(table: tuple[int, ...], mu: int) -> list[int]:

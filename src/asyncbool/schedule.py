@@ -12,14 +12,16 @@ Schedule times are exact rationals (ints or Fractions), but each flow is
 one integer fold over the truth table (`_run`), and its times are ints on
 one grid per schedule: every event time over a common denominator,
 derived on the schedule's first fold that needs times.  `flow_at` counts
-events on that grid; `orbit_trace` makes Fractions only of the times it
-reports.  A cycle is validated once and then passed on unchanged by
-`translate`, `restrict_after` and `dataclasses.replace`.  Checked parts
-are passed on without checking them again: `translate` and
-`restrict_after` build their result from parts that a shift or a cut
-keeps valid, and `_led_by` puts one checked event in front of parts
-already checked, so a chain of schedules each one event longer checks
-every event once.
+events on that grid.  `_FlowRecord` lays a run out on a grid as the ticks
+where the value changes, with its loop entry and period; `orbit_trace`,
+the witness splice in `basins` and `flows_eventually_equal` read it, the
+last over one pass of both loops, not their lcm.  A cycle is validated
+once and then passed on unchanged by `translate`, `restrict_after` and
+`dataclasses.replace`.  Checked parts are passed on without checking
+them again: `translate` and `restrict_after` build their result from
+parts that a shift or a cut keeps valid, and `_led_by` puts one checked
+event in front of parts already checked, so a chain of schedules each
+one event longer checks every event once.
 """
 
 from __future__ import annotations
@@ -29,6 +31,8 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
+from heapq import merge
+from itertools import chain, takewhile
 from typing import Iterator
 
 from .core import DimensionError, Network, check_state, full_mask
@@ -180,19 +184,15 @@ def _require_progressive(rho: Schedule, n: int) -> None:
         raise NotProgressiveError(f"coordinate {', '.join(map(str, missing))} never fires")
 
 
-def _run(
-    net: Network, mu: int, rho: Schedule, stop: float = math.inf
-) -> tuple[list[int], int | None]:
+def _run(net: Network, mu: int, rho: Schedule) -> tuple[list[int], int]:
     """Fold the flow's fire sets in event order over the truth table.
 
     values[k] is the value after the first k events (values[0] == mu).  The
     fold runs through the prefix and then whole cycle occurrences until the
     value at an occurrence start repeats: from index `tail` on, the values
-    repeat every len(values) - 1 - tail events.  It also ends at the first
-    occurrence end with `stop` or more events folded, `tail` then being
-    None unless a repeat came first.  A schedule no wider than the network has fire sets that fit it
-    (Schedule checks them against its own n); it must still fire every
-    coordinate of the network.
+    repeat every len(values) - 1 - tail events.  A schedule no wider than
+    the network has fire sets that fit it (Schedule checks them against its
+    own n); it must still fire every coordinate of the network.
     """
     if rho.n > net.n:
         raise DimensionError(f"schedule of n={rho.n} does not fit a network of n={net.n}")
@@ -205,17 +205,16 @@ def _run(
         state = (state & ~fire) | (table[state] & fire)
         values.append(state)
     starts: dict[int, int] = {}
-    while state not in starts and len(values) <= stop:
+    while state not in starts:
         starts[state] = len(values) - 1
         for _, fire in rho.cycle:
             state = (state & ~fire) | (table[state] & fire)
             values.append(state)
-    return values, starts.get(state)
+    return values, starts[state]
 
 
-def _value(values: list[int], tail: int | None, count: int) -> int:
-    """The flow after `count` events, from a run that folded them all or
-    found its periodic tail; a count past the run wraps into the tail."""
+def _value(values: list[int], tail: int, count: int) -> int:
+    """The flow after `count` events; a count past the run wraps into its tail."""
     if count >= len(values):
         count = tail + (count - tail) % (len(values) - 1 - tail)
     return values[count]
@@ -226,18 +225,63 @@ def flow_at(net: Network, mu: int, rho: Schedule, t: Fraction) -> int:
     fold of every fire set placed at a time <= t.
 
     The events at times <= t are counted on the schedule's integer time
-    grid, and the run folds no occurrence past the one that holds t; a
-    count beyond the detected periodic tail wraps into it, so the cost is
-    bounded by 2**n occurrences whatever t is."""
-    count = rho._count(t)
-    return _value(*_run(net, mu, rho, count), count)
+    grid, and a count beyond the run's periodic tail wraps into it, so the
+    cost is bounded by 2**n occurrences whatever t is."""
+    return _value(*_run(net, mu, rho), rho._count(t))
 
 
-def _flow(net: Network, mu: int, rho: Schedule):
-    """The flow of (mu, rho) as a function of time, folded once for every
-    time it is asked at."""
-    values, tail = _run(net, mu, rho)
-    return lambda t: _value(values, tail, rho._count(t))
+class _FlowRecord:
+    """One run laid out on a grid of `den` ticks per unit, a multiple of
+    its schedule's own: the `ticks` at which the flow's value changes, and
+    `values`, its value before the first change and after each one.  The
+    first `lead` changes come before the loop-entry tick `entry`; the rest,
+    none if the flow is eventually constant, repeat every `period` ticks."""
+
+    __slots__ = ("den", "ticks", "values", "lead", "entry", "period")
+
+    def __init__(self, net: Network, mu: int, rho: Schedule, den: int | None = None):
+        values, tail = _run(net, mu, rho)
+        own, prefix, start, offsets, span = rho._grid
+        scale = 1 if den is None else den // own
+        p, q = len(prefix), len(offsets)
+        changes = [k for k in range(1, len(values)) if values[k] != values[k - 1]]
+        # events[k - 1] is the tick of the event that yields values[k]
+        events = prefix + [start + m * span + off
+                           for m in range((len(values) - 1 - p) // q) for off in offsets]
+        self.ticks = [scale * events[k - 1] for k in changes]
+        self.values = [mu] + [values[k] for k in changes]
+        self.lead = bisect_right(changes, tail)
+        self.entry = scale * (start + (tail - p) // q * span)
+        self.period = scale * span * ((len(values) - 1 - tail) // q)
+        self.den = den or own
+
+    def _count(self, tick: int) -> int:
+        """The number of changes at ticks <= tick."""
+        whole = max(0, (tick - self.entry) // self.period)
+        return (bisect_right(self.ticks, tick - whole * self.period)
+                + whole * (len(self.ticks) - self.lead))
+
+    def _tick(self, i: int) -> int:
+        """The tick of change i."""
+        if i < self.lead:
+            return self.ticks[i]
+        whole, j = divmod(i - self.lead, len(self.ticks) - self.lead)
+        return self.ticks[self.lead + j] + whole * self.period
+
+    def value(self, tick: int) -> int:
+        whole = max(0, (tick - self.entry) // self.period)
+        return self.values[bisect_right(self.ticks, tick - whole * self.period)]
+
+    def after(self, tick: int) -> Iterator[int]:
+        """The change ticks past `tick`, increasing."""
+        i = self._count(tick)
+        while i < len(self.ticks) or len(self.ticks) > self.lead:
+            yield self._tick(i)
+            i += 1
+
+    def before(self, tick: int) -> Iterator[int]:
+        """The change ticks before `tick`, decreasing."""
+        return map(self._tick, range(self._count(tick - 1) - 1, -1, -1))
 
 
 @dataclass(frozen=True)
@@ -260,15 +304,9 @@ class OrbitTrace:
         return frozenset(s for s, _ in self.loop)
 
     def value_at(self, t: Fraction) -> int:
-        state = self.initial
-        for time, value in self.changes:
-            if time > t:
-                return state
-            state = value
         if t < self.loop_entry:
-            return state
-        loop_period = sum((d for _, d in self.loop), Fraction(0))
-        rem = (t - self.loop_entry) % loop_period
+            return next((v for time, v in reversed(self.changes) if time <= t), self.initial)
+        rem = (t - self.loop_entry) % sum(d for _, d in self.loop)
         for value, dwell in self.loop:
             if rem < dwell:
                 return value
@@ -280,31 +318,19 @@ def orbit_trace(net: Network, mu: int, rho: Schedule) -> tuple[OrbitTrace, froze
     """Simulate until the flow value at a cycle occurrence start repeats.
 
     The flow value just before each cycle occurrence determines the whole
-    future, so at most 2**n occurrences are simulated.  Times are put on
-    the run's values only where the value changes.  Returns the trace and
-    the orbit, i.e. the set of every value the flow takes.
+    future, so at most 2**n occurrences are simulated.  Returns the trace,
+    whose times are the flow record's ticks as Fractions, and the orbit,
+    i.e. the set of every value the flow takes.
     """
-    values, tail = _run(net, mu, rho)
-    den, prefix, start, offsets, span = rho._grid
-    p, q = len(prefix), len(offsets)
-    # ticks[k - 1] is the tick of the event that yields values[k]
-    ticks = prefix + [start + m * span + off
-                      for m in range((len(values) - 1 - p) // q) for off in offsets]
-    changes = [(Fraction(ticks[k - 1], den), values[k])
-               for k in range(1, tail + 1) if values[k] != values[k - 1]]
-    loop_entry = start + (tail - p) // q * span
-    loop_end = loop_entry + (len(values) - 1 - tail) // q * span
-    # (state, dwell) segments from the loop entry on; the segment running up
-    # to the next loop pass carries the state at the entry again
-    loop: list[tuple[int, Fraction]] = []
-    cursor = loop_entry
-    for k in range(tail + 1, len(values)):
-        if values[k] != values[k - 1] and ticks[k - 1] > cursor:
-            loop.append((values[k - 1], Fraction(ticks[k - 1] - cursor, den)))
-            cursor = ticks[k - 1]
-    loop.append((values[-1], Fraction(loop_end - cursor, den)))
-    trace = OrbitTrace(mu, tuple(changes), Fraction(loop_entry, den), tuple(loop))
-    return trace, frozenset(values)
+    flow = _FlowRecord(net, mu, rho)
+    den, ticks, values, lead = flow.den, flow.ticks, flow.values, flow.lead
+    changes = tuple((Fraction(t, den), v) for t, v in zip(ticks[:lead], values[1:]))
+    # (state, dwell) segments of one loop pass, split at each loop change;
+    # a change at the entry tick sets the state of the first segment
+    first = lead + (lead < len(ticks) and ticks[lead] == flow.entry)
+    edges = [flow.entry, *ticks[first:], flow.entry + flow.period]
+    loop = tuple((v, Fraction(b - a, den)) for v, a, b in zip(values[first:], edges, edges[1:]))
+    return OrbitTrace(mu, changes, Fraction(flow.entry, den), loop), frozenset(values)
 
 
 def omega_limit(net: Network, mu: int, rho: Schedule) -> frozenset[int]:
@@ -344,57 +370,31 @@ def restrict_after(rho: Schedule, t_prime: Fraction) -> Schedule:
     return _trusted(rho.n, tuple(prefix), rho.cycle, rho.period, new_start)
 
 
-def _lcm_fraction(a: Fraction, b: Fraction) -> Fraction:
-    return Fraction(
-        math.lcm(a.numerator * b.denominator, b.numerator * a.denominator),
-        a.denominator * b.denominator,
-    )
-
-
-def flows_eventually_equal(
-    net: Network,
-    mu: int,
-    rho: Schedule,
-    mu2: int,
-    rho2: Schedule,
-) -> tuple[bool, Fraction | None]:
+def flows_eventually_equal(net: Network, mu: int, rho: Schedule,
+                           mu2: int, rho2: Schedule) -> tuple[bool, Fraction | None]:
     """Decide whether the two flows coincide pointwise from some time on.
 
-    Both flows are eventually periodic step functions, so equality on one
-    common hyperperiod past both transients decides the tail exactly.  On
-    success the least breakpoint-aligned witness time is returned.
+    Past t0, the later loop entry, the flows repeat with periods P1 and P2,
+    so they agree from t0 on iff they agree on [t0, t0 + P1 + P2) (Fine and
+    Wilf): at t0 and at each change of either flow inside, where a change
+    that one flow makes alone is a disagreement.  The witness time is the
+    first change after the last disagreement, or the earliest change or
+    loop entry when there is none.
     """
-    trace1, _ = orbit_trace(net, mu, rho)
-    trace2, _ = orbit_trace(net, mu2, rho2)
-    p1 = sum((d for _, d in trace1.loop), Fraction(0))
-    p2 = sum((d for _, d in trace2.loop), Fraction(0))
-    t0 = max(trace1.loop_entry, trace2.loop_entry)
-    horizon = t0 + _lcm_fraction(p1, p2)
-
-    breakpoints = {t0}
-    for trace in (trace1, trace2):
-        breakpoints.update(t for t, _ in trace.changes)
-        cursor = trace.loop_entry
-        while cursor < horizon:
-            for _, dwell in trace.loop:
-                breakpoints.add(cursor)
-                cursor += dwell
-    points = sorted(t for t in breakpoints if t < horizon)
-
-    # scan the window; the tail is equal iff the segment values agree on
-    # [t0, horizon).  The witness is the right end of the last
-    # disagreement segment below the horizon, or the earliest breakpoint.
-    last_bad_end: Fraction | None = None
-    if mu != mu2:
-        # the flows already differ on the segment before the first breakpoint
-        last_bad_end = points[0]
-    flow1, flow2 = _flow(net, mu, rho), _flow(net, mu2, rho2)
-    for i, t in enumerate(points):
-        if flow1(t) != flow2(t):
-            if t >= t0:
-                return False, None
-            last_bad_end = points[i + 1] if i + 1 < len(points) else horizon
-    if last_bad_end is not None:
-        return True, last_bad_end
-    # equal everywhere we looked; any breakpoint works
-    return True, points[0] if points else t0
+    den = math.lcm(rho._grid[0], rho2._grid[0])
+    flow1, flow2 = _FlowRecord(net, mu, rho, den), _FlowRecord(net, mu2, rho2, den)
+    t0 = max(flow1.entry, flow2.entry)
+    horizon = t0 + flow1.period + flow2.period
+    ahead = takewhile(horizon.__gt__, merge(flow1.after(t0), flow2.after(t0)))
+    if any(flow1.value(t) != flow2.value(t) for t in chain((t0,), ahead)):
+        return False, None
+    # walk down from t0 to the last disagreement
+    witness = t0
+    for t in merge(flow1.before(t0), flow2.before(t0), reverse=True):
+        if flow1.value(t) != flow2.value(t):
+            break
+        witness = t
+    else:
+        if mu == mu2:
+            witness = min(witness, flow1.entry, flow2.entry)
+    return True, Fraction(witness, den)

@@ -32,6 +32,7 @@ from asyncbool import (
     orbit_trace,
     reachable_set,
     render_schedule,
+    restrict_after,
     synchronous,
     witness_schedule,
 )
@@ -224,7 +225,11 @@ def parent_witness_schedule(net, mu_from, target, align_to=None):
     trace, _ = orbit_trace(net, ref_mu, ref_rho)
     if trace.loop_states != target:
         raise ValueError("align_to flow does not have the target as omega-limit set")
-    seg_state, t2, tail = basins_mod._splicer(trace, ref_rho)
+    # the splice as it read on OrbitTrace: the first loop segment, a time
+    # halfway through it, and the reference schedule after that time
+    seg_state, seg_dwell = trace.loop[0]
+    t2 = trace.loop_entry + Fraction(seg_dwell) / 2
+    tail = restrict_after(ref_rho, t2)
     word, _ = basins_mod._bfs_path(net, mu_from, frozenset({seg_state}))
     prefix = tuple((t2 - len(word) + k, fire) for k, fire in enumerate(word))
     return dataclasses.replace(tail, prefix=prefix + tail.prefix)

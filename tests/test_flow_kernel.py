@@ -3,10 +3,12 @@ against the literal event-by-event fold, `flow_at`'s cost far out in time,
 input validation at entry, and the integer time grid: `Schedule` accepts
 what the plain-Fraction validator accepts, each cycle is validated once,
 and counts and traces on the grid match plain-Fraction references.
-`flows_eventually_equal` matches a reference that reads every value off
-`OrbitTrace.value_at`."""
+`flows_eventually_equal` matches the breakpoint scan to the lcm of the loop
+periods, which reads every value off `OrbitTrace.value_at`, and answers
+at periods near 10**9 at once."""
 
 import dataclasses
+import math
 import time
 from fractions import Fraction
 from itertools import islice, takewhile
@@ -422,15 +424,23 @@ def test_times_must_be_int_or_fraction(net1):
             flow_at(net1, 0, rho, t)
 
 
+def lcm_fraction(a, b):
+    return F(math.lcm(a.numerator * b.denominator, b.numerator * a.denominator),
+             a.denominator * b.denominator)
+
+
 def eventually_equal_by_value_at(net, mu, rho, mu2, rho2):
-    """flows_eventually_equal reading each breakpoint's values through
-    `OrbitTrace.value_at`, which rescans the trace on every call."""
+    """Eventual equality by the breakpoint scan: every breakpoint of both
+    traces up to one common hyperperiod, the lcm of the two loop periods,
+    past both loop entries, each value read through `OrbitTrace.value_at`.
+    The witness is the breakpoint after the last disagreement, or the
+    earliest breakpoint."""
     trace1, _ = orbit_trace(net, mu, rho)
     trace2, _ = orbit_trace(net, mu2, rho2)
     p1 = sum((d for _, d in trace1.loop), F(0))
     p2 = sum((d for _, d in trace2.loop), F(0))
     t0 = max(trace1.loop_entry, trace2.loop_entry)
-    horizon = t0 + schedule_mod._lcm_fraction(p1, p2)
+    horizon = t0 + lcm_fraction(p1, p2)
     breakpoints = {t0}
     for trace in (trace1, trace2):
         breakpoints.update(t for t, _ in trace.changes)
@@ -451,19 +461,48 @@ def eventually_equal_by_value_at(net, mu, rho, mu2, rho2):
     return True, points[0] if points else t0
 
 
+NEGATION = Network(1, (1, 0))
+
+
+def word_flow(word):
+    """A start state and a schedule whose flow on NEGATION reads
+    word[k % len(word)] on [k, k + 1) for every k >= 0: each firing flips
+    the coordinate, so the schedule fires where the word changes."""
+    flips = tuple((k, 1) for k in range(len(word)) if word[k] != word[k - 1])
+    return word[-1], Schedule(1, (), flips, len(word), 0)
+
+
 @st.composite
 def flow_pairs(draw):
     """Two flows on one net: the second is an orbit p-basin witness, a
-    translation or a restriction of the first (eventually equal), or
-    another start state or schedule (mostly not)."""
+    translation (by any time or by whole loop periods) or a restriction of
+    the first (eventually equal), the first's cycle pattern at a period 2-5
+    times as long, or another start state or schedule (mostly not).  Or
+    two periodic words on NEGATION, the second a prefix of the first
+    repeated: they agree over the longer period from time 0 on, and a scan
+    shorter than the two periods together can miss where they part."""
+    kind = draw(st.sampled_from(["witness", "translate", "loops", "restrict", "scaled",
+                                 "state", "schedule", "words"]))
+    if kind == "words":
+        word = draw(st.lists(st.integers(0, 1), min_size=2, max_size=6)
+                    .filter(lambda w: 0 < sum(w) < len(w)))
+        longer = [word[k % len(word)] for k in range(draw(st.integers(len(word), 12)))]
+        return (NEGATION, *word_flow(word), *word_flow(longer))
     net, mu, rho, probes = draw(grid_cases())
-    kind = draw(st.sampled_from(["witness", "translate", "restrict", "state", "schedule"]))
     if kind == "witness":
         result = orbit_basin_p(net, mu, rho)
         mu2 = draw(st.sampled_from(sorted(result.members)))
         return net, mu, rho, mu2, result.witnesses[mu2]
     if kind == "translate":
         return net, mu, rho, mu, translate(rho, draw(rationals))
+    if kind == "loops":
+        trace, _ = orbit_trace(net, mu, rho)
+        whole = draw(st.integers(-3, 3)) * sum(d for _, d in trace.loop)
+        return net, mu, rho, mu, translate(rho, whole)
+    if kind == "scaled":
+        k = draw(st.integers(2, 5))
+        cycle = tuple((off * k, fire) for off, fire in rho.cycle)
+        return net, mu, rho, mu, Schedule(rho.n, rho.prefix, cycle, rho.period * k, rho.cycle_start)
     if kind == "restrict":
         cut = draw(st.sampled_from(probes))
         return net, mu, rho, flow_at(net, mu, rho, cut), restrict_after(rho, cut)
@@ -477,3 +516,17 @@ def flow_pairs(draw):
 @given(flow_pairs())
 def test_flows_eventually_equal_matches_value_at_reference(pair):
     assert flows_eventually_equal(*pair) == eventually_equal_by_value_at(*pair)
+
+
+@pytest.mark.parametrize("period, period2, shift, expected", [
+    (10**9 + 7, 10**9 + 9, 0, (False, None)),
+    (1, 10**9 + 7, 0, (False, None)),
+    (10**9 + 7, 10**9 + 7, 2 * (10**9 + 7), (True, 2000000014)),
+])
+def test_flows_eventually_equal_at_huge_periods_is_fast(net1, period, period2, shift, expected):
+    # the first two pairs of periods have an lcm near 10**18 ticks
+    rho = Schedule(2, (), ((0, 0b11),), period, 0)
+    rho2 = translate(Schedule(2, (), ((0, 0b11),), period2, 0), shift)
+    started = time.perf_counter()
+    assert flows_eventually_equal(net1, 0b00, rho, 0b00, rho2) == expected
+    assert time.perf_counter() - started < 0.01

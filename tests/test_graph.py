@@ -1,7 +1,9 @@
 import dataclasses
 import pickle
 import random
+import re
 import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -367,6 +369,22 @@ def test_member_in_range_but_no_int_is_refused(net1):
         basin_p(net1, frozenset({0.5}))
     with pytest.raises(DimensionError, match=r"^state 1\.5 is not an int$"):
         is_n_invariant(net1, frozenset({1.5, 3}))
+
+
+@pytest.mark.parametrize("member", [1.0, Fraction(1)], ids=["float", "Fraction"])
+@pytest.mark.parametrize("entry", [is_n_invariant, is_p_invariant, basin_p, basin_n,
+                                   lambda net, states: fair_sccs(net, states)],
+                         ids=["is_n_invariant", "is_p_invariant", "basin_p", "basin_n",
+                              "fair_sccs"])
+def test_member_equal_to_a_state_but_no_int_is_refused(net1, entry, member):
+    # 1.0 == 1 passes the subset test, and then cannot index the table
+    with pytest.raises(DimensionError, match=f"^{re.escape(f'state {member!r} is not an int')}$"):
+        entry(net1, frozenset({member, 0b10}))
+
+
+def test_bool_and_int_members_pass(net1):
+    assert is_n_invariant(net1, frozenset({True, 0b10})) == is_n_invariant(net1, frozenset({1, 2}))
+    assert fair_sccs(net1, frozenset({False, True})) == fair_sccs(net1, frozenset({0, 1}))
 
 
 def _reference_tarjan(adjacency):
