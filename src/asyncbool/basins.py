@@ -26,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
+from typing import Iterable
 
 from . import graph
 from .core import Network, check_state, full_mask
@@ -59,10 +60,7 @@ def _classify(members: frozenset[int], n: int) -> str:
     return "partial"
 
 
-def _check_target(net: Network, states: frozenset[int]) -> None:
-    if not states:
-        raise ValueError("basins are defined for nonempty sets only")
-    graph._check_states(net, states)
+_EMPTY = "basins are defined for nonempty sets only"
 
 
 def _bfs_path(net: Network, start: int, goals, edges=None):
@@ -89,12 +87,12 @@ def _bfs_path(net: Network, start: int, goals, edges=None):
     return None
 
 
-def covering_walk(net: Network, target: frozenset[int], anchor: int) -> list[int]:
-    """A closed walk from `anchor` through every state of a fair `target`,
-    on edges internal to it.  A coordinate unstable throughout a fair set
-    takes both values inside it, so the walk fires it.  Returns the
-    fire-set word of the walk (possibly empty)."""
-    graph._check_states(net, target)
+def covering_walk(net: Network, target: Iterable[int], anchor: int) -> list[int]:
+    """A closed walk from `anchor` through every state of a fair `target`
+    (any iterable, read once), on edges internal to it: a coordinate
+    unstable throughout a fair set takes both values inside it, so the walk
+    fires it.  Returns the fire-set word of the walk (possibly empty)."""
+    target = graph._state_set(net, target)
     if anchor not in target:
         raise ValueError("anchor must lie in the target")
     if not graph._is_fair(net, target):
@@ -167,11 +165,11 @@ def _splicer(net: Network, mu: int, rho: Schedule):
 def witness_schedule(
     net: Network,
     mu_from: int,
-    target: frozenset[int],
+    target: Iterable[int],
     align_to: tuple[int, Schedule] | None = None,
 ) -> Schedule:
     """An eventually periodic fair schedule driving mu_from to the
-    omega-limit set `target`.
+    omega-limit set `target`, any iterable of states, read once.
 
     Without alignment: walk to `target`, then repeat a closed covering
     walk of it forever.  With align_to=(mu, rho), where omega of (mu, rho)
@@ -187,7 +185,7 @@ def witness_schedule(
     ValueError.
     """
     check_state(mu_from, net.n)
-    _check_target(net, target)
+    target = graph._state_set(net, target, _EMPTY)
     if align_to is None:
         found = _bfs_path(net, mu_from, target)
     else:
@@ -207,10 +205,10 @@ def witness_schedule(
     return witness
 
 
-def basin_p(net: Network, attractor: frozenset[int], with_witnesses: bool = True) -> BasinResult:
+def basin_p(net: Network, attractor: Iterable[int], with_witnesses: bool = True) -> BasinResult:
     """States from which some fair schedule drives the omega-limit set
-    inside `attractor`."""
-    _check_target(net, attractor)
+    inside `attractor`, any iterable of states, read once."""
+    attractor = graph._state_set(net, attractor, _EMPTY)
     fair = graph._fair_sccs(net, attractor)
     # each fair SCC is strongly connected, so one anchor per SCC has the
     # same backward closure as the whole SCC
@@ -235,16 +233,18 @@ def basin_p(net: Network, attractor: frozenset[int], with_witnesses: bool = True
     return BasinResult(frozenset(hop), witnesses)
 
 
-def basin_n(net: Network, attractor: frozenset[int]) -> BasinResult:
+def basin_n(net: Network, attractor: Iterable[int]) -> BasinResult:
     """States from which every fair schedule drives the omega-limit set
-    inside `attractor`: those that reach no fair SCC leaving it."""
-    _check_target(net, attractor)
+    inside `attractor`, any iterable read once: those reaching no fair SCC leaving it."""
+    attractor = graph._state_set(net, attractor, _EMPTY)
     escapes = [min(scc) for scc in graph._fair_sccs(net) if not scc <= attractor]
     doomed = graph._backward_closure(net, escapes)
     return BasinResult(graph._STATE_SETS[net.n].difference(doomed))
 
 
-def attractivity_class(net: Network, attractor: frozenset[int]) -> AttractivityClass:
+def attractivity_class(net: Network, attractor: Iterable[int]) -> AttractivityClass:
+    """The p- and n-classes of `attractor`, any iterable of states, read once."""
+    attractor = graph._state_set(net, attractor, _EMPTY)
     return AttractivityClass(
         _classify(basin_p(net, attractor, with_witnesses=False).members, net.n),
         _classify(basin_n(net, attractor).members, net.n),

@@ -42,6 +42,9 @@ def full_mask(n: int) -> int:
 
 
 def check_state(value: int, n: int, what: str = "state") -> None:
+    """The one rule for a state, fire set or table entry: an int in 0..2**n - 1."""
+    if not isinstance(value, int):
+        raise DimensionError(f"{what} {value!r} is not an int")
     if not 0 <= value < (1 << n):
         raise DimensionError(f"{what} {value} out of range for n={n}")
 
@@ -64,11 +67,16 @@ class Network:
             raise DimensionError(
                 f"truth table must have {1 << self.n} rows, got {len(self.table)}"
             )
-        # one bounds pass over the whole table; a failure names the first
-        # out-of-range entry
-        size = len(self.table)
-        if not 0 <= min(self.table) <= max(self.table) < size:
-            check_state(next(r for r in self.table if not 0 <= r < size), self.n, "table entry")
+        # one bounds pass and one sum, an int only if every entry is; a
+        # failure names the first entry that check_state refuses
+        table = self.table
+        try:
+            valid = 0 <= min(table) and max(table) < len(table) and isinstance(sum(table), int)
+        except TypeError:  # an entry such as "1" or None, which compares with no int
+            valid = False
+        if not valid:
+            for entry in table:
+                check_state(entry, self.n, "table entry")
 
     def __getstate__(self):
         # the fields only: graph.py keeps its transition graph on the

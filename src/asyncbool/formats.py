@@ -9,7 +9,6 @@ through their parsers and produce byte-stable output.
 from __future__ import annotations
 
 import contextlib
-import re
 from fractions import Fraction
 
 from .core import GRAPH_CAP, STEP_CAP, DimensionError, Network, format_bits, parse_bits
@@ -61,23 +60,22 @@ def parse_network_table(text: str) -> Network:
     n = int(count)
     if n < 1:
         raise ParseError("dimension must be positive", lineno)
-    # one fullmatch per valid row (re caches the pattern across calls); a
-    # line that does not match takes the checks below, which name its error.
-    # re cannot repeat 2**32 - 1 times, so past the cap every row does
-    row = re.compile(rf"([01]{{{n}}})\s*->\s*([01]{{{n}}})") if n <= STEP_CAP else None
+    # a row of two state names is looked up; any other row takes the
+    # checks below, which name its error.  The names are built only for a
+    # file with a row per state, so they cost no more than its rows do
+    index = _state_names(n)[1] if n <= STEP_CAP and len(lines) > 1 << n else {}
     rows = []
     for lineno, line in lines[1:]:
-        if row and (match := row.fullmatch(line)):
-            rows.append((int(match[1], 2), int(match[2], 2)))
-            continue
-        parts = line.split("->")
-        if len(parts) != 2:
-            raise ParseError(f"expected '<bits> -> <bits>', got {line!r}", lineno)
-        try:
-            mu = parse_bits(parts[0].strip(), n)
-            image = parse_bits(parts[1].strip(), n)
-        except DimensionError as exc:
-            raise ParseError(str(exc), lineno) from exc
+        left, _, right = line.partition("->")
+        mu, image = index.get(left.rstrip()), index.get(right.lstrip())
+        if mu is None or image is None:
+            parts = line.split("->")
+            if len(parts) != 2:
+                raise ParseError(f"expected '<bits> -> <bits>', got {line!r}", lineno)
+            try:
+                mu, image = parse_bits(parts[0].strip(), n), parse_bits(parts[1].strip(), n)
+            except DimensionError as exc:
+                raise ParseError(str(exc), lineno) from exc
         rows.append((mu, image))
     try:
         return Network.from_rows(n, rows)
@@ -342,35 +340,28 @@ def _parse_timed_events(body: str, n: int) -> list[tuple[Fraction, int]]:
 def parse_schedule(text: str, n: int) -> Schedule:
     """`prefix <t>:<bits> ... ; cycle <o>:<bits> ... ; period <P> ; start <s>`
 
-    The prefix section is optional; times are decimals or `a/b` rationals.
-    Non-progressive schedules are rejected with the missing coordinates."""
-    prefix: list[tuple[Fraction, int]] = []
-    cycle: list[tuple[Fraction, int]] = []
-    period: Fraction | None = None
-    start: Fraction | None = None
+    The prefix section is optional and no section may be given twice;
+    times are decimals or `a/b` rationals.  Non-progressive schedules are
+    rejected with the missing coordinates."""
+    sections: dict = {}  # keyword -> its parsed events or time
     for section in text.split(";"):
-        section = section.strip()
-        if not section:
+        keyword, _, body = section.strip().partition(" ")
+        if not keyword:
             continue
-        keyword, _, body = section.partition(" ")
-        if keyword == "prefix":
-            prefix = _parse_timed_events(body, n)
-        elif keyword == "cycle":
-            cycle = _parse_timed_events(body, n)
-        elif keyword == "period":
-            period = _parse_rational(body)
-        elif keyword == "start":
-            start = _parse_rational(body)
-        else:
+        if keyword not in ("prefix", "cycle", "period", "start"):
             raise ParseError(f"unknown schedule section {keyword!r}")
-    if not cycle:
+        if keyword in sections:
+            raise ParseError(f"schedule section {keyword!r} given twice")
+        timed = keyword in ("prefix", "cycle")
+        sections[keyword] = _parse_timed_events(body, n) if timed else _parse_rational(body)
+    if not sections.get("cycle"):
         raise ParseError("schedule needs a nonempty cycle section")
-    if period is None:
-        raise ParseError("schedule needs a period")
-    if start is None:
-        raise ParseError("schedule needs a start")
+    for keyword in ("period", "start"):
+        if keyword not in sections:
+            raise ParseError(f"schedule needs a {keyword}")
     try:
-        rho = Schedule(n, tuple(prefix), tuple(cycle), period, start)
+        rho = Schedule(n, tuple(sections.get("prefix", ())), tuple(sections["cycle"]),
+                       sections["period"], sections["start"])
         _require_progressive(rho, n)
     except ScheduleError as exc:  # NotProgressiveError included
         raise ParseError(str(exc)) from exc

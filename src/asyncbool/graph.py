@@ -36,7 +36,6 @@ from typing import Iterable, NamedTuple
 from .core import (
     GRAPH_CAP,
     SUBSET_CAP,
-    DimensionError,
     Network,
     check_state,
     full_mask,
@@ -61,20 +60,22 @@ _STATES = tuple(range(1 << GRAPH_CAP))
 _STATE_SETS = tuple(frozenset(_STATES[:1 << n]) for n in range(GRAPH_CAP + 1))
 
 
-def _check_states(net: Network, states: Iterable[int]) -> None:
-    """Validate a state set at a public entry point, before any loop indexes
-    the table with its members: a negative member would index from the
-    end and make the subset enumeration in `_targets` run forever."""
+def _state_set(net: Network, states: Iterable[int], empty: str | None = None) -> frozenset[int]:
+    """A public entry point's state set, any iterable read once into a
+    frozenset (a frozenset is returned as it is), validated before any loop
+    indexes the table with it: a negative member would index from the end
+    and make the subset enumeration in `_targets` run forever.  An empty
+    set fails with the message `empty`, when given, before the cap does."""
+    states = frozenset(states)
+    if empty is not None and not states:
+        raise ValueError(empty)
     _check_graph_cap(net)
     # one subset test, which 1.0 passes, and one sum, an int only if every
-    # member is; a failure names the first member that is no int or no state
-    everything = _STATE_SETS[net.n]
-    if everything.issuperset(states) and isinstance(sum(states), int):
-        return
-    bad = next(mu for mu in states if not isinstance(mu, int) or mu not in everything)
-    if not isinstance(bad, int):
-        raise DimensionError(f"state {bad!r} is not an int")
-    check_state(bad, net.n)
+    # member is; a failure names the first member that check_state refuses
+    if not (_STATE_SETS[net.n].issuperset(states) and isinstance(sum(states), int)):
+        for mu in states:
+            check_state(mu, net.n)
+    return states
 
 
 def _targets(table: tuple[int, ...], mu: int) -> list[int]:
@@ -183,11 +184,9 @@ def reachable_set(net: Network, mu: int) -> frozenset[int]:
     return frozenset(seen)
 
 
-def is_n_invariant(net: Network, states: frozenset[int]) -> bool:
-    """No fire set can take any member outside the set."""
-    if not states:
-        raise ValueError("invariance is defined for nonempty sets only")
-    _check_states(net, states)
+def is_n_invariant(net: Network, states: Iterable[int]) -> bool:
+    """No fire set takes a member of `states` (any iterable, read once) outside it."""
+    states = _state_set(net, states, "invariance is defined for nonempty sets only")
     table = net.table
     return all(states.issuperset(_targets(table, mu)) for mu in states)
 
@@ -263,11 +262,12 @@ def _is_fair(net: Network, states: frozenset[int]) -> bool:
     return not unstable & ~varies
 
 
-def is_fair_set(net: Network, states: frozenset[int]) -> bool:
-    """Strongly connected and fair: a candidate omega-limit set."""
+def is_fair_set(net: Network, states: Iterable[int]) -> bool:
+    """Strongly connected and fair: a candidate omega-limit set (any iterable, read once)."""
+    states = frozenset(states)
     if not states:
         return False
-    _check_states(net, states)
+    states = _state_set(net, states)
     # singletons are strongly connected via their empty-fire self-loop
     if len(states) > 1 and len(_tarjan_sccs(_adjacency(net, states))) != 1:
         return False
@@ -305,29 +305,25 @@ def _fair_sccs(net: Network, domain=None) -> list[frozenset[int]]:
     return result
 
 
-def fair_sccs(net: Network, domain: frozenset[int] | None = None) -> list[frozenset[int]]:
-    """The fair SCCs of the subgraph induced on `domain` (default: all states)."""
+def fair_sccs(net: Network, domain: Iterable[int] | None = None) -> list[frozenset[int]]:
+    """The fair SCCs of the subgraph induced on `domain`, any iterable read once (default: all)."""
     if domain is None:
         _check_graph_cap(net)
-    elif not domain:
-        raise ValueError("domain must be nonempty")
     else:
-        _check_states(net, domain)
+        domain = _state_set(net, domain, "domain must be nonempty")
     return _fair_sccs(net, domain)
 
 
-def is_p_invariant(net: Network, states: frozenset[int]) -> bool:
+def is_p_invariant(net: Network, states: Iterable[int]) -> bool:
     """Every member can stay inside forever under some fair schedule.
 
     Equivalent graph condition: every member reaches, by edges internal to
     the set, a fair SCC of the induced subgraph (a fair strongly connected
     subset is always contained in a fair SCC, so maximal SCCs suffice).
     Each SCC is strongly connected inside the set, so one backward closure
-    from one member of each, within the set, decides it.
+    from one member of each, within the set, decides it.  `states` is any iterable, read once.
     """
-    if not states:
-        raise ValueError("invariance is defined for nonempty sets only")
-    _check_states(net, states)
+    states = _state_set(net, states, "invariance is defined for nonempty sets only")
     fair = _fair_sccs(net, states)
     if not fair:
         return False
@@ -349,19 +345,20 @@ def _closure(edges: list[int], mask: int) -> int:
     return reached
 
 
-def fair_subsets(net: Network, scc: frozenset[int]) -> list[frozenset[int]]:
-    """All fair strongly connected subsets of one SCC, in increasing order
-    of their masks over the sorted members.
+def fair_subsets(net: Network, scc: Iterable[int]) -> list[frozenset[int]]:
+    """All fair strongly connected subsets of one SCC (any iterable, read once), in
+    increasing order of their masks over the sorted members.
 
     Each subset is a mask over the members' indices; it is strongly
     connected iff one forward and one backward closure from its lowest
     member, inside the mask, both reach all of it."""
+    scc = frozenset(scc)
     if len(scc) > (1 << SUBSET_CAP):
         raise CapExceededError(
             f"fair-subset enumeration is capped at SCCs of {1 << SUBSET_CAP} states,"
             f" got {len(scc)}"
         )
-    _check_states(net, scc)
+    scc = _state_set(net, scc)
     members = sorted(scc)
     index = {mu: i for i, mu in enumerate(members)}
     succ = [0] * len(members)
@@ -390,6 +387,6 @@ def achievable_omegas_from(net: Network, mu: int) -> frozenset[frozenset[int]]:
     # largest first, so an SCC over the fair_subsets cap raises before any
     # SCC is enumerated
     for scc in sorted(_tarjan_sccs(_adjacency(net, reach)), key=len, reverse=True):
-        result.update(fair_subsets(net, frozenset(scc)))
+        result.update(fair_subsets(net, scc))
     return frozenset(result)
 

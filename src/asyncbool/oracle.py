@@ -21,6 +21,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from types import SimpleNamespace
+from typing import Iterable
 
 from . import basins as basins_mod
 from . import graph
@@ -252,15 +253,12 @@ def oracle_achievable_omegas_all(
 
 
 def oracle_basin(
-    net: Network, attractor: frozenset[int], mode: str, bounds: OracleBounds
+    net: Network, attractor: Iterable[int], mode: str, bounds: OracleBounds
 ) -> frozenset[int]:
-    """Basin membership decided by scanning the bounded omega sets."""
+    """Basin membership of `attractor` (any iterable, read once) from the bounded omega sets."""
     if mode not in ("p", "n"):
         raise ValueError("mode must be 'p' or 'n'")
-    if not attractor:
-        raise ValueError("attractor must be nonempty")
-    for mu in attractor:
-        check_state(mu, net.n)
+    attractor = graph._state_set(net, attractor, "attractor must be nonempty")
     p, n = _omega_basins(_walk_omegas(net, bounds, net.states()), attractor)
     return p if mode == "p" else n
 

@@ -23,6 +23,7 @@ from asyncbool import (
     render_state_set,
     synchronous,
 )
+from asyncbool import formats
 from asyncbool.core import GRAPH_CAP, STEP_CAP, DimensionError, format_bits, parse_bits, unstable_set
 from asyncbool.formats import _NAME_TABLES, _content_lines, _state_names
 from asyncbool.graph import _check_graph_cap, proper_successors
@@ -402,6 +403,15 @@ def test_table_parse_errors_match_per_row_reference(text):
     assert outcome(parse_network_table, text) == outcome(reference_table, text)
 
 
+def test_line_parser_builds_no_names_for_a_short_file(monkeypatch):
+    # an n = 20 header over one row: 2**20 names would cost more than the file
+    built = []
+    monkeypatch.setattr(formats, "_state_names", lambda n: built.append(n))
+    with pytest.raises(ParseError, match="missing state"):
+        parse_network_table("n=20\n" + "0" * 20 + " -> " + "1" * 20 + "\n")
+    assert built == []
+
+
 def test_schedule_roundtrip():
     text = "prefix -1:01 0:10 ; cycle 0:11 1/2:01 ; period 3/2 ; start 2"
     rho = parse_schedule(text, 2)
@@ -437,11 +447,24 @@ def test_schedule_rejects_non_progressive():
         # within the exponent limit, but 4 301 digits cannot be rendered back
         "cycle 0:11 ; period 1 ; start 1e4300",
         "cycle 0:11 ; period 1 ; start 1e-4300",
+        # a section given twice, which used to keep the last one
+        "cycle 0:11 ; period 1 ; start 0 ; start 1",
+        "cycle 0:11 ; cycle 0:01 ; period 1 ; start 0",
+        "cycle 0:11 ; period 1 ; period 2 ; start 0",
+        "prefix 0:01 ; prefix 0:10 ; cycle 0:11 ; period 1 ; start 1",
     ],
 )
 def test_schedule_parse_errors(bad):
     with pytest.raises(ParseError):
         parse_schedule(bad, 2)
+
+
+@pytest.mark.parametrize("section", ["prefix", "cycle", "period", "start"])
+def test_schedule_section_given_twice_is_named(section):
+    bodies = {"prefix": "0:01", "cycle": "0:11", "period": "1", "start": "1"}
+    text = " ; ".join(f"{key} {body}" for key, body in bodies.items())
+    with pytest.raises(ParseError, match=f"^schedule section '{section}' given twice$"):
+        parse_schedule(f"{text} ; {section} {bodies[section]}", 2)
 
 
 def test_state_set_roundtrip():

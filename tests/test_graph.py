@@ -16,6 +16,7 @@ from asyncbool import (
     NotAchievableError,
     Schedule,
     achievable_omegas_from,
+    apply_fire_set,
     basin_n,
     basin_p,
     fair_sccs,
@@ -27,6 +28,7 @@ from asyncbool import (
     proper_successors,
     reachable_set,
     successors,
+    synchronous,
     witness_schedule,
 )
 from asyncbool import graph
@@ -385,6 +387,51 @@ def test_member_equal_to_a_state_but_no_int_is_refused(net1, entry, member):
 def test_bool_and_int_members_pass(net1):
     assert is_n_invariant(net1, frozenset({True, 0b10})) == is_n_invariant(net1, frozenset({1, 2}))
     assert fair_sccs(net1, frozenset({False, True})) == fair_sccs(net1, frozenset({0, 1}))
+
+
+def test_state_set_reader_returns_a_frozenset_unchanged(net1):
+    states = frozenset({0b01, 0b11})
+    assert graph._state_set(net1, states) is states
+    assert graph._state_set(net1, iter([0b11, 0b01, 0b11])) == states
+    with pytest.raises(ValueError, match="^domain must be nonempty$"):
+        fair_sccs(net1, iter([]))
+
+
+def test_one_shot_iterator_read_as_the_set(net1):
+    states = frozenset(net1.states())
+    assert fair_sccs(net1, iter(states)) == fair_sccs(net1, states) != []
+    assert basin_p(net1, iter(states)) == basin_p(net1, states)
+    assert is_p_invariant(net1, iter(states)) is True
+    target = frozenset({0b01, 0b11})
+    assert witness_schedule(net1, 0b00, iter(target)) == witness_schedule(net1, 0b00, target)
+
+
+NOT_INTS = [1.0, Fraction(1), "1", None]
+
+
+@pytest.mark.parametrize("value", NOT_INTS, ids=["float", "Fraction", "str", "None"])
+@pytest.mark.parametrize(
+    "role, call",
+    [
+        ("state", lambda net, v: reachable_set(net, v)),
+        ("state", lambda net, v: proper_successors(net, v)),
+        ("state", lambda net, v: omega_limit(net, v, synchronous(2))),
+        ("state", lambda net, v: witness_schedule(net, v, frozenset({0b10}))),
+        ("state", lambda net, v: apply_fire_set(net, v, 0b11)),
+        ("fire set", lambda net, v: apply_fire_set(net, 0b00, v)),
+        ("fire set", lambda net, v: Schedule(2, (), ((0, v),), 1, 0)),
+        ("fire set", lambda net, v: Schedule(2, ((0, v),), ((0, 0b11),), 1, 1)),
+        ("table entry", lambda net, v: Network(2, (0b11, v, 0b10, 0b01))),
+    ],
+    ids=["reachable_set", "proper_successors", "omega_limit", "witness_schedule",
+         "apply_fire_set-state", "apply_fire_set-fire", "cycle-fire", "prefix-fire",
+         "table-entry"],
+)
+def test_value_that_is_no_int_is_refused_in_every_role(net1, role, call, value):
+    # before, 1.0 and Fraction(1) passed the range check and "1" and None
+    # failed it with a TypeError
+    with pytest.raises(DimensionError, match=f"^{re.escape(f'{role} {value!r} is not an int')}$"):
+        call(net1, value)
 
 
 def _reference_tarjan(adjacency):

@@ -7,17 +7,23 @@ from hypothesis import strategies as st
 
 from asyncbool import (
     Network,
+    OracleBounds,
     Schedule,
     all_states,
     apply_fire_set,
+    attractivity_class,
     basin_n,
     basin_p,
+    covering_walk,
     fair_sccs,
+    fair_subsets,
     flow_at,
     full_mask,
+    is_fair_set,
     is_n_invariant,
     is_p_invariant,
     omega_limit,
+    oracle_basin,
     orbit_trace,
     parse_schedule,
     reachable_set,
@@ -25,7 +31,9 @@ from asyncbool import (
     synchronous,
     translate,
     unstable_set,
+    witness_schedule,
 )
+from asyncbool.core import check_state
 
 
 def networks(n: int):
@@ -146,3 +154,59 @@ def test_omega_witnessed_by_basin_p(net, mu, rho):
     assert mu in result.members
     witness = result.witnesses[mu]
     assert omega_limit(net, mu, witness) <= omega
+
+
+# every public entry point that takes a state set a, called with a state
+# mu where it needs one
+SET_ENTRY_POINTS = {
+    "basin_p": lambda net, a, mu: basin_p(net, a),
+    "basin_n": lambda net, a, mu: basin_n(net, a),
+    "attractivity_class": lambda net, a, mu: attractivity_class(net, a),
+    "witness_schedule": lambda net, a, mu: witness_schedule(net, mu, a),
+    "covering_walk": lambda net, a, mu: covering_walk(net, a, mu),
+    "fair_sccs": lambda net, a, mu: fair_sccs(net, a),
+    "is_fair_set": lambda net, a, mu: is_fair_set(net, a),
+    "fair_subsets": lambda net, a, mu: fair_subsets(net, a),
+    "is_n_invariant": lambda net, a, mu: is_n_invariant(net, a),
+    "is_p_invariant": lambda net, a, mu: is_p_invariant(net, a),
+    "oracle_basin": lambda net, a, mu: oracle_basin(net, a, "n", OracleBounds(1, 1)),
+}
+
+
+def _outcome(call):
+    """What call() returns, or the type and message of what it raises."""
+    try:
+        return call()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def state_sets(draw):
+    """A random net of n <= 5, a nonempty set whose members may lie out
+    of range or be no int, and a state."""
+    n = draw(st.integers(1, 5))
+    size = 1 << n
+    member = st.one_of(
+        st.integers(0, size - 1),
+        st.integers(-2, size + 2),
+        st.sampled_from([1.0, Fraction(1), "1", None]),
+    )
+    members = frozenset(draw(st.lists(member, min_size=1, max_size=6)))
+    return draw(networks(n)), members, draw(st.integers(0, size - 1))
+
+
+@settings(max_examples=100, deadline=None)
+@given(state_sets())
+def test_every_set_entry_point_reads_any_iterable_once(case):
+    net, a, mu = case
+    # with two or more members refused, the first one named follows the
+    # iteration order of the set read, which a frozenset rebuilt from a
+    # list need not share: any of their refusals is then the answer
+    refusals = {_outcome(lambda: check_state(s, net.n)) for s in a}
+    refusals.discard(None)
+    for name, entry in SET_ENTRY_POINTS.items():
+        want = _outcome(lambda: entry(net, a, mu))
+        for form in (set(a), list(a), tuple(a), iter(list(a)), (s for s in a)):
+            got = _outcome(lambda: entry(net, form, mu))
+            assert got == want or len(refusals) > 1 and {got, want} <= refusals, (name, form)
