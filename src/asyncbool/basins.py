@@ -1,12 +1,14 @@
 """Basins of attraction of sets, fixed points, orbits and omega-limit sets.
 
-Every basin is one backward closure in `graph`: the states that can
-reach some set of fair SCCs, by multi-source BFS over the predecessor
-tuples that the network's transition graph keeps from its first
-whole-graph pass on.  basin_p(A) closes over the fair SCCs of the
+Every basin is a backward closure in `graph`: the states that can reach
+some set of fair SCCs.  basin_p(A) closes over the fair SCCs of the
 subgraph induced on A, which `graph` finds inside the graph's cached
 SCCs; basin_n(A) is the complement of the closure of every full-graph
-fair SCC not contained in A.  Each call builds only its own BFS tree.
+fair SCC not contained in A.  Each anchor lies in one SCC of the whole
+graph, and the closure of any part of an SCC is the closure of all of it,
+so without witnesses an answer is a union of the per-SCC closures the
+graph keeps (`graph._reaching`); past their cap, and whenever witnesses
+are asked for, one multi-source BFS over the predecessor tuples answers.
 
 Existential ("p") basins come with constructive witness schedules taken
 from the same BFS tree: its next-hop pointers give every member a
@@ -213,23 +215,25 @@ def basin_p(net: Network, attractor: Iterable[int], with_witnesses: bool = True)
     # each fair SCC is strongly connected, so one anchor per SCC has the
     # same backward closure as the whole SCC
     anchors = {min(scc): scc for scc in fair}
+    if not with_witnesses:
+        parts = graph._reaching(net, anchors)
+        return BasinResult(parts[0] if len(parts) == 1 else frozenset().union(*parts))
     hop = graph._backward_closure(net, list(anchors))
     witnesses: dict[int, Schedule] = {}
-    if with_witnesses:
-        # a member's word is its next hop's with one letter in front, fired
-        # at times 0, 1, 2, ...; _backward_closure puts every next hop
-        # first.  Each anchor's own witness validates its covering cycle
-        # once, and the members ending there share that validated cycle.
-        words: dict[int, tuple[int, ...]] = {}
-        for mu, nxt in hop.items():
-            if mu == nxt:
-                words[mu] = ()
-                witnesses[mu] = _walk_then_cycle(net.n, [], *_covering_cycle(net, anchors[mu], mu))
-            else:
-                words[mu] = (mu ^ nxt,) + words[nxt]
-                ahead = witnesses[nxt]
-                witnesses[mu] = _led_by(net.n, 0, mu ^ nxt, tuple(enumerate(words[nxt], 1)),
-                                        ahead.cycle, ahead.period, len(words[mu]))
+    # a member's word is its next hop's with one letter in front, fired
+    # at times 0, 1, 2, ...; _backward_closure puts every next hop
+    # first.  Each anchor's own witness validates its covering cycle
+    # once, and the members ending there share that validated cycle.
+    words: dict[int, tuple[int, ...]] = {}
+    for mu, nxt in hop.items():
+        if mu == nxt:
+            words[mu] = ()
+            witnesses[mu] = _walk_then_cycle(net.n, [], *_covering_cycle(net, anchors[mu], mu))
+        else:
+            words[mu] = (mu ^ nxt,) + words[nxt]
+            ahead = witnesses[nxt]
+            witnesses[mu] = _led_by(net.n, 0, mu ^ nxt, tuple(enumerate(words[nxt], 1)),
+                                    ahead.cycle, ahead.period, len(words[mu]))
     return BasinResult(frozenset(hop), witnesses)
 
 
@@ -238,8 +242,7 @@ def basin_n(net: Network, attractor: Iterable[int]) -> BasinResult:
     inside `attractor`, any iterable read once: those reaching no fair SCC leaving it."""
     attractor = graph._state_set(net, attractor, _EMPTY)
     escapes = [min(scc) for scc in graph._fair_sccs(net) if not scc <= attractor]
-    doomed = graph._backward_closure(net, escapes)
-    return BasinResult(graph._STATE_SETS[net.n].difference(doomed))
+    return BasinResult(graph._STATE_SETS[net.n].difference(*graph._reaching(net, escapes)))
 
 
 def attractivity_class(net: Network, attractor: Iterable[int]) -> AttractivityClass:
@@ -258,10 +261,10 @@ def orbit_basin_p(
     flow from some time on: the predecessors of its omega-limit set."""
     graph._check_graph_cap(net)
     # omega is the periodic tail of one flow, so it is strongly connected
-    # and its backward closure is that of any one of its states
+    # and its backward closure is that of the SCC holding any of its states
     if not with_witnesses:
         values, tail = _run(net, mu, rho)
-        return BasinResult(frozenset(graph._backward_closure(net, [values[tail]])))
+        return BasinResult(graph._reaching(net, [values[tail]])[0])
     # the BFS tree toward the splice state gives every member its walk
     # there; a member at depth d fires its first letter at t2 - d, in front
     # of its next hop's witness; _backward_closure puts every next hop first

@@ -49,6 +49,12 @@ def check_state(value: int, n: int, what: str = "state") -> None:
         raise DimensionError(f"{what} {value} out of range for n={n}")
 
 
+def _check_dimension(n: int) -> None:
+    """A dimension is an int, by check_state's rule."""
+    if not isinstance(n, int):
+        raise DimensionError(f"dimension {n!r} is not an int")
+
+
 @dataclass(frozen=True)
 class Network:
     """A total map from all 2**n states to states.
@@ -61,6 +67,7 @@ class Network:
     table: tuple[int, ...]
 
     def __post_init__(self):
+        _check_dimension(self.n)
         if not 1 <= self.n <= STEP_CAP:
             raise DimensionError(f"dimension must be in 1..{STEP_CAP}, got {self.n}")
         if len(self.table) != 1 << self.n:
@@ -79,8 +86,8 @@ class Network:
                 check_state(entry, self.n, "table entry")
 
     def __getstate__(self):
-        # the fields only: graph.py keeps its transition graph on the
-        # instance, and a pickle need not carry it
+        # the fields only: graph.py keeps its transition graph and fair
+        # subsets on the instance, and a pickle need not carry them
         return {"n": self.n, "table": self.table}
 
     @classmethod

@@ -17,21 +17,31 @@ instead (`_graph`): the predecessor tuples, the SCCs of more than one
 state, the fixed points and the fair SCCs.  It is built on the first such
 pass and kept on the immutable Network, outside its fields, so equality,
 hash, repr and pickling do not see it, and a network that never needs it
-never builds it.  It holds the whole graph and nothing that depends on
-a query's set: backward closures walk its predecessors, and the fair SCCs
-of a subgraph induced on a domain are found inside its fair SCCs, since
-every SCC of an induced subgraph lies in one SCC of the whole graph.
+never builds it.  The fair SCCs of a subgraph induced on a domain are
+found inside its fair SCCs, since every SCC of an induced subgraph lies in
+one SCC of the whole graph.
 
-One Tarjan pass (`_tarjan_sccs`) finds SCCs for both.  The whole graph
-reaches it as a list of successor lists indexed by state, and its index
-and lowlink tables are lists too; any smaller set, such as the part of a
-domain inside one SCC, reaches it as a map from each member to its
-successors inside the set.
+The backward closure of any part of an SCC is the closure of the whole
+SCC, so the graph also keeps closures by SCC, filled as queries ask for
+them (`_reaching`): the witness-free basins are unions of these.  A map
+from each state to its SCC's least member is built on the first such
+query, not with the graph.  The members kept are capped at
+`_KEEP_PER_STATE` per state: on a chain of SCCs the closures overlap and
+their sizes can sum to about 4**n / 2.  Once a closure would pass the cap,
+every query with an SCC not yet kept takes one multi-source BFS instead
+(`_backward_closure`), which also serves the witnesses, whose hops it
+keeps, and closures inside a domain.
+
+One Tarjan pass (`_tarjan_sccs`) finds SCCs for the whole graph and for
+the parts of a domain.  The whole graph reaches it as a list of successor
+lists indexed by state, and its index and lowlink tables are lists too;
+any smaller set, such as the part of a domain inside one SCC, reaches it
+as a map from each member to its successors inside the set.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
 from .core import (
     GRAPH_CAP,
@@ -113,11 +123,23 @@ def _adjacency(net: Network, domain) -> dict[int, list[int]]:
     return {mu: [t for t in _targets(table, mu) if t in domain] for mu in domain}
 
 
-class _Graph(NamedTuple):
-    pred: tuple[tuple[int, ...], ...]  # pred[t]: sources of proper edges into t, increasing
-    sccs: list[frozenset[int]]  # the SCCs of more than one state
-    fixed: frozenset[int]  # the fixed points, the only fair one-state SCCs
-    fair: tuple[frozenset[int], ...]  # the fair SCCs, fixed points included, by least member
+class _Graph:
+    __slots__ = ("pred", "sccs", "fixed", "fair", "rep", "closures", "kept", "capped")
+
+    def __init__(self, pred, sccs, fixed, fair):
+        # pred[t]: the sources of proper edges into t, increasing
+        self.pred: tuple[tuple[int, ...], ...] = pred
+        self.sccs: list[frozenset[int]] = sccs  # the SCCs of more than one state
+        self.fixed: frozenset[int] = fixed  # the fixed points, the only fair one-state SCCs
+        # the fair SCCs, fixed points included, by least member
+        self.fair: tuple[frozenset[int], ...] = fair
+        # filled by _reaching: rep[mu] is the least member of mu's SCC, and
+        # closures maps it to the states reaching that SCC; kept counts their
+        # members, and capped is set once one more closure would pass the cap
+        self.rep: list[int] | None = None
+        self.closures: dict[int, frozenset[int]] = {}
+        self.kept = 0
+        self.capped = False
 
 
 def _graph(net: Network) -> _Graph:
@@ -167,6 +189,62 @@ def _backward_closure(net: Network, sources, domain=None) -> dict[int, int]:
                     hop[p] = state
                     queue.append(p)
     return hop
+
+
+# the per-SCC closures kept on a graph hold at most this many members per state
+_KEEP_PER_STATE = 8
+
+
+def _reaching(net: Network, anchors) -> list[frozenset[int]]:
+    """Sets whose union is every state that reaches one of `anchors`: the
+    kept closure of each anchor's SCC, the missing ones added on the way,
+    or the one BFS closure of all the anchors once the cap is passed."""
+    g = _graph(net)
+    rep = g.rep or _reps(net)
+    closures = g.closures
+    keys = {rep[a] for a in anchors}
+    missing = [r for r in keys if r not in closures]
+    if missing and (g.capped or not _keep(g, missing)):
+        return [frozenset(_backward_closure(net, anchors))]
+    return [closures[r] for r in keys]
+
+
+def _reps(net: Network) -> list[int]:
+    """rep[mu]: the least member of mu's SCC, built on first use and kept
+    on the graph."""
+    g = _graph(net)
+    if g.rep is None:
+        rep = list(_STATES[:len(g.pred)])
+        for scc in g.sccs:
+            least = min(scc)
+            for mu in scc:
+                rep[mu] = least
+        g.rep = rep
+    return g.rep
+
+
+def _keep(g: _Graph, reps: list[int]) -> bool:
+    """Keep the backward closure of each SCC in `reps`, one BFS from its
+    representative each.  A BFS that would take the members kept past the
+    cap stops there, before it expands more states than fit, sets
+    g.capped and returns False; the closures kept before it stay."""
+    pred = g.pred
+    room = _KEEP_PER_STATE * len(pred) - g.kept
+    for r in reps:
+        seen = {r}
+        queue = [r]
+        for state in queue:  # the loop also visits states appended while it runs
+            if len(queue) > room:
+                g.capped = True
+                return False
+            for p in pred[state]:
+                if p not in seen:
+                    seen.add(p)
+                    queue.append(p)
+        g.closures[r] = frozenset(seen)
+        g.kept += len(queue)
+        room -= len(queue)
+    return True
 
 
 def reachable_set(net: Network, mu: int) -> frozenset[int]:
@@ -383,10 +461,16 @@ def achievable_omegas_from(net: Network, mu: int) -> frozenset[frozenset[int]]:
     the fair strongly connected subsets (maximal SCCs and sub-SCCs)
     reachable from mu."""
     reach = reachable_set(net, mu)
+    # each SCC's fair subsets are enumerated once per network and kept
+    # beside the graph, which this does not build
+    known = net.__dict__.setdefault("_fair_subsets", {})
     result: set[frozenset[int]] = set()
     # largest first, so an SCC over the fair_subsets cap raises before any
     # SCC is enumerated
-    for scc in sorted(_tarjan_sccs(_adjacency(net, reach)), key=len, reverse=True):
-        result.update(fair_subsets(net, scc))
+    for scc in sorted(map(frozenset, _tarjan_sccs(_adjacency(net, reach))), key=len, reverse=True):
+        found = known.get(scc)
+        if found is None:
+            found = known[scc] = tuple(fair_subsets(net, scc))
+        result.update(found)
     return frozenset(result)
 

@@ -47,6 +47,11 @@ class OracleBounds:
     max_cycle_len: int
 
     def __post_init__(self):
+        # check_state's rule: an int, bool included
+        for name in ("max_prefix_len", "max_cycle_len"):
+            value = getattr(self, name)
+            if not isinstance(value, int):
+                raise ValueError(f"{name} must be an int, got {value!r}")
         if self.max_cycle_len < 1:
             raise ValueError("max_cycle_len must be at least 1")
         if self.max_prefix_len < 0:
@@ -596,9 +601,11 @@ def _check_set_basins(
             )
 
 
-def _check_flow_basins(report, net, base, eq, answers, rng):
-    """Orbit and omega basins of sampled flows against each other and
-    against the set basins of the orbit and the omega-limit set."""
+def _check_flow_basins(report, net, base, eq, graph_ach, answers, rng):
+    """Orbit and omega basins of sampled flows against each other, against
+    the set basins of the orbit and the omega-limit set, and, where the
+    graph's achievable omega sets are known, the omega n-basin against its
+    definition."""
     for rho in _sample_schedules(net, rng):
         schedule = str(rho)
         for mu in net.states():
@@ -642,6 +649,13 @@ def _check_flow_basins(report, net, base, eq, answers, rng):
             )
             if om_n:
                 report.record("omega_n_basin_is_n_invariant", answers.n_inv(om_n), payload)
+            if graph_ach is not None:
+                # every fair schedule from s has omega as its limit set
+                report.record(
+                    "omega_n_basin_matches_achievable_omegas",
+                    om_n == frozenset(s for s, oms in graph_ach.items() if oms == {omega}),
+                    payload,
+                )
             if len(omega) == 1:
                 report.record(
                     "constant_tail_n_basins_collapse",
@@ -677,16 +691,17 @@ def verify_theorems(
     - flow basins: orbit and omega basins of three more sampled schedules.
 
     The checks that enumerate words or fair sub-SCCs (the whole word-oracle
-    family and graph achievability) run only for n <= 3; the rest, omega
-    n-basins included, run at every n.  Sampling draws from one generator
-    seeded with 0, so a reported counterexample replays exactly.  Failures
-    are data, not errors: each one lands in the report with a replayable
-    payload.
+    family, graph achievability and the checks against it, such as the
+    omega n-basin against its definition) run only for n <= 3; the rest
+    run at every n.  Sampling draws from one generator seeded with 0, so a
+    reported counterexample replays exactly.  Failures are data, not
+    errors: each one lands in the report with a replayable payload.
 
-    Each fact is computed once per call: the word runs fold each distinct
-    action of a bounded cycle word once, from every state; each translated
-    and restricted schedule, and its event count at every time the laws
-    ask, is built once per sampled schedule, for all start states; each
+    Each fact is computed once per call: forward reach once per SCC, whose
+    states share it; the word runs fold each distinct action of a bounded
+    cycle word once, from every state; each translated and restricted
+    schedule, and its event count at every time the laws ask, is built once
+    per sampled schedule, for all start states; each
     flow, of a sampled schedule or of a transform, is one integer run that
     answers every value, orbit and omega asked of it, so `flow_at` and
     `orbit_trace` are not called here (tests/test_flow_kernel.py pins them
@@ -701,7 +716,13 @@ def verify_theorems(
     # once here, although only failing checks ever read it
     base = {"n": net.n, "table": [format_bits(r, net.n) for r in net.table]}
     eq = fixed_points(net)
-    reach = {mu: graph.reachable_set(net, mu) for mu in net.states()}
+    graph._check_graph_cap(net)
+    # forward reach is a fact of the SCC: its least member's BFS, done
+    # first, is shared by the rest
+    rep = graph._reps(net)
+    reach = {}
+    for mu in net.states():
+        reach[mu] = reach[rep[mu]] if rep[mu] < mu else graph.reachable_set(net, mu)
     graph_ach = runs = word_omegas = None
     if net.n <= _SUB_SCC_MAX_N:
         graph_ach = {mu: graph.achievable_omegas_from(net, mu) for mu in net.states()}
@@ -724,5 +745,5 @@ def verify_theorems(
     _check_set_basins(
         report, net, base, eq, graph_ach, answers, runs, word_omegas, max_sets, rng
     )
-    _check_flow_basins(report, net, base, eq, answers, rng)
+    _check_flow_basins(report, net, base, eq, graph_ach, answers, rng)
     return report

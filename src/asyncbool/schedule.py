@@ -35,7 +35,7 @@ from heapq import merge
 from itertools import chain, takewhile
 from typing import Iterator
 
-from .core import DimensionError, Network, check_state, full_mask
+from .core import DimensionError, Network, _check_dimension, check_state, full_mask
 
 
 class ScheduleError(ValueError):
@@ -116,6 +116,7 @@ class Schedule:
     cycle_start: Fraction
 
     def __post_init__(self):
+        _check_dimension(self.n)
         if _rational(self.period) <= 0:
             raise ScheduleError("period must be positive")
         if not self.cycle:

@@ -107,3 +107,10 @@ def test_state_range_checked(net1):
         apply_fire_set(net1, 4, 0)
     with pytest.raises(DimensionError):
         apply_fire_set(net1, 0, 5)
+
+
+@pytest.mark.parametrize("n", [2.0, "2"])
+def test_dimension_that_is_not_an_int_refused(n):
+    # 2.0 used to end in a TypeError from 1 << 2.0, and "2" in one from 1 <= "2"
+    with pytest.raises(DimensionError, match=f"^dimension {n!r} is not an int$"):
+        Network(n, (0, 1, 2, 3))

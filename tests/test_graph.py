@@ -133,6 +133,31 @@ def test_achievable_omegas_capped_by_scc_size_not_n():
     assert achievable_omegas_from(Network(6, tuple(range(64))), 5) == {frozenset({5})}
 
 
+def test_fair_subsets_enumerated_once_per_scc(monkeypatch):
+    # criterion 5's n = 3 nets used to enumerate each SCC's subsets once
+    # per start state that reaches it
+    calls = []
+    real = graph.fair_subsets
+
+    def counting(net, scc):
+        calls.append((net.table, scc))
+        return real(net, scc)
+
+    rng = random.Random(5)
+    tables = [tuple(rng.randrange(8) for _ in range(8)) for _ in range(30)]
+    # the answers of networks that are equal but not the ones asked below
+    want = [[achievable_omegas_from(Network(3, t), mu) for mu in range(8)] for t in tables]
+    monkeypatch.setattr(graph, "fair_subsets", counting)
+    nets = [Network(3, t) for t in tables]
+    for _ in range(2):
+        for net, omegas in zip(nets, want):
+            assert [achievable_omegas_from(net, mu) for mu in net.states()] == omegas
+    # one call per SCC that some state reaches, and every SCC is reached
+    # from its own states
+    assert len(calls) == len(set(calls)) == sum(len(_reference_sccs(net, frozenset(range(8))))
+                                                for net in nets)
+
+
 def test_oversized_scc_refused_before_enumeration():
     # negation makes all 32 states of n=5 one SCC: 2**32 masks used to
     # slip under a 32-state cap and run for hours

@@ -66,6 +66,13 @@ def test_bounds_validation():
         OracleBounds(-1, 1)
 
 
+@pytest.mark.parametrize("bounds, field", [((1.5, 2), "max_prefix_len"), ((1, "2"), "max_cycle_len")])
+def test_bounds_that_are_not_ints_refused(bounds, field):
+    # 1.5 used to be accepted and end in a TypeError inside the enumeration
+    with pytest.raises(ValueError, match=f"^{field} must be an int"):
+        OracleBounds(*bounds)
+
+
 def test_simulate_word_schedule_matches_omega_limit(net1):
     # every integer-time word schedule with prefix and cycle of length <= 2:
     # prefix fires at t = 0..p-1, the progressive cycle at offsets 0..q-1
@@ -249,6 +256,7 @@ NET1_CHECK_PASSES = {
     "omega_is_p_invariant": 12,
     "omega_n_basin_inside_set_basin_of_omega": 12,
     "omega_n_basin_is_n_invariant": 12,
+    "omega_n_basin_matches_achievable_omegas": 12,
     "omega_nonempty": 17,
     "omega_p_basin_equals_set_basin_of_omega": 12,
     "omega_subset_orbit": 17,
@@ -282,8 +290,19 @@ NET1_CHECK_PASSES = {
 def test_verify_theorems_check_counts_are_pinned(net1):
     report = verify_theorems(net1, OracleBounds(2, 3))
     assert report.checks == {name: [p, 0] for name, p in NET1_CHECK_PASSES.items()}
-    assert len(report.checks) == 51
-    assert sum(p for p, _ in report.checks.values()) == 810
+    assert len(report.checks) == 52
+    assert sum(p for p, _ in report.checks.values()) == 822
+
+
+def test_verify_catches_an_omega_n_basin_without_the_chain_cut(monkeypatch):
+    # with no proper sub-SCC tested, omega_basin_n answers basin_n(omega)
+    # where omega has a fair proper subset and the answer is empty; the
+    # inclusion checks all pass on that, the definition does not
+    net = Network(2, (0b11, 0b10, 0b00, 0b00))
+    assert verify_theorems(net, OracleBounds(2, 3)).ok
+    monkeypatch.setattr(basins_mod, "_chain_cut", lambda net, omega: [])
+    report = verify_theorems(net, OracleBounds(2, 3))
+    assert {c["check"] for c in report.counterexamples} == {"omega_n_basin_matches_achievable_omegas"}
 
 
 def test_max_sets_covering_every_set_enumerates_them_all(net1):

@@ -221,3 +221,9 @@ def test_flows_eventually_equal_out_of_phase(net1):
     # 00 and 11 trace the same cycle in opposite phase: never equal
     ok, _ = flows_eventually_equal(net1, 0b00, synchronous(2), 0b11, synchronous(2))
     assert not ok
+
+
+def test_schedule_dimension_that_is_not_an_int_refused():
+    # it used to end in a TypeError from the first fire set's range check
+    with pytest.raises(DimensionError, match="^dimension 2.0 is not an int$"):
+        Schedule(2.0, (), ((F(0), 0b11),), F(1), F(0))
