@@ -14,20 +14,21 @@ Existential ("p") basins come with constructive witness schedules taken
 from the same BFS tree: its next-hop pointers give every member a
 shortest walk to a source, its next hop's walk with one step in front,
 and one covering cycle per source is shared by every member that ends
-there.  A covering cycle is any closed walk through every state of the
-fair SCC: each coordinate unstable throughout a fair set takes both
-values inside it, so the walk fires it, and the cycle co-fires the
-coordinates stable where it stands.  A reported membership can always
-be replayed through the schedule module and checked against the claimed
-omega-limit relation.  Universal ("n") basins are decided by graph
-conditions alone and carry no witnesses.
+there.  The cycle of a source whose fair SCC is a whole SCC of the
+graph is kept on the graph, so later queries into that SCC reuse it.  A
+covering cycle is any closed walk through every state of the fair SCC:
+each coordinate unstable throughout a fair set takes both values inside
+it, so the walk fires it, and the cycle co-fires the coordinates stable
+where it stands.  A reported membership can always be replayed through
+the schedule module and checked against the claimed omega-limit
+relation.  Universal ("n") basins are decided by graph conditions alone
+and carry no witnesses.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import partial
 from typing import Iterable
 
 from . import graph
@@ -71,7 +72,7 @@ def _bfs_path(net: Network, start: int, goals, edges=None):
     (word, end state) or None."""
     if start in goals:
         return [], start
-    step = edges.__getitem__ if edges is not None else partial(graph._targets, net.table)
+    step = edges.__getitem__ if edges is not None else graph._successors(net)
     parent = {start: start}
     queue = [start]
     for state in queue:  # the loop also visits states appended while it runs
@@ -139,6 +140,24 @@ def _covering_cycle(net: Network, target: frozenset[int], anchor: int):
         events.append((k, fire | (full & ~(state ^ image))))
         state = (state & ~fire) | (image & fire)
     return tuple(events), len(word)
+
+
+def _anchor_witness(net: Network, scc: frozenset[int], anchor: int) -> Schedule:
+    """The witness of `anchor`, the least member of a fair SCC of an
+    induced subgraph: its covering cycle, repeated from time 0.  The cycle
+    of a whole fair SCC of the graph is built once and kept on the graph;
+    that of a part cut out of one is built per query."""
+    g = graph._graph(net)
+    whole = g.fair.get(anchor)
+    # scc lies inside the graph's SCC of its least member, so it is all of
+    # that SCC when their sizes agree
+    keep = whole is not None and len(whole) == len(scc)
+    if keep and anchor in g.cycles:
+        return _walk_then_cycle(net.n, [], *g.cycles[anchor])
+    witness = _walk_then_cycle(net.n, [], *_covering_cycle(net, scc, anchor))
+    if keep:
+        graph._keep_cycle(g, anchor, (witness.cycle, witness.period))
+    return witness
 
 
 def _walk_then_cycle(n: int, word: list[int], cycle, period: int) -> Schedule:
@@ -222,13 +241,13 @@ def basin_p(net: Network, attractor: Iterable[int], with_witnesses: bool = True)
     witnesses: dict[int, Schedule] = {}
     # a member's word is its next hop's with one letter in front, fired
     # at times 0, 1, 2, ...; _backward_closure puts every next hop
-    # first.  Each anchor's own witness validates its covering cycle
-    # once, and the members ending there share that validated cycle.
+    # first.  Each anchor's own witness carries its validated covering
+    # cycle, built or kept, and the members ending there share it.
     words: dict[int, tuple[int, ...]] = {}
     for mu, nxt in hop.items():
         if mu == nxt:
             words[mu] = ()
-            witnesses[mu] = _walk_then_cycle(net.n, [], *_covering_cycle(net, anchors[mu], mu))
+            witnesses[mu] = _anchor_witness(net, anchors[mu], mu)
         else:
             words[mu] = (mu ^ nxt,) + words[nxt]
             ahead = witnesses[nxt]
@@ -241,7 +260,7 @@ def basin_n(net: Network, attractor: Iterable[int]) -> BasinResult:
     """States from which every fair schedule drives the omega-limit set
     inside `attractor`, any iterable read once: those reaching no fair SCC leaving it."""
     attractor = graph._state_set(net, attractor, _EMPTY)
-    escapes = [min(scc) for scc in graph._fair_sccs(net) if not scc <= attractor]
+    escapes = [least for least, scc in graph._graph(net).fair.items() if not scc <= attractor]
     return BasinResult(graph._STATE_SETS[net.n].difference(*graph._reaching(net, escapes)))
 
 

@@ -50,9 +50,12 @@ def check_state(value: int, n: int, what: str = "state") -> None:
 
 
 def _check_dimension(n: int) -> None:
-    """A dimension is an int, by check_state's rule."""
+    """The one rule for a dimension, shared by Network, Schedule and
+    synchronous: an int, by check_state's rule, in 1..STEP_CAP."""
     if not isinstance(n, int):
         raise DimensionError(f"dimension {n!r} is not an int")
+    if not 1 <= n <= STEP_CAP:
+        raise DimensionError(f"dimension must be in 1..{STEP_CAP}, got {n}")
 
 
 @dataclass(frozen=True)
@@ -68,8 +71,6 @@ class Network:
 
     def __post_init__(self):
         _check_dimension(self.n)
-        if not 1 <= self.n <= STEP_CAP:
-            raise DimensionError(f"dimension must be in 1..{STEP_CAP}, got {self.n}")
         if len(self.table) != 1 << self.n:
             raise DimensionError(
                 f"truth table must have {1 << self.n} rows, got {len(self.table)}"

@@ -12,7 +12,7 @@ import contextlib
 from fractions import Fraction
 
 from .core import GRAPH_CAP, STEP_CAP, DimensionError, Network, format_bits, parse_bits
-from .graph import _check_graph_cap, _targets
+from .graph import _check_graph_cap, _successors
 from .schedule import Schedule, ScheduleError, _require_progressive
 
 
@@ -440,9 +440,10 @@ def export_dot(net: Network) -> str:
         unstable = names[mu ^ table[mu]]
         label = "".join(f"<u>{bit}</u>" if flag == "1" else bit for bit, flag in zip(name, unstable))
         lines.append(f"  s{name} [label=<{label}>];")
+    step = _successors(net)
     for mu, name in enumerate(names):
-        # _targets lists fire sets in decreasing order; edges go increasing
-        for target in reversed(_targets(table, mu)):
+        # successors come in decreasing fire-set order; edges go increasing
+        for target in reversed(step(mu)):
             lines.append(f'  s{name} -> s{names[target]} [label="{names[mu ^ target]}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -10,38 +10,48 @@ oracle module validates both directions by bounded schedule enumeration.
 
 Firing a nonempty fire set nu inside the unstable coordinates of mu flips
 exactly those bits, so the proper edges are mu -> mu ^ nu, enumerated from
-the truth table with bit arithmetic (`_targets`).  Walks from one state
-(reachability, shortest paths, n-invariance) step with it and store
-nothing.  Whole-state-space passes read one structure per network
-instead (`_graph`): the predecessor tuples, the SCCs of more than one
-state, the fixed points and the fair SCCs.  It is built on the first such
-pass and kept on the immutable Network, outside its fields, so equality,
-hash, repr and pickling do not see it, and a network that never needs it
-never builds it.  The fair SCCs of a subgraph induced on a domain are
-found inside its fair SCCs, since every SCC of an induced subgraph lies in
-one SCC of the whole graph.
+the truth table with bit arithmetic (`_targets`).  Whole-state-space
+passes read one structure per network (`_graph`): the successor and
+predecessor tuples, the SCCs of more than one state, the fixed points and
+the fair SCCs.  It is built on the first such pass and kept on the
+immutable Network, outside its fields, so equality, hash, repr and
+pickling do not see it, and a network that never needs it never builds
+it.  The fair SCCs of a subgraph induced on a domain are found inside its
+fair SCCs, since every SCC of an induced subgraph lies in one SCC of the
+whole graph.
+
+Every walk (reachability, shortest paths, n-invariance, covering walks,
+fair subsets and the induced subgraphs of a domain) reads successors
+through one door, `_successors`: the graph's tuples once the network's
+graph is built, `_targets` on the table before.  So a walk from one
+state on a cold network builds nothing, as a single CLI query wants,
+and on a network that a whole-graph pass has built it enumerates no
+successor again.
 
 The backward closure of any part of an SCC is the closure of the whole
 SCC, so the graph also keeps closures by SCC, filled as queries ask for
 them (`_reaching`): the witness-free basins are unions of these.  A map
 from each state to its SCC's least member is built on the first such
-query, not with the graph.  The members kept are capped at
-`_KEEP_PER_STATE` per state: on a chain of SCCs the closures overlap and
-their sizes can sum to about 4**n / 2.  Once a closure would pass the cap,
-every query with an SCC not yet kept takes one multi-source BFS instead
-(`_backward_closure`), which also serves the witnesses, whose hops it
-keeps, and closures inside a domain.
+query, not with the graph.  The graph also keeps the covering cycle that
+basins builds for a whole fair SCC, by its least member (`_keep_cycle`).
+The members and events kept are capped at `_KEEP_PER_STATE` per state:
+on a chain of SCCs the closures overlap and their sizes can sum to about
+4**n / 2.  Once a closure would pass the cap, every query with an SCC not
+yet kept takes one multi-source BFS instead (`_backward_closure`), which
+also serves the witnesses, whose hops it keeps, and closures inside a
+domain; a cycle past the cap is built per query.
 
 One Tarjan pass (`_tarjan_sccs`) finds SCCs for the whole graph and for
-the parts of a domain.  The whole graph reaches it as a list of successor
-lists indexed by state, and its index and lowlink tables are lists too;
+the parts of a domain.  The whole graph reaches it as the successor
+tuples indexed by state, and its index and lowlink tables are lists too;
 any smaller set, such as the part of a domain inside one SCC, reaches it
 as a map from each member to its successors inside the set.
 """
 
 from __future__ import annotations
 
-from typing import Iterable
+from functools import partial
+from typing import Iterable, Sequence
 
 from .core import (
     GRAPH_CAP,
@@ -117,27 +127,45 @@ def proper_successors(net: Network, mu: int) -> list[tuple[int, int]]:
     return [(mu ^ t, t) for t in reversed(_targets(net.table, mu))]
 
 
+def _successors(net: Network):
+    """The one door for successors: a map from a validated state to its
+    proper successors, in `_targets`' order.  It reads the graph's tuples
+    when the network's graph is already built, and runs `_targets` on the
+    table when it is not, so a walk on a cold network builds nothing."""
+    built = net.__dict__.get("_graph")
+    if built is not None:
+        return built.succ.__getitem__
+    return partial(_targets, net.table)
+
+
 def _adjacency(net: Network, domain) -> dict[int, list[int]]:
     """Successor lists of the subgraph induced on a validated domain."""
-    table = net.table
-    return {mu: [t for t in _targets(table, mu) if t in domain] for mu in domain}
+    step = _successors(net)
+    return {mu: [t for t in step(mu) if t in domain] for mu in domain}
 
 
 class _Graph:
-    __slots__ = ("pred", "sccs", "fixed", "fair", "rep", "closures", "kept", "capped")
+    __slots__ = ("succ", "pred", "sccs", "fixed", "fair", "rep", "closures", "cycles",
+                 "kept", "capped")
 
-    def __init__(self, pred, sccs, fixed, fair):
+    def __init__(self, succ, pred, sccs, fixed, fair):
+        # succ[mu]: the targets of proper edges from mu, in _targets' order
+        self.succ: tuple[tuple[int, ...], ...] = succ
         # pred[t]: the sources of proper edges into t, increasing
         self.pred: tuple[tuple[int, ...], ...] = pred
         self.sccs: list[frozenset[int]] = sccs  # the SCCs of more than one state
         self.fixed: frozenset[int] = fixed  # the fixed points, the only fair one-state SCCs
-        # the fair SCCs, fixed points included, by least member
-        self.fair: tuple[frozenset[int], ...] = fair
+        # the fair SCCs, fixed points included, keyed and ordered by least member
+        self.fair: dict[int, frozenset[int]] = fair
         # filled by _reaching: rep[mu] is the least member of mu's SCC, and
-        # closures maps it to the states reaching that SCC; kept counts their
-        # members, and capped is set once one more closure would pass the cap
+        # closures maps it to the states reaching that SCC.  cycles maps the
+        # least member of a whole fair SCC to the covering cycle basins keeps
+        # for it (see _keep_cycle).  kept counts the closures' members and
+        # the cycles' events, and capped is set once one more closure would
+        # pass the cap
         self.rep: list[int] | None = None
         self.closures: dict[int, frozenset[int]] = {}
+        self.cycles: dict[int, tuple] = {}
         self.kept = 0
         self.capped = False
 
@@ -150,8 +178,7 @@ def _graph(net: Network) -> _Graph:
         return cached
     table = net.table
     states = _STATES[:len(table)]
-    # the successor lists live only while the graph is built
-    succ = [_targets(table, mu) for mu in states]
+    succ = tuple([tuple(_targets(table, mu)) for mu in states])
     sccs = [frozenset(scc) for scc in _tarjan_sccs(succ) if len(scc) > 1]
     pred: list[list[int]] = [[] for _ in table]
     for mu, targets in zip(states, succ):
@@ -160,7 +187,8 @@ def _graph(net: Network) -> _Graph:
     fixed = frozenset(mu for mu in states if table[mu] == mu)
     # each SCC's fairness is decided here, once per network
     fair = [frozenset((mu,)) for mu in fixed] + [scc for scc in sccs if _is_fair(net, scc)]
-    built = _Graph(tuple(map(tuple, pred)), sccs, fixed, tuple(sorted(fair, key=min)))
+    fair = {min(scc): scc for scc in sorted(fair, key=min)}
+    built = _Graph(succ, tuple(map(tuple, pred)), sccs, fixed, fair)
     object.__setattr__(net, "_graph", built)
     return built
 
@@ -247,15 +275,24 @@ def _keep(g: _Graph, reps: list[int]) -> bool:
     return True
 
 
+def _keep_cycle(g: _Graph, least: int, cycle: tuple) -> None:
+    """Keep the covering cycle (validated events, period) of the whole fair
+    SCC whose least member is `least`, unless its events would take the
+    members and events kept past the cap; it is then built per query."""
+    if g.kept + len(cycle[0]) <= _KEEP_PER_STATE * len(g.pred):
+        g.cycles[least] = cycle
+        g.kept += len(cycle[0])
+
+
 def reachable_set(net: Network, mu: int) -> frozenset[int]:
     """Forward closure of mu; the union of all orbits from mu."""
     _check_graph_cap(net)
     check_state(mu, net.n)
-    table = net.table
+    step = _successors(net)
     seen = {mu}
     stack = [mu]
     while stack:
-        for target in _targets(table, stack.pop()):
+        for target in step(stack.pop()):
             if target not in seen:
                 seen.add(target)
                 stack.append(target)
@@ -265,14 +302,14 @@ def reachable_set(net: Network, mu: int) -> frozenset[int]:
 def is_n_invariant(net: Network, states: Iterable[int]) -> bool:
     """No fire set takes a member of `states` (any iterable, read once) outside it."""
     states = _state_set(net, states, "invariance is defined for nonempty sets only")
-    table = net.table
-    return all(states.issuperset(_targets(table, mu)) for mu in states)
+    step = _successors(net)
+    return all(states.issuperset(step(mu)) for mu in states)
 
 
-def _tarjan_sccs(adjacency: list[list[int]] | dict[int, list[int]]) -> list[list[int]]:
-    """Iterative Tarjan over successor lists: a list indexed by state for
-    the whole graph, or a map from each member of a part to its successors
-    inside the part.  Roots are taken in state order, or in the map's
+def _tarjan_sccs(adjacency: Sequence[Sequence[int]] | dict[int, list[int]]) -> list[list[int]]:
+    """Iterative Tarjan over successor lists: a sequence indexed by state
+    for the whole graph, or a map from each member of a part to its
+    successors inside the part.  Roots are taken in state order, or in the map's
     order.  A state's index is raised past every other once its SCC is
     emitted, so it lowers no lowlink: that test replaces the on-stack set."""
     if isinstance(adjacency, dict):
@@ -366,10 +403,10 @@ def _fair_sccs(net: Network, domain=None) -> list[frozenset[int]]:
     """
     g = _graph(net)
     if domain is None:
-        return list(g.fair)
+        return list(g.fair.values())
     result = []
     cut = False
-    for scc in g.fair:
+    for scc in g.fair.values():
         if scc.issubset(domain):
             result.append(scc)
             continue
@@ -439,10 +476,11 @@ def fair_subsets(net: Network, scc: Iterable[int]) -> list[frozenset[int]]:
     scc = _state_set(net, scc)
     members = sorted(scc)
     index = {mu: i for i, mu in enumerate(members)}
+    step = _successors(net)
     succ = [0] * len(members)
     pred = [0] * len(members)
     for i, mu in enumerate(members):
-        for t in _targets(net.table, mu):
+        for t in step(mu):
             j = index.get(t)
             if j is not None:
                 succ[i] |= 1 << j

@@ -169,6 +169,7 @@ class Schedule:
 
 def synchronous(n: int) -> Schedule:
     """Fire every coordinate at t = 0, 1, 2, ..."""
+    _check_dimension(n)
     return Schedule(n, (), ((Fraction(0), full_mask(n)),), Fraction(1), Fraction(0))
 
 

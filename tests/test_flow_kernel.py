@@ -39,7 +39,7 @@ from asyncbool import (
 )
 from asyncbool import graph
 from asyncbool import schedule as schedule_mod
-from asyncbool.core import check_state
+from asyncbool.core import STEP_CAP, check_state
 
 F = Fraction
 
@@ -261,8 +261,11 @@ def test_flow_rejects_schedule_leaving_a_net_coordinate_unfired(net1):
 
 def fraction_validator_accepts(n, prefix, cycle, period, cycle_start):
     """Schedule's validation as it was with plain Fraction arithmetic and
-    no validated cycles: True iff it raises nothing."""
+    no validated cycles, under the dimension rule of Network: True iff it
+    raises nothing."""
     try:
+        if not 1 <= n <= STEP_CAP:
+            raise ValueError(f"dimension must be in 1..{STEP_CAP}, got {n}")
         if period <= 0:
             raise ScheduleError("period must be positive")
         if not cycle:

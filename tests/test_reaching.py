@@ -1,9 +1,13 @@
-"""The per-SCC backward closures kept on the transition graph.
+"""What the transition graph keeps: successor tuples, per-SCC backward
+closures and covering cycles.
 
 Every witness-free basin is answered from closures kept by SCC, or, past
 their cap, from one multi-source BFS.  The reference here is the plain
 BFS over reversed proper edges, built from proper_successors alone, so it
-shares nothing with the graph the closures are kept on.
+shares nothing with the graph the closures are kept on.  Walks read
+successors from the graph once it is built and from the truth table
+before, and the two give equal answers; witnesses equal those of a
+network whose graph keeps nothing yet.
 """
 
 import random
@@ -13,17 +17,25 @@ from hypothesis import strategies as st
 
 from asyncbool import (
     Network,
+    achievable_omegas_from,
     attractivity_class,
     basin_n,
     basin_p,
+    covering_walk,
     fair_sccs,
+    fair_subsets,
+    is_fair_set,
+    is_n_invariant,
     omega_basin_n,
     omega_limit,
     orbit_basin_p,
     proper_successors,
+    reachable_set,
     synchronous,
+    witness_schedule,
 )
 from asyncbool import graph
+from asyncbool.basins import _covering_cycle
 from asyncbool.oracle import _sample_schedules
 
 
@@ -160,3 +172,112 @@ def test_chain_closures_stay_within_the_cap():
             # most 8 * 2**n states in all; each call adds one BFS at most
             assert g.pred.reads <= (8 << n) + calls * (1 << n)
     assert g.capped
+
+
+def _outcome(call):
+    """What call() returns, or the type and message of what it raises."""
+    try:
+        return call()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def _per_state_queries(net, sets, mu, fair):
+    """The walks from one state or over one set, which read successors
+    from the graph when it is built and from the table when it is not."""
+    scc = max(fair, key=len)
+    small = min(fair, key=len)
+    queries = [
+        lambda: reachable_set(net, mu),
+        lambda: achievable_omegas_from(net, mu),
+        lambda: witness_schedule(net, mu, scc),
+        lambda: covering_walk(net, scc, min(scc)),
+        lambda: covering_walk(net, scc, max(scc)),
+        lambda: is_fair_set(net, scc),
+        lambda: fair_subsets(net, small if len(small) <= 10 else sorted(small)[:6]),
+    ]
+    for a in sets:
+        queries += [
+            lambda a=a: is_n_invariant(net, a),
+            lambda a=a: is_fair_set(net, a),
+            lambda a=a: fair_subsets(net, sorted(a)[:6]),
+        ]
+    return queries
+
+
+def _assert_kept_cycles_are_whole_scc_cycles(net):
+    g = graph._graph(net)
+    events = 0
+    for least, (cycle, period) in g.cycles.items():
+        # a cycle is kept only for a whole fair SCC, under its least member
+        assert (cycle, period) == _covering_cycle(net, g.fair[least], least)
+        events += len(cycle)
+    assert g.kept == sum(map(len, g.closures.values())) + events <= graph._KEEP_PER_STATE << net.n
+
+
+@settings(max_examples=60, deadline=None)
+@given(cases())
+def test_walks_and_witnesses_equal_on_a_cold_and_a_built_graph(case):
+    ref, sets, mu = case
+    n = ref.n
+    fair = fair_sccs(ref)
+    cold, built = Network(n, ref.table), Network(n, ref.table)
+    graph._graph(built)
+    # asked twice on each network; the cold one builds no graph for these
+    got_cold = [_outcome(q) for q in _per_state_queries(cold, sets, mu, fair) for _ in range(2)]
+    assert "_graph" not in cold.__dict__
+    got_built = [_outcome(q) for q in _per_state_queries(built, sets, mu, fair) for _ in range(2)]
+    assert got_cold == got_built
+    # basins with witnesses: the first ask on the cold network builds its
+    # graph and keeps the cycles that the second ask reads
+    sync = synchronous(n)
+    for _ in range(2):
+        for a in sets:
+            want = basin_p(cold, a)
+            assert basin_p(built, a) == want
+            assert basin_p(ref, a) == want
+        want = orbit_basin_p(cold, mu, sync)
+        assert orbit_basin_p(built, mu, sync) == want
+    for net in (cold, built):
+        _assert_kept_cycles_are_whole_scc_cycles(net)
+
+
+def test_cold_per_state_calls_build_no_graph(net1):
+    cycle = frozenset({0b01, 0b11})
+    assert is_n_invariant(net1, cycle)
+    assert witness_schedule(net1, 0b00, cycle).n == 2
+    assert reachable_set(net1, 0b00) == {0b00, 0b01, 0b10, 0b11}
+    assert achievable_omegas_from(net1, 0b00) == {cycle, frozenset({0b10})}
+    assert is_fair_set(net1, cycle)
+    assert covering_walk(net1, cycle, 0b01) == [0b10, 0b10]
+    assert "_graph" not in net1.__dict__
+
+
+def test_chain_kept_cycles_and_closures_stay_within_the_cap():
+    n = 10
+    net = Network(n, chain_table(n))
+    cycles = fair_sccs(net)
+    # fill the closures up to the cap, then ask for witnesses into every
+    # two-state cycle: eighths of them whole, beside one state of each
+    # cycle of the next eighth, which cuts those cycles
+    for scc in cycles:
+        basin_p(net, scc, with_witnesses=False)
+    g = graph._graph(net)
+    assert g.capped
+    targets = [frozenset().union(*cycles[i::8], (min(c) for c in cycles[i + 1::8]))
+               for i in range(8)]
+    for _ in range(2):
+        for a in targets:
+            got = basin_p(net, a)
+            assert got.members == ref_basin_p(net, a)
+            # the witnesses of a network that keeps no cycle yet
+            assert got == basin_p(Network(n, net.table), a)
+            _assert_kept_cycles_are_whole_scc_cycles(net)
+    # past the cap the remaining cycles are built per query
+    assert 0 < len(g.cycles) < len(cycles)
+    # on a graph with room, every whole cycle asked for is kept
+    fresh = Network(n, net.table)
+    for a in targets:
+        basin_p(fresh, a)
+    assert len(graph._graph(fresh).cycles) == len(cycles)
+    _assert_kept_cycles_are_whole_scc_cycles(fresh)

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from asyncbool import (
+    STEP_CAP,
     DimensionError,
     Network,
     NotProgressiveError,
@@ -227,3 +228,21 @@ def test_schedule_dimension_that_is_not_an_int_refused():
     # it used to end in a TypeError from the first fire set's range check
     with pytest.raises(DimensionError, match="^dimension 2.0 is not an int$"):
         Schedule(2.0, (), ((F(0), 0b11),), F(1), F(0))
+
+
+@pytest.mark.parametrize("n, message", [
+    (2.0, "^dimension 2.0 is not an int$"),
+    (0, f"^dimension must be in 1..{STEP_CAP}, got 0$"),
+    (-1, f"^dimension must be in 1..{STEP_CAP}, got -1$"),
+    (STEP_CAP + 1, f"^dimension must be in 1..{STEP_CAP}, got {STEP_CAP + 1}$"),
+])
+def test_schedule_and_synchronous_share_the_network_dimension_rule(n, message):
+    # synchronous(2.0) used to end in a TypeError from full_mask, Schedule(0, ...)
+    # was accepted and Schedule(-1, ...) ended in "negative shift count"
+    for make in (
+        lambda: synchronous(n),
+        lambda: Schedule(n, (), ((F(0), 0),), F(1), F(0)),
+        lambda: Network(n, (0,)),
+    ):
+        with pytest.raises(DimensionError, match=message):
+            make()
