@@ -7,8 +7,9 @@ SCCs; basin_n(A) is the complement of the closure of every full-graph
 fair SCC not contained in A.  Each anchor lies in one SCC of the whole
 graph, and the closure of any part of an SCC is the closure of all of it,
 so without witnesses an answer is a union of the per-SCC closures the
-graph keeps (`graph._reaching`); past their cap, and whenever witnesses
-are asked for, one multi-source BFS over the predecessor tuples answers.
+graph keeps (`graph._reaching`).  Past their cap, and whenever witnesses
+are asked for, the one backward BFS of `graph` (`_backward_closure`)
+answers from all the anchors at once.
 
 Existential ("p") basins come with constructive witness schedules taken
 from the same BFS tree: its next-hop pointers give every member a
@@ -104,11 +105,6 @@ def covering_walk(net: Network, target: Iterable[int], anchor: int) -> list[int]
     internal = graph._adjacency(net, target)
 
     def leg(start: int, goals) -> tuple[list[int], int]:
-        # the search's first layer returns the first goal among the
-        # successors, so it runs only when none is a goal
-        for t in internal[start]:
-            if t in goals:
-                return [start ^ t], t
         step = _bfs_path(net, start, goals, internal)
         if step is None:
             raise NotAchievableError("target set is not strongly connected")

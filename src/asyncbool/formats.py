@@ -60,23 +60,15 @@ def parse_network_table(text: str) -> Network:
     n = int(count)
     if n < 1:
         raise ParseError("dimension must be positive", lineno)
-    # a row of two state names is looked up; any other row takes the
-    # checks below, which name its error.  The names are built only for a
-    # file with a row per state, so they cost no more than its rows do
-    index = _state_names(n)[1] if n <= STEP_CAP and len(lines) > 1 << n else {}
     rows = []
     for lineno, line in lines[1:]:
-        left, _, right = line.partition("->")
-        mu, image = index.get(left.rstrip()), index.get(right.lstrip())
-        if mu is None or image is None:
-            parts = line.split("->")
-            if len(parts) != 2:
-                raise ParseError(f"expected '<bits> -> <bits>', got {line!r}", lineno)
-            try:
-                mu, image = parse_bits(parts[0].strip(), n), parse_bits(parts[1].strip(), n)
-            except DimensionError as exc:
-                raise ParseError(str(exc), lineno) from exc
-        rows.append((mu, image))
+        parts = line.split("->")
+        if len(parts) != 2:
+            raise ParseError(f"expected '<bits> -> <bits>', got {line!r}", lineno)
+        try:
+            rows.append((parse_bits(parts[0].strip(), n), parse_bits(parts[1].strip(), n)))
+        except DimensionError as exc:
+            raise ParseError(str(exc), lineno) from exc
     try:
         return Network.from_rows(n, rows)
     except DimensionError as exc:

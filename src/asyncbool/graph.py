@@ -12,13 +12,16 @@ Firing a nonempty fire set nu inside the unstable coordinates of mu flips
 exactly those bits, so the proper edges are mu -> mu ^ nu, enumerated from
 the truth table with bit arithmetic (`_targets`).  Whole-state-space
 passes read one structure per network (`_graph`): the successor and
-predecessor tuples, the SCCs of more than one state, the fixed points and
-the fair SCCs.  It is built on the first such pass and kept on the
-immutable Network, outside its fields, so equality, hash, repr and
-pickling do not see it, and a network that never needs it never builds
-it.  The fair SCCs of a subgraph induced on a domain are found inside its
-fair SCCs, since every SCC of an induced subgraph lies in one SCC of the
-whole graph.
+predecessor tuples, each state's SCC by its least member, and the fair
+SCCs, all filled in one pass over Tarjan's output.  A one-element tuple
+is the one shared per state (`_SINGLES`), so the sparse tables, where
+most states have one successor, keep no copy of it per network.  The
+structure is built on the first such pass and kept on the immutable
+Network, outside its fields, so equality, hash, repr and pickling do not
+see it, and a network that never needs it never builds it.  The fair
+SCCs of a subgraph induced on a domain are found inside its fair SCCs,
+since every SCC of an induced subgraph lies in one SCC of the whole
+graph.
 
 Every walk (reachability, shortest paths, n-invariance, covering walks,
 fair subsets and the induced subgraphs of a domain) reads successors
@@ -28,18 +31,19 @@ state on a cold network builds nothing, as a single CLI query wants,
 and on a network that a whole-graph pass has built it enumerates no
 successor again.
 
-The backward closure of any part of an SCC is the closure of the whole
-SCC, so the graph also keeps closures by SCC, filled as queries ask for
-them (`_reaching`): the witness-free basins are unions of these.  A map
-from each state to its SCC's least member is built on the first such
-query, not with the graph.  The graph also keeps the covering cycle that
-basins builds for a whole fair SCC, by its least member (`_keep_cycle`).
-The members and events kept are capped at `_KEEP_PER_STATE` per state:
-on a chain of SCCs the closures overlap and their sizes can sum to about
-4**n / 2.  Once a closure would pass the cap, every query with an SCC not
-yet kept takes one multi-source BFS instead (`_backward_closure`), which
-also serves the witnesses, whose hops it keeps, and closures inside a
-domain; a cycle past the cap is built per query.
+Every backward closure is one multi-source BFS over the predecessor
+tuples (`_backward_closure`), inside a domain or over every state; the
+witnesses read the next hops it keeps.  The backward closure of any part
+of an SCC is the closure of the whole SCC, so the graph also keeps that
+BFS's closures by SCC, filled as queries ask for them (`_reaching`): the
+witness-free basins are unions of these.  The graph also keeps the
+covering cycle that basins builds for a whole fair SCC, by its least
+member (`_keep_cycle`).  The members and events kept are capped at
+`_KEEP_PER_STATE` per state: on a chain of SCCs the closures overlap and
+their sizes can sum to about 4**n / 2.  A closure is kept only while a
+whole state space still fits under the cap, checked before its BFS; past
+that, every query with an SCC not yet kept takes one BFS from all its
+anchors instead, and a cycle past the cap is built per query.
 
 One Tarjan pass (`_tarjan_sccs`) finds SCCs for the whole graph and for
 the parts of a domain.  The whole graph reaches it as the successor
@@ -78,6 +82,9 @@ def _check_graph_cap(net: Network) -> None:
 _STATES = tuple(range(1 << GRAPH_CAP))
 # _STATE_SETS[n]: every state at dimension n, for one-pass membership tests
 _STATE_SETS = tuple(frozenset(_STATES[:1 << n]) for n in range(GRAPH_CAP + 1))
+# _SINGLES[s]: the one-element tuple (s,), shared by every successor and
+# predecessor tuple of one member, as _STATES shares the ints
+_SINGLES = tuple((s,) for s in _STATES)
 
 
 def _state_set(net: Network, states: Iterable[int], empty: str | None = None) -> frozenset[int]:
@@ -145,25 +152,22 @@ def _adjacency(net: Network, domain) -> dict[int, list[int]]:
 
 
 class _Graph:
-    __slots__ = ("succ", "pred", "sccs", "fixed", "fair", "rep", "closures", "cycles",
-                 "kept", "capped")
+    __slots__ = ("succ", "pred", "rep", "fair", "closures", "cycles", "kept", "capped")
 
-    def __init__(self, succ, pred, sccs, fixed, fair):
+    def __init__(self, succ, pred, rep, fair):
         # succ[mu]: the targets of proper edges from mu, in _targets' order
         self.succ: tuple[tuple[int, ...], ...] = succ
         # pred[t]: the sources of proper edges into t, increasing
         self.pred: tuple[tuple[int, ...], ...] = pred
-        self.sccs: list[frozenset[int]] = sccs  # the SCCs of more than one state
-        self.fixed: frozenset[int] = fixed  # the fixed points, the only fair one-state SCCs
+        # rep[mu]: the least member of mu's SCC
+        self.rep: list[int] = rep
         # the fair SCCs, fixed points included, keyed and ordered by least member
         self.fair: dict[int, frozenset[int]] = fair
-        # filled by _reaching: rep[mu] is the least member of mu's SCC, and
-        # closures maps it to the states reaching that SCC.  cycles maps the
-        # least member of a whole fair SCC to the covering cycle basins keeps
-        # for it (see _keep_cycle).  kept counts the closures' members and
-        # the cycles' events, and capped is set once one more closure would
-        # pass the cap
-        self.rep: list[int] | None = None
+        # filled by _reaching: closures maps an SCC's least member to the
+        # states reaching that SCC.  cycles maps the least member of a whole
+        # fair SCC to the covering cycle basins keeps for it (see
+        # _keep_cycle).  kept counts the closures' members and the cycles'
+        # events, and capped is set once one more closure might pass the cap
         self.closures: dict[int, frozenset[int]] = {}
         self.cycles: dict[int, tuple] = {}
         self.kept = 0
@@ -178,44 +182,48 @@ def _graph(net: Network) -> _Graph:
         return cached
     table = net.table
     states = _STATES[:len(table)]
-    succ = tuple([tuple(_targets(table, mu)) for mu in states])
-    sccs = [frozenset(scc) for scc in _tarjan_sccs(succ) if len(scc) > 1]
+    succ = tuple([_SINGLES[t[0]] if len(t := _targets(table, mu)) == 1 else tuple(t)
+                  for mu in states])
     pred: list[list[int]] = [[] for _ in table]
     for mu, targets in zip(states, succ):
         for t in targets:
             pred[t].append(mu)
-    fixed = frozenset(mu for mu in states if table[mu] == mu)
-    # each SCC's fairness is decided here, once per network
-    fair = [frozenset((mu,)) for mu in fixed] + [scc for scc in sccs if _is_fair(net, scc)]
-    fair = {min(scc): scc for scc in sorted(fair, key=min)}
-    built = _Graph(succ, tuple(map(tuple, pred)), sccs, fixed, fair)
+    # one walk over Tarjan's output: each SCC's least member, and each
+    # SCC's fairness, decided here once per network.  A one-state SCC is
+    # fair iff it is a fixed point
+    rep = list(states)
+    fair = {}
+    for scc in _tarjan_sccs(succ):
+        if len(scc) > 1:
+            least = min(scc)
+            for mu in scc:
+                rep[mu] = least
+            scc = frozenset(scc)
+            if _is_fair(net, scc):
+                fair[least] = scc
+        elif table[scc[0]] == scc[0]:
+            fair[scc[0]] = frozenset(scc)
+    pred = tuple([_SINGLES[p[0]] if len(p) == 1 else tuple(p) for p in pred])
+    built = _Graph(succ, pred, rep, dict(sorted(fair.items())))
     object.__setattr__(net, "_graph", built)
     return built
 
 
 def _backward_closure(net: Network, sources, domain=None) -> dict[int, int]:
     """Multi-source BFS over reversed proper edges, restricted to `domain`
-    when given.  Maps every state that reaches a source to its next hop on
-    a shortest path there; sources map to themselves.  Predecessors are
-    visited in increasing order, which fixes the BFS tree."""
-    if not sources:
-        return {}
+    (default: every state).  Maps every state that reaches a source to its
+    next hop on a shortest path there; sources map to themselves.
+    Predecessors are visited in increasing order, which fixes the BFS tree."""
+    if domain is None:
+        domain = _STATE_SETS[net.n]
     pred = _graph(net).pred
     hop = {s: s for s in sources}
     queue = list(hop)
-    # each loop also visits states appended while it runs
-    if domain is None:
-        for state in queue:
-            for p in pred[state]:
-                if p not in hop:
-                    hop[p] = state
-                    queue.append(p)
-    else:
-        for state in queue:
-            for p in pred[state]:
-                if p not in hop and p in domain:
-                    hop[p] = state
-                    queue.append(p)
+    for state in queue:  # the loop also visits states appended while it runs
+        for p in pred[state]:
+            if p not in hop and p in domain:
+                hop[p] = state
+                queue.append(p)
     return hop
 
 
@@ -225,54 +233,20 @@ _KEEP_PER_STATE = 8
 
 def _reaching(net: Network, anchors) -> list[frozenset[int]]:
     """Sets whose union is every state that reaches one of `anchors`: the
-    kept closure of each anchor's SCC, the missing ones added on the way,
-    or the one BFS closure of all the anchors once the cap is passed."""
+    kept closure of each anchor's SCC, the missing ones added on the way.
+    A closure is kept only while a whole state space still fits under the
+    cap; past it, one BFS closure of all the anchors answers."""
     g = _graph(net)
-    rep = g.rep or _reps(net)
-    closures = g.closures
+    rep, closures = g.rep, g.closures
     keys = {rep[a] for a in anchors}
-    missing = [r for r in keys if r not in closures]
-    if missing and (g.capped or not _keep(g, missing)):
-        return [frozenset(_backward_closure(net, anchors))]
-    return [closures[r] for r in keys]
-
-
-def _reps(net: Network) -> list[int]:
-    """rep[mu]: the least member of mu's SCC, built on first use and kept
-    on the graph."""
-    g = _graph(net)
-    if g.rep is None:
-        rep = list(_STATES[:len(g.pred)])
-        for scc in g.sccs:
-            least = min(scc)
-            for mu in scc:
-                rep[mu] = least
-        g.rep = rep
-    return g.rep
-
-
-def _keep(g: _Graph, reps: list[int]) -> bool:
-    """Keep the backward closure of each SCC in `reps`, one BFS from its
-    representative each.  A BFS that would take the members kept past the
-    cap stops there, before it expands more states than fit, sets
-    g.capped and returns False; the closures kept before it stay."""
-    pred = g.pred
-    room = _KEEP_PER_STATE * len(pred) - g.kept
-    for r in reps:
-        seen = {r}
-        queue = [r]
-        for state in queue:  # the loop also visits states appended while it runs
-            if len(queue) > room:
+    for r in keys:
+        if r not in closures:
+            if g.kept + len(rep) > _KEEP_PER_STATE * len(rep):
                 g.capped = True
-                return False
-            for p in pred[state]:
-                if p not in seen:
-                    seen.add(p)
-                    queue.append(p)
-        g.closures[r] = frozenset(seen)
-        g.kept += len(queue)
-        room -= len(queue)
-    return True
+                return [frozenset(_backward_closure(net, anchors))]
+            closures[r] = frozenset(_backward_closure(net, (r,)))
+            g.kept += len(closures[r])
+    return [closures[r] for r in keys]
 
 
 def _keep_cycle(g: _Graph, least: int, cycle: tuple) -> None:

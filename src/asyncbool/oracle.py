@@ -719,7 +719,7 @@ def verify_theorems(
     graph._check_graph_cap(net)
     # forward reach is a fact of the SCC: its least member's BFS, done
     # first, is shared by the rest
-    rep = graph._reps(net)
+    rep = graph._graph(net).rep
     reach = {}
     for mu in net.states():
         reach[mu] = reach[rep[mu]] if rep[mu] < mu else graph.reachable_set(net, mu)

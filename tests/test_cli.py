@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from asyncbool import Network, cli, covering_walk, render_network_table
+from asyncbool import Network, basins, cli, covering_walk, render_network_table
 from asyncbool.cli import _COMMANDS, _build_parser, main
 from tests.conftest import NET1_TABLE_TEXT
 
@@ -133,6 +133,21 @@ def test_verify(net_file, capsys):
     code, out, _ = run(capsys, "verify", "--net", net_file, "--bounds", "2,3")
     assert code == 0
     assert "OK (0 failures)" in out
+
+
+def test_verify_failure_writes_counterexamples_and_exits_1(net_file, monkeypatch, capsys):
+    # an n-basin with one state too many fails the checks that read it
+    real = basins.basin_n
+    monkeypatch.setattr(basins, "basin_n", lambda net, attractor: basins.BasinResult(
+        real(net, attractor).members | {0b00}))
+    code, out, err = run(capsys, "verify", "--net", net_file, "--bounds", "1,2", "--json")
+    assert code == 1 and err == ""
+    records = [json.loads(line) for line in out.splitlines()]
+    failures = sum(r["failed"] for r in records if r["record"] == "verify-check")
+    examples = [r for r in records if r["record"] == "verify-counterexample"]
+    assert failures > 0 and len(examples) == failures
+    assert all(r["table"] == ["11", "11", "10", "01"] and "check" in r for r in examples)
+    assert records[-1] == {"record": "verify-summary", "ok": False, "failures": failures}
 
 
 def test_verify_samples_state_sets_above_n3(tmp_path, capsys):
@@ -387,6 +402,20 @@ def test_usage_errors_are_one_line(argv, capsys):
     assert code == 2
     assert out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["omega", "--schedule", SYNC], "this command needs --from <bits>"),
+        (["basin"], "this command needs --set <literal>"),
+        (["verify", "--bounds", "1"], "--bounds must be '<prefix>,<cycle>'"),
+    ],
+    ids=["no-from", "no-set", "one-bound"],
+)
+def test_missing_or_malformed_argument_exits_2_in_one_line(net_file, capsys, argv, message):
+    code, out, err = run(capsys, *argv, "--net", net_file)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 def test_help_exits_0(capsys):

@@ -83,6 +83,16 @@ def test_table_header_past_the_digit_limit_names_its_line(prefix):
         parse_network_table(f"n={'0' * 4299}2\n00 -> 11\n")
 
 
+def test_rendered_layout_with_a_cell_that_names_no_state_takes_the_line_parser():
+    # every row is rendered length and ends in LF, so only the image cell
+    # 0x makes the one-split reader decline; the line parser names its line
+    text = "n=2\n00 -> 0x\n01 -> 11\n10 -> 10\n11 -> 01\n"
+    assert formats._read_rendered_table(text) is None
+    with pytest.raises(ParseError) as exc:
+        parse_network_table(text)
+    assert str(exc.value) == "line 2: expected 2 bits, got '0x'"
+
+
 def test_expr_network_compiles_to_table(net1):
     # NET1 as expressions: y1 = !x2 | (x1 & x2) ... derive from the table
     text = "y1 = !(x1) | (x1 & !x2)\ny2 = !x1 | x2\n"
@@ -117,6 +127,12 @@ def test_expr_constants_and_parens():
 def test_expr_parse_errors(bad):
     with pytest.raises(ParseError):
         parse_network_exprs(bad)
+
+
+@pytest.mark.parametrize("text", ["", "\n \n", "# y1 = x1\n"])
+def test_empty_expression_file_is_refused(text):
+    with pytest.raises(ParseError, match="^empty expression file$"):
+        parse_network_exprs(text)
 
 
 # --- a per-row reference for the expression compiler ----------------------
@@ -457,6 +473,24 @@ def test_schedule_rejects_non_progressive():
 def test_schedule_parse_errors(bad):
     with pytest.raises(ParseError):
         parse_schedule(bad, 2)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("cycle 0:11 ; period 1 ; start abc", "bad time value 'abc'"),
+        ("cycle 0:1x ; period 1 ; start 0", "expected 2 bits, got '1x'"),
+    ],
+)
+def test_schedule_value_errors_name_the_value(text, message):
+    with pytest.raises(ParseError) as exc:
+        parse_schedule(text, 2)
+    assert str(exc.value) == message
+
+
+def test_schedule_trailing_separator_is_ignored():
+    text = "prefix 0:01 ; cycle 0:11 ; period 1 ; start 1"
+    assert parse_schedule(text + " ;", 2) == parse_schedule(text + ";", 2) == parse_schedule(text, 2)
 
 
 @pytest.mark.parametrize("section", ["prefix", "cycle", "period", "start"])

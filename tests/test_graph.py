@@ -21,6 +21,7 @@ from asyncbool import (
     basin_p,
     fair_sccs,
     fair_subsets,
+    fixed_points,
     is_fair_set,
     is_n_invariant,
     is_p_invariant,
@@ -333,12 +334,13 @@ def test_scc_fairness_decided_once_per_network(monkeypatch):
         basin_p(net, everything, with_witnesses=False)
         basin_p(net, union, with_witnesses=False)
     g = graph._graph(net)
-    assert len(g.fair) == len(g.sccs) - 1 + len(g.fixed)
+    sccs = [scc for scc in _tarjan_sccs(g.succ) if len(scc) > 1]
+    assert len(g.fair) == len(sccs) - 1 + len(fixed_points(net))
     # each SCC was tested once, when the graph was built
-    assert sorted(map(sorted, calls)) == sorted(map(sorted, g.sccs))
+    assert sorted(map(sorted, calls)) == sorted(map(sorted, sccs))
     # an equal but distinct network decides its own
     basin_n(Network(5, net.table), half)
-    assert len(calls) == 2 * len(g.sccs)
+    assert len(calls) == 2 * len(sccs)
 
 
 def test_fair_sccs_cut_by_a_domain_keep_the_order_of_their_member_lists():
@@ -526,13 +528,12 @@ def test_list_indexed_tarjan_equals_the_dict_one(case):
 
 def from_cached_sccs(net, mu):
     """achievable_omegas_from read off the whole graph's condensation: the
-    reach is closed under successors, so its SCCs are the cached SCCs that
-    meet it and its one-state SCCs, fair only at fixed points."""
+    reach is closed under successors, so its SCCs are the whole graph's
+    SCCs that meet it and its one-state SCCs, fair only at fixed points."""
     reach = reachable_set(net, mu)
-    g = graph._graph(net)
-    result = {frozenset((s,)) for s in g.fixed & reach}
-    for scc in g.sccs:
-        if not scc.isdisjoint(reach):
+    result = {frozenset((s,)) for s in fixed_points(net) & reach}
+    for scc in _tarjan_sccs(graph._graph(net).succ):
+        if len(scc) > 1 and not reach.isdisjoint(scc):
             result.update(fair_subsets(net, scc))
     return frozenset(result)
 

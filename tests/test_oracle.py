@@ -341,6 +341,20 @@ def test_verify_detects_injected_mutation(net1, monkeypatch):
     assert "check" in bad and "table" in bad
 
 
+def test_verify_counts_a_witness_that_raises_as_a_failed_replay(net1, monkeypatch):
+    # witness_schedule raising ValueError for a graph-achievable target is
+    # a failed replay, one per (state, target) pair, not an escaped error
+    def refusing(net, mu, target, align_to=None):
+        raise ValueError("no witness")
+
+    monkeypatch.setattr(basins_mod, "witness_schedule", refusing)
+    report = verify_theorems(net1, OracleBounds(1, 2))
+    pairs = sum(len(achievable_omegas_from(net1, mu)) for mu in net1.states())
+    assert report.checks["achievable_omega_witness_replays"] == [0, pairs]
+    replays = [c for c in report.counterexamples if c["check"] == "achievable_omega_witness_replays"]
+    assert sorted(c["mu"] for c in replays) == ["00", "00", "01", "10", "11"]
+
+
 def _literal_word_runs(net: Network, bounds: OracleBounds) -> dict[int, set]:
     """The (orbit, omega) pairs of every word schedule within bounds, each
     run through the public simulate_word_schedule: every prefix word of

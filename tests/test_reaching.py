@@ -36,7 +36,9 @@ from asyncbool import (
 )
 from asyncbool import graph
 from asyncbool.basins import _covering_cycle
+from asyncbool.graph import _targets
 from asyncbool.oracle import _sample_schedules
+from tests.test_graph import _reference_is_fair, _reference_tarjan
 
 
 def ref_closure(net, sources):
@@ -115,6 +117,33 @@ def cases(draw):
 
 
 @settings(max_examples=150, deadline=None)
+@given(st.sampled_from((dense_table, sparse_table, chain_table)), st.integers(1, 8),
+       st.integers(0, 2**32 - 1))
+def test_graph_reps_and_fair_sccs_equal_the_reference_tarjan(make, n, seed):
+    net = Network(n, make(n, random.Random(seed)))
+    g = graph._graph(net)
+    sccs = _reference_tarjan({mu: _targets(net.table, mu) for mu in net.states()})
+    assert g.rep == [min(scc) for mu in net.states() for scc in sccs if mu in scc]
+    fair = sorted((frozenset(scc) for scc in sccs if _reference_is_fair(net, scc)), key=min)
+    assert list(g.fair.items()) == [(min(scc), scc) for scc in fair]
+
+
+def test_one_element_tuples_are_shared_per_state():
+    # a sparse table: every state but the planted fixed point has one
+    # successor, and most states have one predecessor
+    n = 8
+    net = Network(n, sparse_table(n, random.Random(3)))
+    g = graph._graph(net)
+    assert g.succ == tuple(tuple(_targets(net.table, mu)) for mu in net.states())
+    ones = [t for t in g.succ + g.pred if len(t) == 1]
+    assert len(ones) > 1 << n
+    assert all(t is graph._SINGLES[t[0]] for t in ones)
+    # an equal but distinct network keeps the same objects
+    other = graph._graph(Network(n, net.table))
+    assert all(a is b for a, b in zip(other.succ + other.pred, g.succ + g.pred) if len(a) == 1)
+
+
+@settings(max_examples=150, deadline=None)
 @given(cases())
 def test_witness_free_answers_equal_the_bfs_closure(case):
     net, sets, mu = case
@@ -168,8 +197,9 @@ def test_chain_closures_stay_within_the_cap():
             assert basin_n(net, a).members == ref_basin_n(net, a)
             calls += 1
             assert g.kept == sum(map(len, g.closures.values())) <= 8 << n
-            # the closures kept, and the one stopped at the cap, expand at
-            # most 8 * 2**n states in all; each call adds one BFS at most
+            # the closures kept expand at most 8 * 2**n states in all, since
+            # one is kept only while a whole state space fits; each call
+            # adds one BFS from all its anchors at most
             assert g.pred.reads <= (8 << n) + calls * (1 << n)
     assert g.capped
 

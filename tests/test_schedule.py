@@ -46,6 +46,13 @@ def test_schedule_validation():
         mk(2, [(2, 1)], [(0, 3)], 1, 1)  # cycle starts inside the prefix
 
 
+@pytest.mark.parametrize("cycle", [[(F(1, 2), 1), (0, 2)], [(0, 1), (0, 2)]],
+                         ids=["decreasing", "repeated"])
+def test_cycle_offsets_must_strictly_increase(cycle):
+    with pytest.raises(ScheduleError, match="^cycle offsets must strictly increase$"):
+        mk(2, [], cycle, 1, 0)
+
+
 def test_events_are_strictly_increasing():
     rho = mk(2, [(-1, 1), (0, 2)], [(0, 3), (F(1, 2), 1)], 2, 5)
     times = []
