@@ -23,13 +23,14 @@ SCCs of a subgraph induced on a domain are found inside its fair SCCs,
 since every SCC of an induced subgraph lies in one SCC of the whole
 graph.
 
-Every walk (reachability, shortest paths, n-invariance, covering walks,
-fair subsets and the induced subgraphs of a domain) reads successors
-through one door, `_successors`: the graph's tuples once the network's
-graph is built, `_targets` on the table before.  So a walk from one
-state on a cold network builds nothing, as a single CLI query wants,
-and on a network that a whole-graph pass has built it enumerates no
-successor again.
+Every walk (reachability, shortest paths, n-invariance, the stuck-member
+test of p-invariance, covering walks, fair subsets and the induced
+subgraphs of a domain) reads successors through one door, `_successors`:
+the graph's tuples once the network's graph is built, `_targets` on the
+table before.  So a walk from one state on a cold network builds
+nothing, as a single CLI query wants, nor does a p-invariance that a
+stuck member refutes; and on a network that a whole-graph pass has
+built, a walk enumerates no successor again.
 
 Every backward closure is one multi-source BFS over the predecessor
 tuples (`_backward_closure`), inside a domain or over every state; the
@@ -411,8 +412,17 @@ def is_p_invariant(net: Network, states: Iterable[int]) -> bool:
     subset is always contained in a fair SCC, so maximal SCCs suffice).
     Each SCC is strongly connected inside the set, so one backward closure
     from one member of each, within the set, decides it.  `states` is any iterable, read once.
+
+    A member that is no fixed point and has every proper successor outside
+    the set is stuck: every fair schedule fires one of its unstable
+    coordinates, and that move leaves the set.  One pass through the
+    successor door looks for such a member first, so a set it refutes
+    builds no graph and runs no Tarjan; fixed points, whose successor
+    lists are empty, are skipped by that pass.
     """
     states = _state_set(net, states, "invariance is defined for nonempty sets only")
+    if any(map(states.isdisjoint, filter(None, map(_successors(net), states)))):
+        return False
     fair = _fair_sccs(net, states)
     if not fair:
         return False

@@ -90,15 +90,28 @@ def simulate_word_schedule(
     return frozenset(trail), frozenset(trail[seen[state] :])
 
 
-def _layers(start, depth: int, expand) -> set:
+# the most nodes the word-action search of _word_runs may hold: at n = 3
+# it admits cycle words of 7 letters on a dense table, not of 8
+_ACTION_CAP = 1 << 20
+
+
+def _layers(start, depth: int, expand, fanout: int = 0) -> set:
     """Every node within `depth` expansions of `start`, breadth first.
 
     Each layer expands only the nodes first met in the layer before, so a
     node met again is not expanded again; `expand(node)` yields its
-    successors."""
+    successors.  Given a `fanout`, the most successors a node has, a layer
+    is bounded by fanout times the layer before it and refused before it
+    is built when that bound would take the nodes past `_ACTION_CAP`."""
     seen = {start}
     frontier = {start}
-    for _ in range(depth):
+    for layer in range(1, depth + 1):
+        bound = len(seen) + len(frontier) * fanout
+        if fanout and bound > _ACTION_CAP:
+            raise graph.CapExceededError(
+                f"word actions are capped at {_ACTION_CAP}, but cycle words of"
+                f" {layer} letters may make {bound}: lower the cycle bound"
+            )
         frontier = {succ for node in frontier for succ in expand(node)}
         frontier -= seen
         seen |= frontier
@@ -161,7 +174,7 @@ def _word_runs(
 
     start = (tuple(states), bits, 0)
     folded = set()  # (orbit, omega) masks from every state, per action
-    for ends, orbits, fired in _layers(start, bounds.max_cycle_len, expand):
+    for ends, orbits, fired in _layers(start, bounds.max_cycle_len, expand, len(after)):
         if fired != full:
             continue
         # after n doublings, orbits[s] is the union of the visits of the

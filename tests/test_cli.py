@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from asyncbool import Network, basins, cli, covering_walk, render_network_table
+from asyncbool import Network, basins, cli, covering_walk, oracle, render_network_table
 from asyncbool.cli import _COMMANDS, _build_parser, main
 from tests.conftest import NET1_TABLE_TEXT
 
@@ -148,6 +148,17 @@ def test_verify_failure_writes_counterexamples_and_exits_1(net_file, monkeypatch
     assert failures > 0 and len(examples) == failures
     assert all(r["table"] == ["11", "11", "10", "01"] and "check" in r for r in examples)
     assert records[-1] == {"record": "verify-summary", "ok": False, "failures": failures}
+
+
+def test_verify_past_the_word_action_cap_exits_2_with_one_line(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(oracle, "_ACTION_CAP", 100)
+    path = tmp_path / "dense3.tbl"
+    path.write_text(render_network_table(Network(3, (1, 6, 2, 1, 7, 0, 4, 7))))
+    code, out, err = run(capsys, "verify", "--net", str(path), "--bounds", "1,3")
+    assert code == 2
+    assert out == ""
+    assert err == ("error: word actions are capped at 100, but cycle words of 3 letters"
+                   " may make 449: lower the cycle bound\n")
 
 
 def test_verify_samples_state_sets_above_n3(tmp_path, capsys):

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from asyncbool import (
+    CapExceededError,
     DimensionError,
     Network,
     OracleBounds,
@@ -423,6 +424,29 @@ def word_oracle_cases(draw):
 @given(word_oracle_cases())
 def test_word_runs_match_every_literal_word_pair(case):
     _assert_word_runs_are_literal(*case)
+
+
+# the dense n = 3 table on which the word actions grow about 4x per letter
+DENSE3 = Network(3, (1, 6, 2, 1, 7, 0, 4, 7))
+
+
+def test_word_action_layer_refused_before_it_is_built(monkeypatch):
+    # the layers of cycle words of 1, 2 and 3 letters are bounded by 9, 64
+    # and 449 actions: a cap of 100 lets two be built and refuses the third
+    monkeypatch.setattr(oracle_mod, "_ACTION_CAP", 100)
+    assert _word_runs(DENSE3, OracleBounds(1, 2))
+    with pytest.raises(CapExceededError, match="^word actions are capped at 100, but cycle"
+                       " words of 3 letters may make 449: lower the cycle bound$"):
+        _word_runs(DENSE3, OracleBounds(1, 3))
+    with pytest.raises(CapExceededError, match="capped at 100"):
+        verify_theorems(DENSE3, OracleBounds(0, 3))
+
+
+def test_word_action_cap_refuses_eight_letters_on_the_dense_table():
+    # cycle words of 8 letters may make about 1.4 M actions, past 2**20;
+    # 7 letters (about 343 k) stay under it
+    with pytest.raises(CapExceededError, match="8 letters may make 1424046"):
+        _word_runs(DENSE3, OracleBounds(1, 8))
 
 
 def test_verify_detects_lying_p_invariance(net1, monkeypatch):
