@@ -25,9 +25,10 @@ from typing import Iterable
 
 from . import basins as basins_mod
 from . import graph
-from .core import Network, check_state, fixed_points, format_bits, full_mask
+from .core import Network, _check_dimension, check_state, fixed_points, format_bits, full_mask
 from .schedule import (
     Schedule,
+    _fold,
     _run,
     _value,
     is_progressive,
@@ -62,6 +63,7 @@ class OracleBounds:
 
 
 def default_bounds(n: int) -> OracleBounds:
+    _check_dimension(n)
     # a covering closed walk of a fair set needs at most 2**n segments per
     # state; generous for n <= 3, far too generous to enumerate beyond that
     return OracleBounds(1 << n, n << n)
@@ -93,29 +95,45 @@ def simulate_word_schedule(
 # the most nodes the word-action search of _word_runs may hold: at n = 3
 # it admits cycle words of 7 letters on a dense table, not of 8
 _ACTION_CAP = 1 << 20
+# the most nodes the anchored walks of one _walk_omegas call may hold, all
+# anchors together: n = 3 needs at most 8 * 2**7 * 8 per anchor
+_WALK_CAP = 1 << 20
 
 
-def _layers(start, depth: int, expand, fanout: int = 0) -> set:
+def _layers(start, depth: int, expand, fanout: int = 0, refuse=None, spent: int = 0) -> set:
     """Every node within `depth` expansions of `start`, breadth first.
 
     Each layer expands only the nodes first met in the layer before, so a
     node met again is not expanded again; `expand(node)` yields its
-    successors.  Given a `fanout`, the most successors a node has, a layer
-    is bounded by fanout times the layer before it and refused before it
-    is built when that bound would take the nodes past `_ACTION_CAP`."""
+    successors.  Given a `fanout`, the most successors a node has, the
+    nodes are bounded before each layer is built by `spent`, those of the
+    earlier searches sharing a budget, plus those seen and fanout times
+    the layer before; `refuse(layer, bound)` raises if that is too many."""
     seen = {start}
     frontier = {start}
     for layer in range(1, depth + 1):
-        bound = len(seen) + len(frontier) * fanout
-        if fanout and bound > _ACTION_CAP:
-            raise graph.CapExceededError(
-                f"word actions are capped at {_ACTION_CAP}, but cycle words of"
-                f" {layer} letters may make {bound}: lower the cycle bound"
-            )
+        if fanout:
+            refuse(layer, spent + len(seen) + len(frontier) * fanout)
         frontier = {succ for node in frontier for succ in expand(node)}
         frontier -= seen
         seen |= frontier
     return seen
+
+
+def _refuse_actions(layer: int, bound: int) -> None:
+    if bound > _ACTION_CAP:
+        raise graph.CapExceededError(
+            f"word actions are capped at {_ACTION_CAP}, but cycle words of"
+            f" {layer} letters may make {bound}: lower the cycle bound"
+        )
+
+
+def _refuse_walks(layer: int, bound: int) -> None:
+    if bound > _WALK_CAP:
+        raise graph.CapExceededError(
+            f"anchored walks are capped at {_WALK_CAP} nodes, but walks of"
+            f" {layer} steps may make {bound}: lower the bounds"
+        )
 
 
 def _images(net: Network, state: int) -> list[int]:
@@ -174,7 +192,8 @@ def _word_runs(
 
     start = (tuple(states), bits, 0)
     folded = set()  # (orbit, omega) masks from every state, per action
-    for ends, orbits, fired in _layers(start, bounds.max_cycle_len, expand, len(after)):
+    for ends, orbits, fired in _layers(start, bounds.max_cycle_len, expand, len(after),
+                                       _refuse_actions):
         if fired != full:
             continue
         # after n doublings, orbits[s] is the union of the visits of the
@@ -200,9 +219,13 @@ def _word_runs(
     return runs
 
 
-def _anchored_omegas(net: Network, anchor: int, max_len: int) -> set[frozenset[int]]:
+def _anchored_omegas(
+    net: Network, anchor: int, max_len: int, fanout: int = 0, spent: int = 0
+) -> tuple[set[frozenset[int]], int]:
     """Visited sets of progressive closed walks of length <= max_len from
-    `anchor` back to itself.
+    `anchor` back to itself, and the number of search nodes they took;
+    `fanout` and `spent` bound the search against `_WALK_CAP` as `_layers`
+    does.
 
     Each such walk's fire word, placed as a schedule cycle and started at
     the anchor, returns to the anchor every occurrence, so its omega-limit
@@ -226,18 +249,30 @@ def _anchored_omegas(net: Network, anchor: int, max_len: int) -> set[frozenset[i
                 return
             lam = (lam - 1) & unstable
 
-    nodes = _layers((anchor, frozenset({anchor}), 0), max_len, expand)
-    return {visited for s, visited, coverage in nodes if s == anchor and coverage == full}
+    start = (anchor, frozenset({anchor}), 0)
+    nodes = _layers(start, max_len, expand, fanout, _refuse_walks, spent)
+    omegas = {visited for s, visited, coverage in nodes if s == anchor and coverage == full}
+    return omegas, len(nodes)
 
 
 def _walk_omegas(
     net: Network, bounds: OracleBounds, states
 ) -> dict[int, frozenset[frozenset[int]]]:
     """The anchored-walk omega sets from each of `states`: those of every
-    anchor within max_prefix_len literal steps, each anchor walked once."""
+    anchor within max_prefix_len literal steps, each anchor walked once.
+
+    The walks of all anchors share one budget of `_WALK_CAP` nodes, checked
+    before each layer of each walk, with a node's successors bounded by
+    the most unstable coordinates of any state; past it CapExceededError
+    is raised."""
     reach = {mu: _layers(mu, bounds.max_prefix_len, lambda s: _images(net, s)) for mu in states}
-    per_anchor = {anchor: _anchored_omegas(net, anchor, bounds.max_cycle_len)
-                  for anchor in set().union(*reach.values())}
+    fanout = max(1 << (s ^ image).bit_count() for s, image in enumerate(net.table))
+    per_anchor = {}
+    spent = 0
+    for anchor in set().union(*reach.values()):
+        per_anchor[anchor], nodes = _anchored_omegas(
+            net, anchor, bounds.max_cycle_len, fanout, spent)
+        spent += nodes
     return {mu: frozenset().union(*map(per_anchor.get, anchors)) for mu, anchors in reach.items()}
 
 
@@ -300,7 +335,9 @@ class VerificationReport:
     counterexamples: list[dict] = field(default_factory=list)
 
     def record(self, name: str, passed: bool, payload: dict | None = None) -> None:
-        entry = self.checks.setdefault(name, [0, 0])
+        entry = self.checks.get(name)
+        if entry is None:
+            entry = self.checks[name] = [0, 0]
         if passed:
             entry[0] += 1
         else:
@@ -316,6 +353,14 @@ class VerificationReport:
         return self.total_failures == 0
 
 
+@functools.lru_cache(maxsize=4)
+def _every_set(n: int) -> tuple[frozenset[int], ...]:
+    """Every nonempty state set at dimension n, in increasing order of its
+    mask; kept per n, since it depends on nothing else."""
+    return tuple(frozenset(s for s in range(1 << n) if mask >> s & 1)
+                 for mask in range(1, 1 << (1 << n)))
+
+
 def _sample_sets(
     net: Network, eq: frozenset[int], max_sets: int | None, rng: random.Random
 ):
@@ -326,11 +371,7 @@ def _sample_sets(
     # asking for at least every nonempty set means all of them; sampling
     # could never reach that many distinct draws
     if max_sets is None or max_sets >= (1 << len(universe)) - 1:
-        masks = range(1, 1 << len(universe))
-        return [
-            frozenset(s for i, s in enumerate(universe) if mask & (1 << i))
-            for mask in masks
-        ]
+        return _every_set(net.n)
     chosen = set()
     for a in (frozenset(universe), eq):
         if a and len(chosen) < max_sets:
@@ -346,9 +387,24 @@ def _sample_sets(
     return sorted(chosen, key=lambda s: (len(s), sorted(s)))
 
 
-def _sample_schedules(net: Network, rng: random.Random) -> list[Schedule]:
+# the schedules drawn per (n, generator state), each with its text, and the
+# generator state the draws end in; the oldest entry goes first
+_DRAWS: dict[tuple, tuple] = {}
+_DRAWS_KEPT = 16
+
+
+def _sample_schedules(net: Network, rng: random.Random) -> tuple[tuple[Schedule, str], ...]:
     """The synchronous schedule and two structurally varied fair schedules
-    with rational times."""
+    with rational times, each with its text.
+
+    The draws depend only on n and the generator state, so they are kept
+    per (n, state): a repeat moves the generator to the state the draws
+    left it in, as drawing again would."""
+    key = (net.n, rng.getstate())
+    kept = _DRAWS.get(key)
+    if kept is not None:
+        rng.setstate(kept[1])
+        return kept[0]
     n = net.n
     out = [synchronous(n)]
     alphabet = list(range(1 << n))
@@ -369,7 +425,11 @@ def _sample_schedules(net: Network, rng: random.Random) -> list[Schedule]:
             for off, fire in zip(offsets, cycle_fires)
         )
         out.append(Schedule(n, prefix, cycle, period, Fraction(1)))
-    return out
+    drawn = tuple((rho, str(rho)) for rho in out)
+    if len(_DRAWS) >= _DRAWS_KEPT:
+        del _DRAWS[next(iter(_DRAWS))]
+    _DRAWS[key] = drawn, rng.getstate()
+    return drawn
 
 
 def _check_run(
@@ -451,43 +511,58 @@ _CUTS = tuple((cut, (cut, cut + Fraction(1, 2), cut + 3))
 def _check_schedule_laws(report, net, base, eq, graph_ach, answers, rng):
     """Omega-limit, invariance, translation and restriction laws along
     sampled rational-time schedules."""
-    for rho in _sample_schedules(net, rng):
-        schedule = str(rho)
-        # every transform of rho, and its event count at every time asked,
-        # is computed once, for all start states
-        translated = [translate(rho, d) for d in _SHIFTS]
+    table = net.table
+
+    def run(word_runs, mu):
+        # the run of one fire word from mu, with its omega, folded on the
+        # first ask
+        word, runs = word_runs
+        got = runs.get(mu)
+        if got is None:
+            values, loop = _fold(table, mu, *word)
+            got = runs[mu] = values, loop, frozenset(values[loop:])
+        return got
+
+    for rho, schedule in _sample_schedules(net, rng):
+        # every transform of rho, its event count at every time asked and
+        # its fire word are computed once, for all start states; transforms
+        # that fire the same word share its runs, one per start state
+        words = {}
+
+        def word_runs(sched):
+            word = tuple(fire for _, fire in sched.prefix), sched.cycle.word
+            return word, words.setdefault(word, {})
+
+        reference = word_runs(rho)
+        translated = [word_runs(translate(rho, d)) for d in _SHIFTS]
         shifted = translate(rho, _SHIFT)
         probes = [(rho._count(t), shifted._count(t2)) for t, t2 in _PROBES]
+        shifted_runs = word_runs(shifted)
         cuts = []
         for t_prime, times in _CUTS:
             tail = restrict_after(rho, t_prime)
-            cuts.append((tail, is_progressive(tail), rho._count(t_prime),
+            cuts.append((word_runs(tail), is_progressive(tail), rho._count(t_prime),
                          [(rho._count(t), tail._count(t)) for t in times]))
         for mu in net.states():
             payload = {**base, "mu": format_bits(mu, net.n), "schedule": schedule}
-            # the reference flow, folded once for its orbit, omega and every
-            # value below
-            values, loop = _run(net, mu, rho)
-            orbit, omega = frozenset(values), frozenset(values[loop:])
+            # the reference flow answers its orbit, omega and every value below
+            values, loop, omega = run(reference, mu)
+            orbit = frozenset(values)
             _check_run(report, net, mu, orbit, omega, eq, graph_ach, payload)
             report.record("orbit_is_p_invariant", answers.p_inv(orbit), payload)
             report.record("omega_is_p_invariant", answers.p_inv(omega), payload)
             for moved in translated:
-                moved_values, moved_loop = _run(net, mu, moved)
-                report.record(
-                    "translation_preserves_omega",
-                    frozenset(moved_values[moved_loop:]) == omega,
-                    payload,
-                )
-            shifted_run = _run(net, mu, shifted)
+                report.record("translation_preserves_omega", run(moved, mu)[2] == omega, payload)
+            shifted_values, shifted_loop, _ = run(shifted_runs, mu)
             for count, shifted_count in probes:
                 report.record(
                     "translated_flow_matches_shifted_time",
-                    _value(*shifted_run, shifted_count) == _value(values, loop, count),
+                    _value(shifted_values, shifted_loop, shifted_count)
+                    == _value(values, loop, count),
                     payload,
                 )
             for tail, progressive, cut_count, counts in cuts:
-                tail_values, tail_loop = _run(net, _value(values, loop, cut_count), tail)
+                tail_values, tail_loop, tail_omega = run(tail, _value(values, loop, cut_count))
                 report.record("restriction_is_progressive", progressive, payload)
                 for count, tail_count in counts:
                     report.record(
@@ -495,11 +570,7 @@ def _check_schedule_laws(report, net, base, eq, graph_ach, answers, rng):
                         _value(tail_values, tail_loop, tail_count) == _value(values, loop, count),
                         payload,
                     )
-                report.record(
-                    "omega_cocycle",
-                    frozenset(tail_values[tail_loop:]) == omega,
-                    payload,
-                )
+                report.record("omega_cocycle", tail_omega == omega, payload)
 
 
 def _check_achievability(report, net, base, eq, graph_ach, answers, reach):
@@ -619,8 +690,7 @@ def _check_flow_basins(report, net, base, eq, graph_ach, answers, rng):
     the set basins of the orbit and the omega-limit set, and, where the
     graph's achievable omega sets are known, the omega n-basin against its
     definition."""
-    for rho in _sample_schedules(net, rng):
-        schedule = str(rho)
+    for rho, schedule in _sample_schedules(net, rng):
         for mu in net.states():
             payload = {**base, "mu": format_bits(mu, net.n), "schedule": schedule}
             values, loop = _run(net, mu, rho)
@@ -713,16 +783,28 @@ def verify_theorems(
     Each fact is computed once per call: forward reach once per SCC, whose
     states share it; the word runs fold each distinct action of a bounded
     cycle word once, from every state; each translated and restricted
-    schedule, and its event count at every time the laws ask, is built once
-    per sampled schedule, for all start states; each
-    flow, of a sampled schedule or of a transform, is one integer run that
-    answers every value, orbit and omega asked of it, so `flow_at` and
-    `orbit_trace` are not called here (tests/test_flow_kernel.py pins them
-    to the run); and the set-level reference answers (invariance, and the
-    p- and n-basin of a given set) are memoized per call, shared by the
-    families and dropped when the call returns.  The functions under test
-    (orbit and omega basins, witnesses) run once per flow.
+    schedule, its event count at every time the laws ask and its fire word
+    are built once per sampled schedule, for all start states; each
+    flow, of a sampled schedule or of a transform, is one integer run of
+    its fire word that answers every value, orbit and omega asked of it,
+    and transforms firing the same word from the same start share it, so
+    `flow_at` and `orbit_trace` are not called here
+    (tests/test_flow_kernel.py pins them to the run); and the set-level
+    reference answers (invariance, and the p- and n-basin of a given set)
+    are memoized per call, shared by the families and dropped when the
+    call returns.  The functions under test (orbit and omega basins,
+    witnesses) run once per flow.
+
+    Only pure inputs outlive a call: the sampled schedules with their
+    text, kept per (n, generator state) in a small bounded cache, and the
+    list of every nonempty state set, kept per n.  No transform, run,
+    check or answer is kept across calls.
+
+    `max_sets` is None or an int of at least 1; anything else raises
+    ValueError before any graph work.
     """
+    if max_sets is not None and not (isinstance(max_sets, int) and max_sets >= 1):
+        raise ValueError(f"max_sets must be None or an int of at least 1, got {max_sets!r}")
     rng = random.Random(0)
     report = VerificationReport()
     # every counterexample payload starts with the net; it is formatted

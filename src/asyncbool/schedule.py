@@ -21,7 +21,11 @@ once and then passed on unchanged by `translate`, `restrict_after` and
 them again: `translate` and `restrict_after` build their result from
 parts that a shift or a cut keeps valid, and `_led_by` puts one checked
 event in front of parts already checked, so a chain of schedules each
-one event longer checks every event once.
+one event longer checks every event once.  A transform also carries its
+grid: `translate` and `restrict_after` derive it in ints from their
+argument's, a shift by d on the lcm of the grid's and d's denominators
+and a cut on the same grid, where a tick k lies after t' iff
+k > floor(t' * den).
 """
 
 from __future__ import annotations
@@ -60,7 +64,8 @@ def _ticks(x: Fraction | int, den: int) -> int:
 
 class _Cycle(tuple):
     """A cycle validated for the (n, period) in `key`, which Schedule does
-    not check again; `fires` is the union of its fire sets."""
+    not check again; `fires` is the union of its fire sets and `word`
+    their tuple, in offset order."""
 
 
 def _validated_cycle(cycle, n: int, period: Fraction) -> _Cycle:
@@ -77,6 +82,7 @@ def _validated_cycle(cycle, n: int, period: Fraction) -> _Cycle:
     out = _Cycle(cycle)
     out.key = (n, period)
     out.fires = fires
+    out.word = tuple(fire for _, fire in cycle)
     return out
 
 
@@ -91,11 +97,14 @@ def _led_by(n: int, t, fire: int, prefix, cycle: _Cycle, period, cycle_start) ->
     return _trusted(n, ((t, fire),) + prefix, cycle, period, cycle_start)
 
 
-def _trusted(n: int, prefix, cycle: _Cycle, period, cycle_start) -> Schedule:
+def _trusted(n: int, prefix, cycle: _Cycle, period, cycle_start, grid=None) -> Schedule:
     """A Schedule of parts that are already known to be valid together,
-    built without checking any of them again."""
+    built without checking any of them again, with its `_grid` if the
+    caller derived it."""
     out = object.__new__(Schedule)
     out.__dict__.update(n=n, prefix=prefix, cycle=cycle, period=period, cycle_start=cycle_start)
+    if grid is not None:
+        out.__dict__["_grid"] = grid
     return out
 
 
@@ -200,16 +209,21 @@ def _run(net: Network, mu: int, rho: Schedule) -> tuple[list[int], int]:
         raise DimensionError(f"schedule of n={rho.n} does not fit a network of n={net.n}")
     check_state(mu, net.n)
     _require_progressive(rho, net.n)
-    table = net.table
+    return _fold(net.table, mu, [fire for _, fire in rho.prefix], rho.cycle.word)
+
+
+def _fold(table, mu: int, prefix, cycle) -> tuple[list[int], int]:
+    """`_run` on a fire word, the fire sets of the prefix and of one cycle
+    occurrence, with nothing checked."""
     state = mu
     values = [mu]
-    for _, fire in rho.prefix:
+    for fire in prefix:
         state = (state & ~fire) | (table[state] & fire)
         values.append(state)
     starts: dict[int, int] = {}
     while state not in starts:
         starts[state] = len(values) - 1
-        for _, fire in rho.cycle:
+        for fire in cycle:
             state = (state & ~fire) | (table[state] & fire)
             values.append(state)
     return values, starts[state]
@@ -344,9 +358,17 @@ def omega_limit(net: Network, mu: int, rho: Schedule) -> frozenset[int]:
 def translate(rho: Schedule, d: Fraction) -> Schedule:
     """Shift every event time by +d; cycle structure is unchanged."""
     d = Fraction(_rational(d))
-    # a shift keeps the prefix increasing and before the cycle start
-    return _trusted(rho.n, tuple((t + d, fire) for t, fire in rho.prefix), rho.cycle,
-                    rho.period, rho.cycle_start + d)
+    own, ticks, start, offsets, span = rho._grid
+    den = math.lcm(own, d.denominator)
+    scale, shift = den // own, _ticks(d, den)
+    ticks = [scale * t + shift for t in ticks]
+    start = scale * start + shift
+    # the shifted times, t + d, read off their ticks; a shift keeps the
+    # prefix increasing and before the cycle start
+    prefix = tuple((Fraction(t, den), fire) for t, (_, fire) in zip(ticks, rho.prefix))
+    grid = (den, ticks, start, offsets if scale == 1 else [scale * off for off in offsets],
+            scale * span)
+    return _trusted(rho.n, prefix, rho.cycle, rho.period, Fraction(start, den), grid)
 
 
 def restrict_after(rho: Schedule, t_prime: Fraction) -> Schedule:
@@ -356,20 +378,26 @@ def restrict_after(rho: Schedule, t_prime: Fraction) -> Schedule:
     the cycle itself is untouched, so progressiveness is preserved.
     """
     _rational(t_prime)
+    den, ticks, start, offsets, span = rho._grid
+    # a tick lies after t_prime iff it lies after this one
+    cut = _ticks(t_prime, den)
     # the kept events are a tail of rho's, and the occurrence that t_prime
     # cuts ends before the next one starts, so every part stays valid
-    prefix = [(t, f) for t, f in rho.prefix if t > t_prime]
-    if rho.cycle_start > t_prime:
-        return _trusted(rho.n, tuple(prefix), rho.cycle, rho.period, rho.cycle_start)
-    # first occurrence that starts strictly after t_prime
-    m_star = (t_prime - rho.cycle_start) // rho.period + 1
-    new_start = rho.cycle_start + m_star * rho.period
-    partial_base = new_start - rho.period
-    for off, fire in rho.cycle:
-        t = partial_base + off
-        if t > t_prime:
-            prefix.append((t, fire))
-    return _trusted(rho.n, tuple(prefix), rho.cycle, rho.period, new_start)
+    first = bisect_right(ticks, cut)
+    prefix, ticks = rho.prefix[first:], ticks[first:]
+    new_start = rho.cycle_start
+    if start <= cut:
+        # the first occurrence that starts strictly after t_prime
+        m_star = (cut - start) // span + 1
+        new_start = rho.cycle_start + m_star * rho.period
+        partial_base = new_start - rho.period
+        base = start + (m_star - 1) * span
+        skipped = bisect_right(offsets, cut - base)
+        prefix += tuple((partial_base + off, fire) for off, fire in rho.cycle[skipped:])
+        ticks += [base + off for off in offsets[skipped:]]
+        start = base + span
+    return _trusted(rho.n, prefix, rho.cycle, rho.period, new_start,
+                    (den, ticks, start, offsets, span))
 
 
 def flows_eventually_equal(net: Network, mu: int, rho: Schedule,

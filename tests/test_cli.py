@@ -1,6 +1,7 @@
 import argparse
 import io
 import json
+import random
 import re
 import sys
 import time
@@ -159,6 +160,22 @@ def test_verify_past_the_word_action_cap_exits_2_with_one_line(tmp_path, monkeyp
     assert out == ""
     assert err == ("error: word actions are capped at 100, but cycle words of 3 letters"
                    " may make 449: lower the cycle bound\n")
+
+
+def test_oracle_past_the_walk_budget_exits_2_with_one_line(tmp_path, capsys):
+    # a dense permuted-mask n = 6 table (seed 1): the anchored walks from
+    # 000000 at the default bounds (4, 4) used to run for 30 s in 343 MB
+    masks = list(range(64))
+    random.Random(1).shuffle(masks)
+    path = tmp_path / "dense6.tbl"
+    path.write_text(render_network_table(Network(6, tuple(s ^ m for s, m in enumerate(masks)))))
+    t0 = time.monotonic()
+    code, out, err = run(capsys, "oracle", "--net", str(path), "--from", "000000")
+    assert time.monotonic() - t0 < 10.0
+    assert code == 2
+    assert out == ""
+    assert re.fullmatch(r"error: anchored walks are capped at 1048576 nodes, but walks of \d+"
+                        r" steps may make \d+: lower the bounds\n", err)
 
 
 def test_verify_samples_state_sets_above_n3(tmp_path, capsys):

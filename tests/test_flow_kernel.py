@@ -178,6 +178,50 @@ def test_flow_at_on_derived_schedules_matches_event_fold(case, d, cut):
                 assert flow_at(net, mu, derived, when) == event_fold(net, mu, derived, when)
 
 
+def fraction_translate(rho, d):
+    """translate by the Fraction formulas: every time plus d."""
+    d = F(d)
+    return Schedule(rho.n, tuple((t + d, fire) for t, fire in rho.prefix), rho.cycle,
+                    rho.period, rho.cycle_start + d)
+
+
+def fraction_restrict_after(rho, t_prime):
+    """restrict_after by the Fraction formulas: the prefix events after
+    t_prime, then those of the cycle occurrence that t_prime cuts, with the
+    cycle starting at the first occurrence after t_prime."""
+    prefix = [(t, fire) for t, fire in rho.prefix if t > t_prime]
+    if rho.cycle_start > t_prime:
+        return Schedule(rho.n, tuple(prefix), rho.cycle, rho.period, rho.cycle_start)
+    start = rho.cycle_start + ((t_prime - rho.cycle_start) // rho.period + 1) * rho.period
+    base = start - rho.period
+    prefix += [(base + off, fire) for off, fire in rho.cycle if base + off > t_prime]
+    return Schedule(rho.n, tuple(prefix), rho.cycle, rho.period, start)
+
+
+@settings(max_examples=300, deadline=None)
+@given(grid_cases(), st.one_of(rationals, new_shifts), st.one_of(rationals, new_shifts),
+       st.lists(st.builds(F, st.integers(-400, 400), st.integers(1, 35)), max_size=6))
+def test_transforms_on_the_int_grid_match_the_fraction_formulas(case, d, cut, times):
+    # translate and restrict_after derive their result's grid from their
+    # argument's in ints; a chain of them derives each from a derived one.
+    # The reference builds every time with Fractions and its grid afresh
+    # from those times.
+    net, mu, rho, probes = case
+    moved, want_moved = translate(rho, d), fraction_translate(rho, d)
+    pairs = [
+        (moved, want_moved),
+        (restrict_after(rho, cut), fraction_restrict_after(rho, cut)),
+        (restrict_after(moved, cut), fraction_restrict_after(want_moved, cut)),
+        (translate(restrict_after(moved, cut), -d),
+         fraction_translate(fraction_restrict_after(want_moved, cut), -d)),
+    ]
+    for got, want in pairs:
+        # equal fields, each an int or a Fraction as the formulas make it
+        assert got == want and repr(got) == repr(want)
+        for t in [*probes, *times, cut, cut + d, *(t + d for t in probes)]:
+            assert got._count(t) == want._count(t), t
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.one_of(flow_cases(), grid_cases()), new_shifts, new_shifts)
 def test_public_wrappers_match_one_run(case, d, cut):

@@ -74,6 +74,23 @@ def test_bounds_that_are_not_ints_refused(bounds, field):
         OracleBounds(*bounds)
 
 
+@pytest.mark.parametrize("n", [2.0, "2", None, 0, 21])
+def test_default_bounds_refuses_what_the_dimension_rule_refuses(n):
+    # 2.0 used to end in a TypeError from the shift
+    with pytest.raises(DimensionError):
+        default_bounds(n)
+
+
+@pytest.mark.parametrize("max_sets", [0, -3, 2.5, "3", 4.0])
+def test_max_sets_that_is_no_positive_int_refused_before_graph_work(max_sets):
+    # 0 and -3 used to check no sampled set at all, and 2.5 passed
+    net = Network(2, (0b11, 0b11, 0b10, 0b01))
+    with pytest.raises(ValueError, match="^max_sets must be None or an int of at least 1"):
+        verify_theorems(net, OracleBounds(1, 2), max_sets=max_sets)
+    assert "_graph" not in net.__dict__
+    assert verify_theorems(net, OracleBounds(1, 2), max_sets=1).checks["n_basin_inside_p_basin"] == [1, 0]
+
+
 def test_simulate_word_schedule_matches_omega_limit(net1):
     # every integer-time word schedule with prefix and cycle of length <= 2:
     # prefix fires at t = 0..p-1, the progressive cycle at offsets 0..q-1
@@ -150,7 +167,7 @@ def test_anchored_omegas_match_every_covering_closed_walk():
     for net in _small_random_nets(12, 30):
         for max_len in range(1, 5):
             for anchor in net.states():
-                assert _anchored_omegas(net, anchor, max_len) == closed_walks(
+                assert _anchored_omegas(net, anchor, max_len)[0] == closed_walks(
                     net, anchor, max_len
                 )
 
@@ -449,6 +466,31 @@ def test_word_action_cap_refuses_eight_letters_on_the_dense_table():
         _word_runs(DENSE3, OracleBounds(1, 8))
 
 
+def test_walk_budget_is_shared_by_every_anchor(monkeypatch):
+    # at cycle bound 3 on the dense table, the walk of each anchor alone
+    # stays under a cap of 140 nodes, but the 8 walks together take 151
+    monkeypatch.setattr(oracle_mod, "_WALK_CAP", 140)
+    bounds = OracleBounds(0, 3)
+    for anchor in DENSE3.states():
+        assert oracle_mod._walk_omegas(DENSE3, bounds, [anchor])[anchor]
+    assert sum(_anchored_omegas(DENSE3, anchor, 3)[1] for anchor in DENSE3.states()) == 151
+    with pytest.raises(CapExceededError, match=r"^anchored walks are capped at 140 nodes,"
+                       r" but walks of \d steps may make \d+: lower the bounds$"):
+        oracle_mod._walk_omegas(DENSE3, bounds, DENSE3.states())
+    with pytest.raises(CapExceededError, match="capped at 140 nodes"):
+        oracle_achievable_omegas_all(DENSE3, bounds)
+
+
+def test_walk_budget_stops_the_five_coordinate_negation():
+    # every coordinate of every state is unstable, so a walk's nodes may
+    # grow 32x per step: the CLI's default bounds (4, 4) from 00000 used to
+    # run for minutes; one anchor alone is refused before its fifth step
+    negation = Network(5, tuple(s ^ 0b11111 for s in range(32)))
+    with pytest.raises(CapExceededError, match="^anchored walks are capped at 1048576 nodes,"
+                       " but walks of 5 steps may make 4316658"):
+        oracle_mod._walk_omegas(negation, OracleBounds(0, 5), [0])
+
+
 def test_verify_detects_lying_p_invariance(net1, monkeypatch):
     # memoized set answers are still filled through graph.is_p_invariant,
     # so a patched fault there reaches the checks
@@ -522,3 +564,66 @@ def test_word_oracle_skipped_above_n3():
         assert {"omega_nonempty", "basin_monotonicity"} <= report.checks.keys()
         recorded |= report.checks.keys()
     assert OMEGA_N_BASIN_CHECKS <= recorded
+
+
+def _report(net, bounds, max_sets=None):
+    report = verify_theorems(net, bounds, max_sets=max_sets)
+    return report.checks, report.counterexamples
+
+
+@pytest.mark.parametrize("n, max_sets", [(3, None), (3, 7), (3, 40), (4, 12), (4, 30)])
+def test_reports_equal_cold_and_warm(monkeypatch, n, max_sets):
+    # kept draws and the kept every-set list give the report of a cold
+    # process, on a fresh network and on one whose graph is built; a
+    # corrupted n-basin fills the counterexamples too
+    rng = random.Random(n * 100 + (max_sets or 0))
+    table = tuple(rng.randrange(1 << n) for _ in range(1 << n))
+    bounds = OracleBounds(1, 2)
+    monkeypatch.setattr(oracle_mod, "_DRAWS", {})
+    oracle_mod._every_set.cache_clear()
+    cold = _report(Network(n, table), bounds, max_sets)
+    assert oracle_mod._DRAWS
+    warm_net = Network(n, table)
+    for net in (Network(n, table), warm_net, warm_net):
+        assert _report(net, bounds, max_sets) == cold
+    real = basins_mod.basin_n
+    monkeypatch.setattr(basins_mod, "basin_n", lambda net, attractor: basins_mod.BasinResult(
+        real(net, attractor).members | {0}))
+    oracle_mod._DRAWS.clear()
+    cold = _report(Network(n, table), bounds, max_sets)
+    assert cold[1]
+    assert _report(warm_net, bounds, max_sets) == cold
+
+
+def test_kept_draws_leave_the_generator_where_drawing_does(monkeypatch):
+    monkeypatch.setattr(oracle_mod, "_DRAWS", {})
+    net = Network(3, tuple(range(8)))
+    runs = []
+    for _ in range(2):
+        rng = random.Random(11)
+        rng.random()
+        runs.append((oracle_mod._sample_schedules(net, rng), rng.getstate()))
+    (drawn, state), (kept, kept_state) = runs
+    assert kept is drawn and kept_state == state
+    assert [text for _, text in drawn] == [str(rho) for rho, _ in drawn]
+    # another dimension draws afresh from the same generator state
+    rng = random.Random(11)
+    rng.random()
+    assert oracle_mod._sample_schedules(Network(2, (0, 1, 2, 3)), rng)[0][0].n == 2
+
+
+def test_the_draw_cache_stays_bounded(monkeypatch):
+    monkeypatch.setattr(oracle_mod, "_DRAWS", {})
+    net = Network(2, (0b11, 0b11, 0b10, 0b01))
+    for seed in range(3 * oracle_mod._DRAWS_KEPT):
+        oracle_mod._sample_schedules(net, random.Random(seed))
+        assert len(oracle_mod._DRAWS) <= oracle_mod._DRAWS_KEPT
+    # the oldest draws went first
+    kept = {state for _, state in oracle_mod._DRAWS}
+    assert kept == {random.Random(seed).getstate()
+                    for seed in range(2 * oracle_mod._DRAWS_KEPT, 3 * oracle_mod._DRAWS_KEPT)}
+    # every max_sets sample leaves the generator elsewhere for the flow
+    # basins' draws: verify keeps no more than the bound either
+    for max_sets in range(1, 40):
+        verify_theorems(Network(4, tuple(range(16))), OracleBounds(1, 1), max_sets=max_sets)
+        assert len(oracle_mod._DRAWS) <= oracle_mod._DRAWS_KEPT

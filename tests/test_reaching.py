@@ -148,8 +148,8 @@ def test_one_element_tuples_are_shared_per_state():
 def test_witness_free_answers_equal_the_bfs_closure(case):
     net, sets, mu = case
     n = net.n
-    flows = [(rho, omega_limit(net, mu, rho))
-             for rho in [synchronous(n)] + _sample_schedules(net, random.Random(n))]
+    drawn = [rho for rho, _ in _sample_schedules(net, random.Random(n))]
+    flows = [(rho, omega_limit(net, mu, rho)) for rho in [synchronous(n)] + drawn]
     want = {}
     for a in sets:
         p, nb = ref_basin_p(net, a), ref_basin_n(net, a)
