@@ -234,25 +234,29 @@ def _anchored_omegas(
     coordinate is free and only improves coordinate coverage.  Reaching a
     (state, visited, coverage) node earlier only ever allows more
     continuations under the length cap, so the layered search is sound.
+    A node's visited set is a mask of states, one-to-one with the set, and
+    only the returned sets are made frozensets.
     """
     full = full_mask(net.n)
+    table = net.table
 
     def expand(node):
         state, visited, coverage = node
-        unstable = state ^ net.table[state]
+        unstable = state ^ table[state]
         coverage |= full & ~unstable
         lam = unstable
         while True:  # every subset lam of unstable, which flips exactly lam
             s2 = state ^ lam
-            yield s2, visited if s2 in visited else visited | {s2}, coverage | lam
+            yield s2, visited | 1 << s2, coverage | lam
             if not lam:
                 return
             lam = (lam - 1) & unstable
 
-    start = (anchor, frozenset({anchor}), 0)
+    start = (anchor, 1 << anchor, 0)
     nodes = _layers(start, max_len, expand, fanout, _refuse_walks, spent)
-    omegas = {visited for s, visited, coverage in nodes if s == anchor and coverage == full}
-    return omegas, len(nodes)
+    masks = {visited for s, visited, coverage in nodes if s == anchor and coverage == full}
+    states = net.states()
+    return {frozenset(s for s in states if mask >> s & 1) for mask in masks}, len(nodes)
 
 
 def _walk_omegas(
@@ -312,17 +316,27 @@ def oracle_basin(
     if mode not in ("p", "n"):
         raise ValueError("mode must be 'p' or 'n'")
     attractor = graph._state_set(net, attractor, "attractor must be nonempty")
-    p, n = _omega_basins(_walk_omegas(net, bounds, net.states()), attractor)
+    omegas = _walk_omegas(net, bounds, net.states())
+    p, n = _omega_basins(omegas, _omega_unions(omegas), attractor)
     return p if mode == "p" else n
 
 
+def _omega_unions(omegas: dict[int, frozenset[frozenset[int]]]) -> dict[int, frozenset[int]]:
+    """Per state, the union of its omega sets; empty for an empty family."""
+    return {mu: frozenset().union(*oms) for mu, oms in omegas.items()}
+
+
 def _omega_basins(
-    omegas: dict[int, frozenset[frozenset[int]]], a: frozenset[int]
+    omegas: dict[int, frozenset[frozenset[int]]],
+    unions: dict[int, frozenset[int]],
+    a: frozenset[int],
 ) -> tuple[frozenset[int], frozenset[int]]:
-    """The p- and n-basins of `a` read off per-state omega families: the
-    states with some, respectively every, omega set inside `a`."""
+    """The p- and n-basins of `a` read off per-state omega families, given
+    their `_omega_unions`: the states with some, respectively every, omega
+    set inside `a`.  Every omega set lies inside `a` iff their union does,
+    and an empty family has both."""
     p = frozenset(mu for mu, oms in omegas.items() if any(om <= a for om in oms))
-    n = frozenset(mu for mu, oms in omegas.items() if all(om <= a for om in oms))
+    n = frozenset(mu for mu, union in unions.items() if union <= a)
     return p, n
 
 
@@ -361,17 +375,21 @@ def _every_set(n: int) -> tuple[frozenset[int], ...]:
                  for mask in range(1, 1 << (1 << n)))
 
 
+def _samples_every_set(n: int, max_sets: int | None) -> bool:
+    # asking for at least every nonempty set means all of them; sampling
+    # could never reach that many distinct draws
+    return max_sets is None or max_sets >= (1 << (1 << n)) - 1
+
+
 def _sample_sets(
     net: Network, eq: frozenset[int], max_sets: int | None, rng: random.Random
 ):
     """Every nonempty state set, or at most `max_sets` of them: the full
     space, the fixed-point set, every singleton if they all fit, then
-    random ones."""
-    universe = sorted(net.states())
-    # asking for at least every nonempty set means all of them; sampling
-    # could never reach that many distinct draws
-    if max_sets is None or max_sets >= (1 << len(universe)) - 1:
+    random ones.  Every set is given without drawing."""
+    if _samples_every_set(net.n, max_sets):
         return _every_set(net.n)
+    universe = sorted(net.states())
     chosen = set()
     for a in (frozenset(universe), eq):
         if a and len(chosen) < max_sets:
@@ -387,25 +405,40 @@ def _sample_sets(
     return sorted(chosen, key=lambda s: (len(s), sorted(s)))
 
 
-# the schedules drawn per (n, generator state), each with its text, and the
-# generator state the draws end in; the oldest entry goes first
-_DRAWS: dict[tuple, tuple] = {}
+class _Draws:
+    """The schedules drawn from one generator state at one n, each with its
+    text, and what is kept with them: `end`, the generator state the draws
+    leave; `laws`, the schedule-law facts of each schedule with the
+    transforms that derived them; and `then`, the draws that start at
+    `end`, when nothing was drawn in between."""
+
+    __slots__ = ("schedules", "end", "laws", "then")
+
+    def __init__(self, schedules, end):
+        self.schedules, self.end, self.laws, self.then = schedules, end, None, None
+
+
+# the draws per key, (n, generator state) or, for draws from a fresh
+# Random(0), (n, None); the oldest entry goes first
+_DRAWS: dict[tuple, _Draws] = {}
 _DRAWS_KEPT = 16
 
 
-def _sample_schedules(net: Network, rng: random.Random) -> tuple[tuple[Schedule, str], ...]:
-    """The synchronous schedule and two structurally varied fair schedules
-    with rational times, each with its text.
-
-    The draws depend only on n and the generator state, so they are kept
-    per (n, state): a repeat moves the generator to the state the draws
+def _draws(n: int, rng: random.Random, key: tuple | None = None,
+           after: _Draws | None = None) -> _Draws:
+    """The draws of `_sample_schedules`, which depend only on n and the
+    generator state: kept per `key`, (n, rng.getstate()) unless the caller
+    knows the state, or with the draws `after`, in whose end state the
+    generator is.  A repeat moves the generator to the state the draws
     left it in, as drawing again would."""
-    key = (net.n, rng.getstate())
-    kept = _DRAWS.get(key)
+    if after is not None:
+        kept = after.then
+    else:
+        key = key or (n, rng.getstate())
+        kept = _DRAWS.get(key)
     if kept is not None:
-        rng.setstate(kept[1])
-        return kept[0]
-    n = net.n
+        rng.setstate(kept.end)
+        return kept
     out = [synchronous(n)]
     alphabet = list(range(1 << n))
     for _ in range(2):
@@ -425,11 +458,21 @@ def _sample_schedules(net: Network, rng: random.Random) -> tuple[tuple[Schedule,
             for off, fire in zip(offsets, cycle_fires)
         )
         out.append(Schedule(n, prefix, cycle, period, Fraction(1)))
-    drawn = tuple((rho, str(rho)) for rho in out)
-    if len(_DRAWS) >= _DRAWS_KEPT:
-        del _DRAWS[next(iter(_DRAWS))]
-    _DRAWS[key] = drawn, rng.getstate()
+    drawn = _Draws(tuple((rho, str(rho)) for rho in out), rng.getstate())
+    if after is not None:
+        after.then = drawn
+    else:
+        if len(_DRAWS) >= _DRAWS_KEPT:
+            del _DRAWS[next(iter(_DRAWS))]
+        _DRAWS[key] = drawn
     return drawn
+
+
+def _sample_schedules(net: Network, rng: random.Random) -> tuple[tuple[Schedule, str], ...]:
+    """The synchronous schedule and two structurally varied fair schedules
+    with rational times, each with its text, kept per (n, generator
+    state)."""
+    return _draws(net.n, rng).schedules
 
 
 def _check_run(
@@ -508,41 +551,51 @@ _CUTS = tuple((cut, (cut, cut + Fraction(1, 2), cut + 3))
               for cut in (Fraction(-10), Fraction(1, 3), Fraction(2), Fraction(9, 2)))
 
 
-def _check_schedule_laws(report, net, base, eq, graph_ach, answers, rng):
+def _law_facts(rho: Schedule):
+    """What the schedule laws ask of `rho` on any network: the distinct
+    fire words of rho and of its transforms, each transform as its word's
+    index, each restriction's progressiveness, and the event counts at
+    every time the laws ask."""
+    words = {}
+
+    def index(sched):
+        word = tuple(fire for _, fire in sched.prefix), sched.cycle.word
+        return words.setdefault(word, len(words))
+
+    reference = index(rho)
+    translated = [index(translate(rho, d)) for d in _SHIFTS]
+    shifted = translate(rho, _SHIFT)
+    probes = [(rho._count(t), shifted._count(t2)) for t, t2 in _PROBES]
+    cuts = []
+    for t_prime, times in _CUTS:
+        tail = restrict_after(rho, t_prime)
+        cuts.append((index(tail), is_progressive(tail), rho._count(t_prime),
+                     [(rho._count(t), tail._count(t)) for t in times]))
+    return list(words), reference, translated, index(shifted), probes, cuts
+
+
+def _check_schedule_laws(report, net, base, eq, graph_ach, answers, draws):
     """Omega-limit, invariance, translation and restriction laws along
     sampled rational-time schedules."""
     table = net.table
+    # the facts are kept with the draws, and derived again when a
+    # transform they were derived with is no longer the one asked
+    transforms = translate, restrict_after, is_progressive
+    if draws.laws is None or draws.laws[0] != transforms:
+        draws.laws = transforms, [_law_facts(rho) for rho, _ in draws.schedules]
+    for (rho, schedule), facts in zip(draws.schedules, draws.laws[1]):
+        words, reference, translated, shifted, probes, cuts = facts
+        # the run of each fire word from each start state, with its omega,
+        # folded on the first ask; transforms firing the same word share it
+        folded = [{} for _ in words]
 
-    def run(word_runs, mu):
-        # the run of one fire word from mu, with its omega, folded on the
-        # first ask
-        word, runs = word_runs
-        got = runs.get(mu)
-        if got is None:
-            values, loop = _fold(table, mu, *word)
-            got = runs[mu] = values, loop, frozenset(values[loop:])
-        return got
+        def run(i, mu):
+            got = folded[i].get(mu)
+            if got is None:
+                values, loop = _fold(table, mu, *words[i])
+                got = folded[i][mu] = values, loop, frozenset(values[loop:])
+            return got
 
-    for rho, schedule in _sample_schedules(net, rng):
-        # every transform of rho, its event count at every time asked and
-        # its fire word are computed once, for all start states; transforms
-        # that fire the same word share its runs, one per start state
-        words = {}
-
-        def word_runs(sched):
-            word = tuple(fire for _, fire in sched.prefix), sched.cycle.word
-            return word, words.setdefault(word, {})
-
-        reference = word_runs(rho)
-        translated = [word_runs(translate(rho, d)) for d in _SHIFTS]
-        shifted = translate(rho, _SHIFT)
-        probes = [(rho._count(t), shifted._count(t2)) for t, t2 in _PROBES]
-        shifted_runs = word_runs(shifted)
-        cuts = []
-        for t_prime, times in _CUTS:
-            tail = restrict_after(rho, t_prime)
-            cuts.append((word_runs(tail), is_progressive(tail), rho._count(t_prime),
-                         [(rho._count(t), tail._count(t)) for t in times]))
         for mu in net.states():
             payload = {**base, "mu": format_bits(mu, net.n), "schedule": schedule}
             # the reference flow answers its orbit, omega and every value below
@@ -553,7 +606,7 @@ def _check_schedule_laws(report, net, base, eq, graph_ach, answers, rng):
             report.record("omega_is_p_invariant", answers.p_inv(omega), payload)
             for moved in translated:
                 report.record("translation_preserves_omega", run(moved, mu)[2] == omega, payload)
-            shifted_values, shifted_loop, _ = run(shifted_runs, mu)
+            shifted_values, shifted_loop, _ = run(shifted, mu)
             for count, shifted_count in probes:
                 report.record(
                     "translated_flow_matches_shifted_time",
@@ -603,13 +656,12 @@ def _check_achievability(report, net, base, eq, graph_ach, answers, reach):
             )
 
 
-def _check_set_basins(
-    report, net, base, eq, graph_ach, answers, runs, word_omegas, max_sets, rng
-):
+def _check_set_basins(report, net, base, eq, graph_ach, answers, runs, word_omegas, sets):
     """Invariance and basin theorems over sampled state sets, with the
     word oracle's basins bracketing the graph's."""
     states = net.states()
-    sets = _sample_sets(net, eq, max_sets, rng)
+    if graph_ach is not None:
+        graph_unions, word_unions = _omega_unions(graph_ach), _omega_unions(word_omegas)
     for a in sets:
         p_inv = answers.p_inv(a)
         n_inv = answers.n_inv(a)
@@ -640,10 +692,10 @@ def _check_set_basins(
             payload,
         )
         if graph_ach is not None:
-            ach_p, ach_n = _omega_basins(graph_ach, a)
+            ach_p, ach_n = _omega_basins(graph_ach, graph_unions, a)
             report.record("p_basin_matches_achievable_omegas", w_p == ach_p, payload)
             report.record("n_basin_matches_achievable_omegas", w_n == ach_n, payload)
-            oracle_p, oracle_n = _omega_basins(word_omegas, a)
+            oracle_p, oracle_n = _omega_basins(word_omegas, word_unions, a)
             report.record("oracle_p_basin_subset_of_graph", oracle_p <= w_p, payload)
             report.record("oracle_n_basin_superset_of_graph", w_n <= oracle_n, payload)
             # oracle p-invariance: every member keeps some bounded orbit inside
@@ -685,12 +737,12 @@ def _check_set_basins(
             )
 
 
-def _check_flow_basins(report, net, base, eq, graph_ach, answers, rng):
+def _check_flow_basins(report, net, base, eq, graph_ach, answers, draws):
     """Orbit and omega basins of sampled flows against each other, against
     the set basins of the orbit and the omega-limit set, and, where the
     graph's achievable omega sets are known, the omega n-basin against its
     definition."""
-    for rho, schedule in _sample_schedules(net, rng):
+    for rho, schedule in draws.schedules:
         for mu in net.states():
             payload = {**base, "mu": format_bits(mu, net.n), "schedule": schedule}
             values, loop = _run(net, mu, rho)
@@ -782,22 +834,27 @@ def verify_theorems(
 
     Each fact is computed once per call: forward reach once per SCC, whose
     states share it; the word runs fold each distinct action of a bounded
-    cycle word once, from every state; each translated and restricted
-    schedule, its event count at every time the laws ask and its fire word
-    are built once per sampled schedule, for all start states; each
-    flow, of a sampled schedule or of a transform, is one integer run of
-    its fire word that answers every value, orbit and omega asked of it,
-    and transforms firing the same word from the same start share it, so
-    `flow_at` and `orbit_trace` are not called here
-    (tests/test_flow_kernel.py pins them to the run); and the set-level
+    cycle word once, from every state; each flow, of a sampled schedule or
+    of a transform, is one integer run of its fire word that answers every
+    value, orbit and omega asked of it, and transforms firing the same word
+    from the same start share it, so `flow_at` and `orbit_trace` are not
+    called here (tests/test_flow_kernel.py pins them to the run); the
+    union of each state's omega sets, which decides its n-basin
+    membership, is taken once per omega family; and the set-level
     reference answers (invariance, and the p- and n-basin of a given set)
     are memoized per call, shared by the families and dropped when the
     call returns.  The functions under test (orbit and omega basins,
     witnesses) run once per flow.
 
-    Only pure inputs outlive a call: the sampled schedules with their
-    text, kept per (n, generator state) in a small bounded cache, and the
-    list of every nonempty state set, kept per n.  No transform, run,
+    What depends only on the draws outlives a call.  The sampled schedules
+    with their text are kept in a cache of `_DRAWS_KEPT` entries: the
+    laws' draws, which start from a fresh generator, per n; the flow
+    basins' draws with the laws' when the set sample drew nothing, and per
+    (n, generator state) otherwise.  Kept with each draw are the fire
+    words of its transforms and its event counts at every time the laws
+    ask, keyed by the transforms that derived them and derived again when
+    one differs, so a patched transform is the one asked.  The list of
+    every nonempty state set is kept per n.  No transformed schedule, run,
     check or answer is kept across calls.
 
     `max_sets` is None or an int of at least 1; anything else raises
@@ -835,10 +892,14 @@ def verify_theorems(
         basin_p=functools.cache(lambda a: basins_mod.basin_p(net, a, False).members),
         basin_n=functools.cache(lambda a: basins_mod.basin_n(net, a).members),
     )
-    _check_schedule_laws(report, net, base, eq, graph_ach, answers, rng)
+    # the laws' draws start from a fresh generator, so they are kept per n
+    laws = _draws(net.n, rng, (net.n, None))
+    _check_schedule_laws(report, net, base, eq, graph_ach, answers, laws)
     _check_achievability(report, net, base, eq, graph_ach, answers, reach)
-    _check_set_basins(
-        report, net, base, eq, graph_ach, answers, runs, word_omegas, max_sets, rng
-    )
-    _check_flow_basins(report, net, base, eq, graph_ach, answers, rng)
+    sets = _sample_sets(net, eq, max_sets, rng)
+    _check_set_basins(report, net, base, eq, graph_ach, answers, runs, word_omegas, sets)
+    # a sample of every set draws nothing, so the flow basins' draws start
+    # where the laws' draws end, and are kept with them
+    flows = _draws(net.n, rng, after=laws if _samples_every_set(net.n, max_sets) else None)
+    _check_flow_basins(report, net, base, eq, graph_ach, answers, flows)
     return report

@@ -627,3 +627,185 @@ def test_the_draw_cache_stays_bounded(monkeypatch):
     for max_sets in range(1, 40):
         verify_theorems(Network(4, tuple(range(16))), OracleBounds(1, 1), max_sets=max_sets)
         assert len(oracle_mod._DRAWS) <= oracle_mod._DRAWS_KEPT
+
+
+def _counting_transforms(monkeypatch):
+    """Wrap oracle's translate and restrict_after; the returned Counter
+    counts their calls by name."""
+    calls = Counter()
+    for name in ("translate", "restrict_after"):
+        real = getattr(oracle_mod, name)
+
+        def counting(rho, t, real=real, name=name):
+            calls[name] += 1
+            return real(rho, t)
+
+        monkeypatch.setattr(oracle_mod, name, counting)
+    return calls
+
+
+def test_warm_verify_calls_no_transform(monkeypatch):
+    # the schedule-law facts are kept with the draws, so a second n = 2
+    # call, on another table, builds no transform and reports as a cold one
+    monkeypatch.setattr(oracle_mod, "_DRAWS", {})
+    calls = _counting_transforms(monkeypatch)
+    bounds = OracleBounds(1, 2)
+    verify_theorems(Network(2, (0b11, 0b11, 0b10, 0b01)), bounds)
+    assert calls["translate"] and calls["restrict_after"]
+    calls.clear()
+    other = Network(2, (0b01, 0b00, 0b11, 0b11))
+    warm = _report(other, bounds)
+    assert not calls
+    oracle_mod._DRAWS.clear()
+    assert _report(other, bounds) == warm
+    assert calls["translate"] and calls["restrict_after"]
+
+
+def test_warm_verify_takes_no_generator_snapshot(monkeypatch):
+    # with every set checked, nothing is drawn between the laws' draws and
+    # the flow basins', so a warm call finds both without reading the
+    # generator's state
+    monkeypatch.setattr(oracle_mod, "_DRAWS", {})
+    net = Network(3, (1, 6, 2, 1, 7, 0, 4, 7))
+    cold = _report(net, OracleBounds(1, 2))
+    real = random.Random.getstate
+    snapshots = Counter()
+
+    def counting(self):
+        snapshots["getstate"] += 1
+        return real(self)
+
+    monkeypatch.setattr(random.Random, "getstate", counting)
+    assert _report(Network(3, net.table), OracleBounds(1, 2)) == cold
+    assert not snapshots
+    # a sample that draws reads it again, for the flow basins' draws
+    _report(net, OracleBounds(1, 2), max_sets=7)
+    assert snapshots["getstate"] >= 1
+
+
+@pytest.mark.parametrize(
+    "name, faulty, failing",
+    [
+        ("translate", lambda rho, d: _drop_first_event(translate(rho, d)),
+         {"translated_flow_matches_shifted_time", "translation_preserves_omega"}),
+        ("restrict_after", lambda rho, t: _drop_first_event(restrict_after(rho, t)),
+         {"flow_factors_through_restriction", "omega_cocycle"}),
+    ],
+)
+def test_kept_law_facts_do_not_hide_a_faulty_transform(net1, monkeypatch, name, faulty, failing):
+    # facts kept from an unpatched call are derived again when the
+    # transform differs, and once more when the real one is back
+    bounds = OracleBounds(1, 2)
+    assert verify_theorems(net1, bounds).ok
+    with monkeypatch.context() as patch:
+        patch.setattr(oracle_mod, name, faulty)
+        report = verify_theorems(net1, bounds)
+    assert {check for check, (_, fails) in report.checks.items() if fails} == failing
+    assert verify_theorems(net1, bounds).ok
+
+
+omega_families = st.integers(1, 3).flatmap(lambda n: st.tuples(
+    st.dictionaries(
+        st.integers(0, (1 << n) - 1),
+        st.frozensets(st.frozensets(st.integers(0, (1 << n) - 1), min_size=1), max_size=4),
+        max_size=1 << n),
+    st.frozensets(st.integers(0, (1 << n) - 1), min_size=1)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(omega_families)
+def test_omega_basins_match_their_definition(case):
+    # some, respectively every, omega set inside A; an empty family is in
+    # the n-basin and not in the p-basin
+    omegas, a = case
+    p, n = oracle_mod._omega_basins(omegas, oracle_mod._omega_unions(omegas), a)
+    assert p == {mu for mu, oms in omegas.items() if any(om <= a for om in oms)}
+    assert n == {mu for mu, oms in omegas.items() if all(om <= a for om in oms)}
+
+
+def _frozenset_anchored_omegas(net, anchor, max_len, fanout=0, spent=0):
+    """_anchored_omegas with visited sets kept as frozensets."""
+    full = (1 << net.n) - 1
+
+    def expand(node):
+        state, visited, coverage = node
+        unstable = state ^ net.table[state]
+        coverage |= full & ~unstable
+        lam = unstable
+        while True:
+            s2 = state ^ lam
+            yield s2, visited if s2 in visited else visited | {s2}, coverage | lam
+            if not lam:
+                return
+            lam = (lam - 1) & unstable
+
+    start = (anchor, frozenset({anchor}), 0)
+    nodes = oracle_mod._layers(start, max_len, expand, fanout, oracle_mod._refuse_walks, spent)
+    omegas = {visited for s, visited, coverage in nodes if s == anchor and coverage == full}
+    return omegas, len(nodes)
+
+
+@st.composite
+def anchored_walk_cases(draw):
+    """A net with n <= 3, an anchor, a walk length, and either no budget
+    or one whose earlier walks left a few hundred nodes of the walk cap."""
+    n = draw(st.integers(1, 3))
+    table = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1 << n, max_size=1 << n))
+    net = Network(n, tuple(table))
+    case = net, draw(st.integers(0, (1 << n) - 1)), draw(st.integers(0, 4))
+    left = draw(st.one_of(st.none(), st.integers(0, 300)))
+    if left is None:
+        return case
+    fanout = max(1 << (s ^ image).bit_count() for s, image in enumerate(net.table))
+    return (*case, fanout, oracle_mod._WALK_CAP - left)
+
+
+def _outcome(walk, *args):
+    try:
+        return walk(*args)
+    except CapExceededError as refusal:
+        return str(refusal)
+
+
+@settings(max_examples=200, deadline=None)
+@given(anchored_walk_cases())
+def test_anchored_omegas_on_masks_match_frozenset_walks(case):
+    # the same omega sets and node count, or the same refusal
+    assert _outcome(_anchored_omegas, *case) == _outcome(_frozenset_anchored_omegas, *case)
+
+
+def test_reports_equal_cold_and_warm_across_samples(monkeypatch):
+    # the flow basins' draws are kept with the laws' only when the set
+    # sample drew nothing: samples that draw, or not, share one cache and
+    # each still reports as in a cold process
+    monkeypatch.setattr(oracle_mod, "_DRAWS", {})
+    net = Network(3, (1, 6, 2, 1, 7, 0, 4, 7))
+    bounds = OracleBounds(1, 2)
+    samples = (None, 7, 40, 255, 12)
+    cold = {}
+    for max_sets in samples:
+        oracle_mod._DRAWS.clear()
+        cold[max_sets] = _report(net, bounds, max_sets)
+    for max_sets in samples + samples[::-1]:
+        assert _report(net, bounds, max_sets) == cold[max_sets]
+
+
+def test_chained_draws_leave_the_generator_where_drawing_does(monkeypatch):
+    # draws that follow other draws are kept with them, not in the cache,
+    # and a repeat still leaves the generator where drawing again would
+    monkeypatch.setattr(oracle_mod, "_DRAWS", {})
+    runs = []
+    for _ in range(2):
+        rng = random.Random(0)
+        first = oracle_mod._draws(2, rng, (2, None))
+        then = oracle_mod._draws(2, rng, after=first)
+        runs.append((first, then, rng.getstate()))
+    (first, then, state), (kept_first, kept_then, kept_state) = runs
+    assert kept_first is first and kept_then is then is first.then
+    assert kept_state == state
+    assert list(oracle_mod._DRAWS) == [(2, None)]
+    # they are the draws a generator in the first draws' end state makes
+    rng = random.Random()
+    rng.setstate(first.end)
+    drawn = oracle_mod._sample_schedules(Network(2, (0, 1, 2, 3)), rng)
+    assert [text for _, text in drawn] == [text for _, text in then.schedules]
