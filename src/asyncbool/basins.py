@@ -342,12 +342,10 @@ def omega_basin_n(net: Network, mu: int, rho: Schedule) -> BasinResult:
 
 def _chain_cut(net: Network, omega: frozenset[int]) -> list[int]:
     """One state of each maximal chain of `omega`'s internal edges, and
-    every state on no chain."""
-    succ = graph._adjacency(net, omega)
-    pred: dict[int, list[int]] = {mu: [] for mu in omega}
-    for mu, targets in succ.items():
-        for t in targets:
-            pred[t].append(mu)
+    every state on no chain, read off the graph's tuples."""
+    g = graph._graph(net)
+    succ, pred = ({mu: [t for t in edges[mu] if t in omega] for mu in omega}
+                  for edges in (g.succ, g.pred))
     chained = {mu for mu in omega if len(succ[mu]) == 1 and len(pred[mu]) == 1}
     cut, covered = [], set()
     for mu in omega:

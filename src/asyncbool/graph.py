@@ -47,16 +47,16 @@ that, every query with an SCC not yet kept takes one BFS from all its
 anchors instead, and a cycle past the cap is built per query.
 
 One Tarjan pass (`_tarjan_sccs`) finds SCCs for the whole graph and for
-the parts of a domain.  The whole graph reaches it as the successor
-tuples indexed by state, and its index and lowlink tables are lists too;
-any smaller set, such as the part of a domain inside one SCC, reaches it
-as a map from each member to its successors inside the set.
+the subgraph induced on a domain, such as a domain's part of one SCC.  It
+reads successors through a door and keeps its index and lowlink tables
+as lists over every state; a state outside the domain starts as done, so
+no edge into it is followed and no map of the subgraph is built.
 """
 
 from __future__ import annotations
 
 from functools import partial
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .core import (
     GRAPH_CAP,
@@ -194,7 +194,7 @@ def _graph(net: Network) -> _Graph:
     # fair iff it is a fixed point
     rep = list(states)
     fair = {}
-    for scc in _tarjan_sccs(succ):
+    for scc in _tarjan_sccs(succ.__getitem__, len(table)):
         if len(scc) > 1:
             least = min(scc)
             for mu in scc:
@@ -281,30 +281,28 @@ def is_n_invariant(net: Network, states: Iterable[int]) -> bool:
     return all(states.issuperset(step(mu)) for mu in states)
 
 
-def _tarjan_sccs(adjacency: Sequence[Sequence[int]] | dict[int, list[int]]) -> list[list[int]]:
-    """Iterative Tarjan over successor lists: a sequence indexed by state
-    for the whole graph, or a map from each member of a part to its
-    successors inside the part.  Roots are taken in state order, or in the map's
+def _tarjan_sccs(step, size: int, domain=None) -> list[list[int]]:
+    """Iterative Tarjan through the successor door `step`, over all `size`
+    states in state order or over the subgraph induced on `domain` in its
     order.  A state's index is raised past every other once its SCC is
-    emitted, so it lowers no lowlink: that test replaces the on-stack set."""
-    if isinstance(adjacency, dict):
-        index = dict.fromkeys(adjacency, -1)
-        roots = adjacency
-    else:
-        index = [-1] * len(adjacency)
-        roots = range(len(adjacency))
+    emitted, so it lowers no lowlink: that test replaces the on-stack set.
+    A state outside the domain starts raised, so no edge into it is followed."""
+    roots = range(size) if domain is None else domain
+    index = [size] * size
+    for mu in roots:
+        index[mu] = -1
     low = index.copy()
     stack: list[int] = []
     sccs: list[list[int]] = []
     count = 0
-    done = len(adjacency)
+    done = size
     for root in roots:
         if index[root] >= 0:
             continue
         index[root] = low[root] = count
         count += 1
         stack.append(root)
-        work = [(root, iter(adjacency[root]))]
+        work = [(root, iter(step(root)))]
         while work:
             node, edges = work[-1]
             for target in edges:
@@ -313,7 +311,7 @@ def _tarjan_sccs(adjacency: Sequence[Sequence[int]] | dict[int, list[int]]) -> l
                     index[target] = low[target] = count
                     count += 1
                     stack.append(target)
-                    work.append((target, iter(adjacency[target])))
+                    work.append((target, iter(step(target))))
                     break
                 if seen < low[node]:
                     low[node] = seen
@@ -359,7 +357,7 @@ def is_fair_set(net: Network, states: Iterable[int]) -> bool:
         return False
     states = _state_set(net, states)
     # singletons are strongly connected via their empty-fire self-loop
-    if len(states) > 1 and len(_tarjan_sccs(_adjacency(net, states))) != 1:
+    if len(states) > 1 and len(_tarjan_sccs(_successors(net), len(net.table), states)) != 1:
         return False
     return _is_fair(net, states)
 
@@ -388,7 +386,7 @@ def _fair_sccs(net: Network, domain=None) -> list[frozenset[int]]:
         part = scc.intersection(domain)
         if len(part) > 1:
             cut = True
-            parts = map(frozenset, _tarjan_sccs(_adjacency(net, part)))
+            parts = map(frozenset, _tarjan_sccs(_successors(net), len(net.table), part))
             result.extend(p for p in parts if len(p) > 1 and _is_fair(net, p))
     if cut:
         result.sort(key=min)
@@ -489,7 +487,8 @@ def achievable_omegas_from(net: Network, mu: int) -> frozenset[frozenset[int]]:
     result: set[frozenset[int]] = set()
     # largest first, so an SCC over the fair_subsets cap raises before any
     # SCC is enumerated
-    for scc in sorted(map(frozenset, _tarjan_sccs(_adjacency(net, reach))), key=len, reverse=True):
+    sccs = _tarjan_sccs(_successors(net), len(net.table), reach)
+    for scc in sorted(map(frozenset, sccs), key=len, reverse=True):
         found = known.get(scc)
         if found is None:
             found = known[scc] = tuple(fair_subsets(net, scc))

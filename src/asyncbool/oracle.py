@@ -73,7 +73,10 @@ def simulate_word_schedule(
     net: Network, mu: int, prefix_word: tuple[int, ...], cycle_word: tuple[int, ...]
 ) -> tuple[frozenset[int], frozenset[int]]:
     """(orbit, omega) of the discrete run: fold the prefix, then repeat the
-    cycle until the state at a cycle boundary repeats."""
+    cycle until the state at a cycle boundary repeats.  The cycle word must
+    be nonempty, as a Schedule's cycle must: omega is never empty."""
+    if not cycle_word:
+        raise ValueError("cycle word must be nonempty")
     check_state(mu, net.n)
     for fire in itertools.chain(prefix_word, cycle_word):
         check_state(fire, net.n, "fire set")

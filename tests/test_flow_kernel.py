@@ -276,6 +276,9 @@ def test_simulate_word_schedule_validates_at_entry(net1):
         simulate_word_schedule(net1, 0, (), (0b11, 4))
     with pytest.raises(DimensionError):
         simulate_word_schedule(net1, 0, (-1,), (0b11,))
+    # an empty cycle word would give an empty omega
+    with pytest.raises(ValueError, match="cycle word must be nonempty"):
+        simulate_word_schedule(net1, 0, (), ())
 
 
 def test_flow_rejects_fire_sets_wider_than_the_net(net1):

@@ -4,6 +4,7 @@ import random
 import re
 import time
 from fractions import Fraction
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -60,8 +61,8 @@ def test_reachable_set(net1):
 
 
 def test_tarjan_matches_bruteforce_on_small_graphs():
-    adjacency = {0: [1], 1: [2], 2: [0, 3], 3: [3]}
-    sccs = sorted(sorted(s) for s in _tarjan_sccs(adjacency))
+    adjacency = [[1], [2], [0, 3], [3]]
+    sccs = sorted(sorted(s) for s in _tarjan_sccs(adjacency.__getitem__, 4))
     assert sccs == [[0, 1, 2], [3]]
 
 
@@ -195,7 +196,7 @@ def _reference_sccs(net, domain):
     """Every SCC of the subgraph induced on `domain`, singletons included,
     from one plain Tarjan over that whole subgraph."""
     adjacency = {mu: [t for t in _targets(net.table, mu) if t in domain] for mu in domain}
-    return list(map(frozenset, _tarjan_sccs(adjacency)))
+    return list(map(frozenset, _reference_tarjan(adjacency)))
 
 
 def _reference_fair_sccs(net, domain):
@@ -293,9 +294,9 @@ def test_fairness_bit_rule_matches_edge_scan_and_covering_cycles_replay(case):
 def test_whole_graph_tarjan_runs_once_per_network(monkeypatch):
     calls = []
 
-    def counting(adjacency):
-        calls.append(len(adjacency))
-        return _tarjan_sccs(adjacency)
+    def counting(step, size, domain=None):
+        calls.append(domain is None)
+        return _tarjan_sccs(step, size, domain)
 
     monkeypatch.setattr(graph, "_tarjan_sccs", counting)
     rng = random.Random(4)
@@ -307,10 +308,10 @@ def test_whole_graph_tarjan_runs_once_per_network(monkeypatch):
         basin_p(net, half)
         basin_p(net, frozenset(net.states()))
         is_p_invariant(net, half)
-    assert calls.count(32) == 1
+    assert calls.count(True) == 1
     # an equal but distinct network builds its own graph
     basin_n(Network(5, net.table), half)
-    assert calls.count(32) == 2
+    assert calls.count(True) == 2
 
 
 def test_scc_fairness_decided_once_per_network(monkeypatch):
@@ -334,7 +335,7 @@ def test_scc_fairness_decided_once_per_network(monkeypatch):
         basin_p(net, everything, with_witnesses=False)
         basin_p(net, union, with_witnesses=False)
     g = graph._graph(net)
-    sccs = [scc for scc in _tarjan_sccs(g.succ) if len(scc) > 1]
+    sccs = [scc for scc in _tarjan_sccs(g.succ.__getitem__, len(g.succ)) if len(scc) > 1]
     assert len(g.fair) == len(sccs) - 1 + len(fixed_points(net))
     # each SCC was tested once, when the graph was built
     assert sorted(map(sorted, calls)) == sorted(map(sorted, sccs))
@@ -516,14 +517,18 @@ def nets_and_parts(draw):
 @given(nets_and_parts())
 def test_list_indexed_tarjan_equals_the_dict_one(case):
     net, part = case
-    # the whole graph as lists indexed by state, against the same lists
-    # keyed by state in state order
+    # the whole graph through a list door, against the same lists keyed by
+    # state in state order
+    size = len(net.table)
     succ = [_targets(net.table, mu) for mu in net.states()]
-    assert _tarjan_sccs(succ) == _reference_tarjan(dict(enumerate(succ)))
-    # a part keeps its map, with the roots in the map's order
+    assert _tarjan_sccs(succ.__getitem__, size) == _reference_tarjan(dict(enumerate(succ)))
+    # a part as the domain, roots in the domain's order, through the whole
+    # successor lists and through the cold door, against the part's own map
     members = frozenset(part)
     adjacency = {mu: [t for t in _targets(net.table, mu) if t in members] for mu in part}
-    assert _tarjan_sccs(adjacency) == _reference_tarjan(adjacency)
+    want = _reference_tarjan(adjacency)
+    assert _tarjan_sccs(succ.__getitem__, size, part) == want
+    assert _tarjan_sccs(partial(_targets, net.table), size, part) == want
 
 
 def from_cached_sccs(net, mu):
@@ -532,7 +537,7 @@ def from_cached_sccs(net, mu):
     SCCs that meet it and its one-state SCCs, fair only at fixed points."""
     reach = reachable_set(net, mu)
     result = {frozenset((s,)) for s in fixed_points(net) & reach}
-    for scc in _tarjan_sccs(graph._graph(net).succ):
+    for scc in _reference_tarjan(dict(enumerate(graph._graph(net).succ))):
         if len(scc) > 1 and not reach.isdisjoint(scc):
             result.update(fair_subsets(net, scc))
     return frozenset(result)
