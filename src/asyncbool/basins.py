@@ -67,18 +67,18 @@ def _classify(members: frozenset[int], n: int) -> str:
 _EMPTY = "basins are defined for nonempty sets only"
 
 
-def _bfs_path(net: Network, start: int, goals, edges=None):
+def _bfs_path(net: Network, start: int, goals, domain=None):
     """Shortest fire-set word from start into `goals`, along the proper
-    edges, or along the successor lists of `edges` when given.  Returns
-    (word, end state) or None."""
+    edges, or along those inside `domain` when given.  Returns (word, end
+    state) or None."""
     if start in goals:
         return [], start
-    step = edges.__getitem__ if edges is not None else graph._successors(net)
+    step = graph._successors(net)
     parent = {start: start}
     queue = [start]
     for state in queue:  # the loop also visits states appended while it runs
         for target in step(state):
-            if target in parent:
+            if target in parent or domain is not None and target not in domain:
                 continue
             parent[target] = state
             if target in goals:
@@ -102,10 +102,8 @@ def covering_walk(net: Network, target: Iterable[int], anchor: int) -> list[int]
     if not graph._is_fair(net, target):
         raise NotAchievableError("target set is not fair")
 
-    internal = graph._adjacency(net, target)
-
     def leg(start: int, goals) -> tuple[list[int], int]:
-        step = _bfs_path(net, start, goals, internal)
+        step = _bfs_path(net, start, goals, target)
         if step is None:
             raise NotAchievableError("target set is not strongly connected")
         return step

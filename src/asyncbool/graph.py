@@ -146,14 +146,8 @@ def _successors(net: Network):
     return partial(_targets, net.table)
 
 
-def _adjacency(net: Network, domain) -> dict[int, list[int]]:
-    """Successor lists of the subgraph induced on a validated domain."""
-    step = _successors(net)
-    return {mu: [t for t in step(mu) if t in domain] for mu in domain}
-
-
 class _Graph:
-    __slots__ = ("succ", "pred", "rep", "fair", "closures", "cycles", "kept", "capped")
+    __slots__ = ("succ", "pred", "rep", "fair", "closures", "cycles", "kept")
 
     def __init__(self, succ, pred, rep, fair):
         # succ[mu]: the targets of proper edges from mu, in _targets' order
@@ -168,11 +162,10 @@ class _Graph:
         # states reaching that SCC.  cycles maps the least member of a whole
         # fair SCC to the covering cycle basins keeps for it (see
         # _keep_cycle).  kept counts the closures' members and the cycles'
-        # events, and capped is set once one more closure might pass the cap
+        # events
         self.closures: dict[int, frozenset[int]] = {}
         self.cycles: dict[int, tuple] = {}
         self.kept = 0
-        self.capped = False
 
 
 def _graph(net: Network) -> _Graph:
@@ -243,7 +236,6 @@ def _reaching(net: Network, anchors) -> list[frozenset[int]]:
     for r in keys:
         if r not in closures:
             if g.kept + len(rep) > _KEEP_PER_STATE * len(rep):
-                g.capped = True
                 return [frozenset(_backward_closure(net, anchors))]
             closures[r] = frozenset(_backward_closure(net, (r,)))
             g.kept += len(closures[r])

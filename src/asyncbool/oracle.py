@@ -72,7 +72,7 @@ def default_bounds(n: int) -> OracleBounds:
 def simulate_word_schedule(
     net: Network, mu: int, prefix_word: tuple[int, ...], cycle_word: tuple[int, ...]
 ) -> tuple[frozenset[int], frozenset[int]]:
-    """(orbit, omega) of the discrete run: fold the prefix, then repeat the
+    """(orbit, omega) of the discrete run: fold the prefix and repeat the
     cycle until the state at a cycle boundary repeats.  The cycle word must
     be nonempty, as a Schedule's cycle must: omega is never empty."""
     if not cycle_word:
@@ -378,20 +378,16 @@ def _every_set(n: int) -> tuple[frozenset[int], ...]:
                  for mask in range(1, 1 << (1 << n)))
 
 
-def _samples_every_set(n: int, max_sets: int | None) -> bool:
+def _sample_sets(net: Network, eq: frozenset[int], max_sets: int | None, state):
+    """Every nonempty state set, or at most `max_sets` of them: the full
+    space, the fixed-point set, every singleton if they all fit, and
+    random ones drawn from a generator in `state`; with the generator
+    state they leave.  Every set is given without drawing, and a sample
+    that draws nothing builds no generator."""
     # asking for at least every nonempty set means all of them; sampling
     # could never reach that many distinct draws
-    return max_sets is None or max_sets >= (1 << (1 << n)) - 1
-
-
-def _sample_sets(
-    net: Network, eq: frozenset[int], max_sets: int | None, rng: random.Random
-):
-    """Every nonempty state set, or at most `max_sets` of them: the full
-    space, the fixed-point set, every singleton if they all fit, then
-    random ones.  Every set is given without drawing."""
-    if _samples_every_set(net.n, max_sets):
-        return _every_set(net.n)
+    if max_sets is None or max_sets >= (1 << (1 << net.n)) - 1:
+        return _every_set(net.n), state
     universe = sorted(net.states())
     chosen = set()
     for a in (frozenset(universe), eq):
@@ -402,46 +398,25 @@ def _sample_sets(
     singletons = {frozenset({s}) for s in universe}
     if len(chosen | singletons) <= max_sets:
         chosen |= singletons
-    while len(chosen) < max_sets:
-        size = rng.randint(1, len(universe))
-        chosen.add(frozenset(rng.sample(universe, size)))
-    return sorted(chosen, key=lambda s: (len(s), sorted(s)))
+    if len(chosen) < max_sets:
+        rng = random.Random(0)
+        rng.setstate(state)
+        while len(chosen) < max_sets:
+            size = rng.randint(1, len(universe))
+            chosen.add(frozenset(rng.sample(universe, size)))
+        state = rng.getstate()
+    return sorted(chosen, key=lambda s: (len(s), sorted(s))), state
 
 
-class _Draws:
-    """The schedules drawn from one generator state at one n, each with its
-    text, and what is kept with them: `end`, the generator state the draws
-    leave; `laws`, the schedule-law facts of each schedule with the
-    transforms that derived them; and `then`, the draws that start at
-    `end`, when nothing was drawn in between."""
-
-    __slots__ = ("schedules", "end", "laws", "then")
-
-    def __init__(self, schedules, end):
-        self.schedules, self.end, self.laws, self.then = schedules, end, None, None
-
-
-# the draws per key, (n, generator state) or, for draws from a fresh
-# Random(0), (n, None); the oldest entry goes first
-_DRAWS: dict[tuple, _Draws] = {}
-_DRAWS_KEPT = 16
-
-
-def _draws(n: int, rng: random.Random, key: tuple | None = None,
-           after: _Draws | None = None) -> _Draws:
-    """The draws of `_sample_schedules`, which depend only on n and the
-    generator state: kept per `key`, (n, rng.getstate()) unless the caller
-    knows the state, or with the draws `after`, in whose end state the
-    generator is.  A repeat moves the generator to the state the draws
-    left it in, as drawing again would."""
-    if after is not None:
-        kept = after.then
-    else:
-        key = key or (n, rng.getstate())
-        kept = _DRAWS.get(key)
-    if kept is not None:
-        rng.setstate(kept.end)
-        return kept
+@functools.lru_cache(maxsize=16)
+def _draws(n: int, state) -> tuple[tuple[tuple[Schedule, str], ...], tuple]:
+    """The synchronous schedule and two structurally varied fair schedules
+    with rational times, each with its text, drawn from a generator in
+    `state`, or from a fresh Random(0) when it is None; with the
+    generator state the draws leave."""
+    rng = random.Random(0)
+    if state is not None:
+        rng.setstate(state)
     out = [synchronous(n)]
     alphabet = list(range(1 << n))
     for _ in range(2):
@@ -461,21 +436,7 @@ def _draws(n: int, rng: random.Random, key: tuple | None = None,
             for off, fire in zip(offsets, cycle_fires)
         )
         out.append(Schedule(n, prefix, cycle, period, Fraction(1)))
-    drawn = _Draws(tuple((rho, str(rho)) for rho in out), rng.getstate())
-    if after is not None:
-        after.then = drawn
-    else:
-        if len(_DRAWS) >= _DRAWS_KEPT:
-            del _DRAWS[next(iter(_DRAWS))]
-        _DRAWS[key] = drawn
-    return drawn
-
-
-def _sample_schedules(net: Network, rng: random.Random) -> tuple[tuple[Schedule, str], ...]:
-    """The synchronous schedule and two structurally varied fair schedules
-    with rational times, each with its text, kept per (n, generator
-    state)."""
-    return _draws(net.n, rng).schedules
+    return tuple((rho, str(rho)) for rho in out), rng.getstate()
 
 
 def _check_run(
@@ -554,11 +515,11 @@ _CUTS = tuple((cut, (cut, cut + Fraction(1, 2), cut + 3))
               for cut in (Fraction(-10), Fraction(1, 3), Fraction(2), Fraction(9, 2)))
 
 
-def _law_facts(rho: Schedule):
-    """What the schedule laws ask of `rho` on any network: the distinct
-    fire words of rho and of its transforms, each transform as its word's
-    index, each restriction's progressiveness, and the event counts at
-    every time the laws ask."""
+def _law_facts(rho: Schedule, translate, restrict_after, is_progressive):
+    """What the schedule laws ask of `rho` on any network, derived with the
+    transforms given: the distinct fire words of rho and of its
+    transforms, each transform as its word's index, each restriction's
+    progressiveness, and the event counts at every time the laws ask."""
     words = {}
 
     def index(sched):
@@ -577,17 +538,21 @@ def _law_facts(rho: Schedule):
     return list(words), reference, translated, index(shifted), probes, cuts
 
 
-def _check_schedule_laws(report, net, base, eq, graph_ach, answers, draws):
+@functools.lru_cache(maxsize=16)
+def _laws(n: int, *transforms):
+    """`_draws(n, None)` and the law facts of each of its schedules, kept
+    per (translate, restrict_after, is_progressive): a patched transform
+    is a new key."""
+    draws, end = _draws(n, None)
+    return draws, end, tuple(_law_facts(rho, *transforms) for rho, _ in draws)
+
+
+def _check_schedule_laws(report, net, base, eq, graph_ach, answers, draws, facts):
     """Omega-limit, invariance, translation and restriction laws along
-    sampled rational-time schedules."""
+    sampled rational-time schedules, given their `_law_facts`."""
     table = net.table
-    # the facts are kept with the draws, and derived again when a
-    # transform they were derived with is no longer the one asked
-    transforms = translate, restrict_after, is_progressive
-    if draws.laws is None or draws.laws[0] != transforms:
-        draws.laws = transforms, [_law_facts(rho) for rho, _ in draws.schedules]
-    for (rho, schedule), facts in zip(draws.schedules, draws.laws[1]):
-        words, reference, translated, shifted, probes, cuts = facts
+    for (rho, schedule), (words, reference, translated, shifted, probes, cuts) in zip(
+            draws, facts):
         # the run of each fire word from each start state, with its omega,
         # folded on the first ask; transforms firing the same word share it
         folded = [{} for _ in words]
@@ -745,7 +710,7 @@ def _check_flow_basins(report, net, base, eq, graph_ach, answers, draws):
     the set basins of the orbit and the omega-limit set, and, where the
     graph's achievable omega sets are known, the omega n-basin against its
     definition."""
-    for rho, schedule in draws.schedules:
+    for rho, schedule in draws:
         for mu in net.states():
             payload = {**base, "mu": format_bits(mu, net.n), "schedule": schedule}
             values, loop = _run(net, mu, rho)
@@ -849,14 +814,17 @@ def verify_theorems(
     call returns.  The functions under test (orbit and omega basins,
     witnesses) run once per flow.
 
-    What depends only on the draws outlives a call.  The sampled schedules
-    with their text are kept in a cache of `_DRAWS_KEPT` entries: the
-    laws' draws, which start from a fresh generator, per n; the flow
-    basins' draws with the laws' when the set sample drew nothing, and per
-    (n, generator state) otherwise.  Kept with each draw are the fire
-    words of its transforms and its event counts at every time the laws
-    ask, keyed by the transforms that derived them and derived again when
-    one differs, so a patched transform is the one asked.  The list of
+    What depends only on the draws outlives a call, in two
+    `functools.lru_cache`s of 16 entries.  `_draws` keeps the sampled
+    schedules with their text and the generator state they leave, per
+    (n, generator state): the laws' draws start from a fresh generator,
+    and the flow basins' draws from the state the set sample leaves, which
+    is the laws' end state when the sample draws nothing, so a warm call
+    that checks every set builds no generator.  `_laws` keeps the laws'
+    draws with the fire words of their transforms and their event counts
+    at every time the laws ask, per n and per `translate`,
+    `restrict_after` and `is_progressive` as this module holds them when
+    the call starts, so a patched transform is a new key.  The list of
     every nonempty state set is kept per n.  No transformed schedule, run,
     check or answer is kept across calls.
 
@@ -865,7 +833,6 @@ def verify_theorems(
     """
     if max_sets is not None and not (isinstance(max_sets, int) and max_sets >= 1):
         raise ValueError(f"max_sets must be None or an int of at least 1, got {max_sets!r}")
-    rng = random.Random(0)
     report = VerificationReport()
     # every counterexample payload starts with the net; it is formatted
     # once here, although only failing checks ever read it
@@ -895,14 +862,12 @@ def verify_theorems(
         basin_p=functools.cache(lambda a: basins_mod.basin_p(net, a, False).members),
         basin_n=functools.cache(lambda a: basins_mod.basin_n(net, a).members),
     )
-    # the laws' draws start from a fresh generator, so they are kept per n
-    laws = _draws(net.n, rng, (net.n, None))
-    _check_schedule_laws(report, net, base, eq, graph_ach, answers, laws)
+    # the laws' draws start from a fresh generator; the set sample and the
+    # flow basins' draws continue from the state each leaves
+    draws, state, facts = _laws(net.n, translate, restrict_after, is_progressive)
+    _check_schedule_laws(report, net, base, eq, graph_ach, answers, draws, facts)
     _check_achievability(report, net, base, eq, graph_ach, answers, reach)
-    sets = _sample_sets(net, eq, max_sets, rng)
+    sets, state = _sample_sets(net, eq, max_sets, state)
     _check_set_basins(report, net, base, eq, graph_ach, answers, runs, word_omegas, sets)
-    # a sample of every set draws nothing, so the flow basins' draws start
-    # where the laws' draws end, and are kept with them
-    flows = _draws(net.n, rng, after=laws if _samples_every_set(net.n, max_sets) else None)
-    _check_flow_basins(report, net, base, eq, graph_ach, answers, flows)
+    _check_flow_basins(report, net, base, eq, graph_ach, answers, _draws(net.n, state)[0])
     return report

@@ -21,11 +21,11 @@ once and then passed on unchanged by `translate`, `restrict_after` and
 them again: `translate` and `restrict_after` build their result from
 parts that a shift or a cut keeps valid, and `_led_by` puts one checked
 event in front of parts already checked, so a chain of schedules each
-one event longer checks every event once.  A transform also carries its
-grid: `translate` and `restrict_after` derive it in ints from their
-argument's, a shift by d on the lcm of the grid's and d's denominators
-and a cut on the same grid, where a tick k lies after t' iff
-k > floor(t' * den).
+one event longer checks every event once.  A cut also carries its grid:
+`restrict_after` derives it in ints from its argument's, on the same
+denominator, where a tick k lies after t' iff k > floor(t' * den).
+`translate` adds d to each time as a Fraction and carries no grid; its
+result derives one on its first fold that needs times.
 """
 
 from __future__ import annotations
@@ -358,17 +358,9 @@ def omega_limit(net: Network, mu: int, rho: Schedule) -> frozenset[int]:
 def translate(rho: Schedule, d: Fraction) -> Schedule:
     """Shift every event time by +d; cycle structure is unchanged."""
     d = Fraction(_rational(d))
-    own, ticks, start, offsets, span = rho._grid
-    den = math.lcm(own, d.denominator)
-    scale, shift = den // own, _ticks(d, den)
-    ticks = [scale * t + shift for t in ticks]
-    start = scale * start + shift
-    # the shifted times, t + d, read off their ticks; a shift keeps the
-    # prefix increasing and before the cycle start
-    prefix = tuple((Fraction(t, den), fire) for t, (_, fire) in zip(ticks, rho.prefix))
-    grid = (den, ticks, start, offsets if scale == 1 else [scale * off for off in offsets],
-            scale * span)
-    return _trusted(rho.n, prefix, rho.cycle, rho.period, Fraction(start, den), grid)
+    # a shift keeps the prefix increasing and before the cycle start
+    return _trusted(rho.n, tuple((t + d, fire) for t, fire in rho.prefix), rho.cycle,
+                    rho.period, rho.cycle_start + d)
 
 
 def restrict_after(rho: Schedule, t_prime: Fraction) -> Schedule:

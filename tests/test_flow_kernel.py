@@ -202,10 +202,10 @@ def fraction_restrict_after(rho, t_prime):
 @given(grid_cases(), st.one_of(rationals, new_shifts), st.one_of(rationals, new_shifts),
        st.lists(st.builds(F, st.integers(-400, 400), st.integers(1, 35)), max_size=6))
 def test_transforms_on_the_int_grid_match_the_fraction_formulas(case, d, cut, times):
-    # translate and restrict_after derive their result's grid from their
-    # argument's in ints; a chain of them derives each from a derived one.
-    # The reference builds every time with Fractions and its grid afresh
-    # from those times.
+    # restrict_after derives its result's grid from its argument's in ints
+    # and translate shifts the times, whose grid is derived when a fold
+    # needs it; a chain of them cuts on a derived grid.  The reference
+    # builds every time with Fractions and its grid afresh from those times.
     net, mu, rho, probes = case
     moved, want_moved = translate(rho, d), fraction_translate(rho, d)
     pairs = [

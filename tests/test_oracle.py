@@ -7,6 +7,7 @@ import random
 import sys
 from collections import Counter
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -571,6 +572,12 @@ def _report(net, bounds, max_sets=None):
     return report.checks, report.counterexamples
 
 
+def _clear_draws():
+    """Empty the caches of draws and law facts, as in a cold process."""
+    oracle_mod._draws.cache_clear()
+    oracle_mod._laws.cache_clear()
+
+
 @pytest.mark.parametrize("n, max_sets", [(3, None), (3, 7), (3, 40), (4, 12), (4, 30)])
 def test_reports_equal_cold_and_warm(monkeypatch, n, max_sets):
     # kept draws and the kept every-set list give the report of a cold
@@ -579,54 +586,51 @@ def test_reports_equal_cold_and_warm(monkeypatch, n, max_sets):
     rng = random.Random(n * 100 + (max_sets or 0))
     table = tuple(rng.randrange(1 << n) for _ in range(1 << n))
     bounds = OracleBounds(1, 2)
-    monkeypatch.setattr(oracle_mod, "_DRAWS", {})
+    _clear_draws()
     oracle_mod._every_set.cache_clear()
     cold = _report(Network(n, table), bounds, max_sets)
-    assert oracle_mod._DRAWS
+    assert oracle_mod._draws.cache_info().currsize and oracle_mod._laws.cache_info().currsize
     warm_net = Network(n, table)
     for net in (Network(n, table), warm_net, warm_net):
         assert _report(net, bounds, max_sets) == cold
     real = basins_mod.basin_n
     monkeypatch.setattr(basins_mod, "basin_n", lambda net, attractor: basins_mod.BasinResult(
         real(net, attractor).members | {0}))
-    oracle_mod._DRAWS.clear()
+    _clear_draws()
     cold = _report(Network(n, table), bounds, max_sets)
     assert cold[1]
     assert _report(warm_net, bounds, max_sets) == cold
 
 
-def test_kept_draws_leave_the_generator_where_drawing_does(monkeypatch):
-    monkeypatch.setattr(oracle_mod, "_DRAWS", {})
-    net = Network(3, tuple(range(8)))
-    runs = []
-    for _ in range(2):
-        rng = random.Random(11)
-        rng.random()
-        runs.append((oracle_mod._sample_schedules(net, rng), rng.getstate()))
-    (drawn, state), (kept, kept_state) = runs
-    assert kept is drawn and kept_state == state
-    assert [text for _, text in drawn] == [str(rho) for rho, _ in drawn]
-    # another dimension draws afresh from the same generator state
+def test_kept_draws_leave_the_generator_where_drawing_does():
+    # a kept draw is the one drawing afresh from its generator state makes,
+    # with the state that drawing leaves
+    _clear_draws()
     rng = random.Random(11)
     rng.random()
-    assert oracle_mod._sample_schedules(Network(2, (0, 1, 2, 3)), rng)[0][0].n == 2
+    state = rng.getstate()
+    drawn, end = oracle_mod._draws(3, state)
+    fresh, fresh_end = oracle_mod._draws.__wrapped__(3, state)
+    assert [text for _, text in drawn] == [text for _, text in fresh]
+    assert end == fresh_end != state
+    assert [text for _, text in drawn] == [str(rho) for rho, _ in drawn]
+    assert oracle_mod._draws(3, state) == (drawn, end)
+    assert oracle_mod._draws.cache_info().hits == 1
+    # another dimension draws afresh from the same generator state
+    assert oracle_mod._draws(2, state)[0][0][0].n == 2
 
 
-def test_the_draw_cache_stays_bounded(monkeypatch):
-    monkeypatch.setattr(oracle_mod, "_DRAWS", {})
-    net = Network(2, (0b11, 0b11, 0b10, 0b01))
-    for seed in range(3 * oracle_mod._DRAWS_KEPT):
-        oracle_mod._sample_schedules(net, random.Random(seed))
-        assert len(oracle_mod._DRAWS) <= oracle_mod._DRAWS_KEPT
-    # the oldest draws went first
-    kept = {state for _, state in oracle_mod._DRAWS}
-    assert kept == {random.Random(seed).getstate()
-                    for seed in range(2 * oracle_mod._DRAWS_KEPT, 3 * oracle_mod._DRAWS_KEPT)}
+def test_the_draw_cache_stays_bounded():
+    _clear_draws()
+    for seed in range(3 * 16):
+        oracle_mod._draws(2, random.Random(seed).getstate())
+        assert oracle_mod._draws.cache_info().currsize <= 16
     # every max_sets sample leaves the generator elsewhere for the flow
     # basins' draws: verify keeps no more than the bound either
     for max_sets in range(1, 40):
         verify_theorems(Network(4, tuple(range(16))), OracleBounds(1, 1), max_sets=max_sets)
-        assert len(oracle_mod._DRAWS) <= oracle_mod._DRAWS_KEPT
+        assert oracle_mod._draws.cache_info().currsize <= 16
+    assert oracle_mod._draws.cache_info().maxsize == oracle_mod._laws.cache_info().maxsize == 16
 
 
 def _counting_transforms(monkeypatch):
@@ -647,7 +651,7 @@ def _counting_transforms(monkeypatch):
 def test_warm_verify_calls_no_transform(monkeypatch):
     # the schedule-law facts are kept with the draws, so a second n = 2
     # call, on another table, builds no transform and reports as a cold one
-    monkeypatch.setattr(oracle_mod, "_DRAWS", {})
+    _clear_draws()
     calls = _counting_transforms(monkeypatch)
     bounds = OracleBounds(1, 2)
     verify_theorems(Network(2, (0b11, 0b11, 0b10, 0b01)), bounds)
@@ -656,31 +660,37 @@ def test_warm_verify_calls_no_transform(monkeypatch):
     other = Network(2, (0b01, 0b00, 0b11, 0b11))
     warm = _report(other, bounds)
     assert not calls
-    oracle_mod._DRAWS.clear()
+    _clear_draws()
     assert _report(other, bounds) == warm
     assert calls["translate"] and calls["restrict_after"]
 
 
 def test_warm_verify_takes_no_generator_snapshot(monkeypatch):
     # with every set checked, nothing is drawn between the laws' draws and
-    # the flow basins', so a warm call finds both without reading the
-    # generator's state
-    monkeypatch.setattr(oracle_mod, "_DRAWS", {})
+    # the flow basins', so a warm call finds both without building a
+    # generator or reading its state
+    _clear_draws()
     net = Network(3, (1, 6, 2, 1, 7, 0, 4, 7))
     cold = _report(net, OracleBounds(1, 2))
-    real = random.Random.getstate
+    real, real_random = random.Random.getstate, oracle_mod.random.Random
     snapshots = Counter()
 
     def counting(self):
         snapshots["getstate"] += 1
         return real(self)
 
+    def building(*args):
+        snapshots["Random"] += 1
+        return real_random(*args)
+
     monkeypatch.setattr(random.Random, "getstate", counting)
+    monkeypatch.setattr(oracle_mod, "random", SimpleNamespace(Random=building))
     assert _report(Network(3, net.table), OracleBounds(1, 2)) == cold
     assert not snapshots
-    # a sample that draws reads it again, for the flow basins' draws
+    # a sample that draws builds a generator and reads its state again,
+    # for the flow basins' draws
     _report(net, OracleBounds(1, 2), max_sets=7)
-    assert snapshots["getstate"] >= 1
+    assert snapshots["Random"] >= 1 and snapshots["getstate"] >= 1
 
 
 @pytest.mark.parametrize(
@@ -693,15 +703,19 @@ def test_warm_verify_takes_no_generator_snapshot(monkeypatch):
     ],
 )
 def test_kept_law_facts_do_not_hide_a_faulty_transform(net1, monkeypatch, name, faulty, failing):
-    # facts kept from an unpatched call are derived again when the
-    # transform differs, and once more when the real one is back
+    # facts kept from an unpatched call are not read for a patched
+    # transform, a new key, and are read again when the real one is back
     bounds = OracleBounds(1, 2)
     assert verify_theorems(net1, bounds).ok
     with monkeypatch.context() as patch:
         patch.setattr(oracle_mod, name, faulty)
+        misses = oracle_mod._laws.cache_info().misses
         report = verify_theorems(net1, bounds)
+        assert oracle_mod._laws.cache_info().misses == misses + 1
     assert {check for check, (_, fails) in report.checks.items() if fails} == failing
+    hits = oracle_mod._laws.cache_info().hits
     assert verify_theorems(net1, bounds).ok
+    assert oracle_mod._laws.cache_info().hits == hits + 1
 
 
 omega_families = st.integers(1, 3).flatmap(lambda n: st.tuples(
@@ -774,38 +788,31 @@ def test_anchored_omegas_on_masks_match_frozenset_walks(case):
     assert _outcome(_anchored_omegas, *case) == _outcome(_frozenset_anchored_omegas, *case)
 
 
-def test_reports_equal_cold_and_warm_across_samples(monkeypatch):
-    # the flow basins' draws are kept with the laws' only when the set
-    # sample drew nothing: samples that draw, or not, share one cache and
-    # each still reports as in a cold process
-    monkeypatch.setattr(oracle_mod, "_DRAWS", {})
+def test_reports_equal_cold_and_warm_across_samples():
+    # the flow basins' draws start at the laws' end state only when the
+    # set sample drew nothing: samples that draw, or not, share one cache
+    # and each still reports as in a cold process
     net = Network(3, (1, 6, 2, 1, 7, 0, 4, 7))
     bounds = OracleBounds(1, 2)
     samples = (None, 7, 40, 255, 12)
     cold = {}
     for max_sets in samples:
-        oracle_mod._DRAWS.clear()
+        _clear_draws()
         cold[max_sets] = _report(net, bounds, max_sets)
     for max_sets in samples + samples[::-1]:
         assert _report(net, bounds, max_sets) == cold[max_sets]
 
 
-def test_chained_draws_leave_the_generator_where_drawing_does(monkeypatch):
-    # draws that follow other draws are kept with them, not in the cache,
-    # and a repeat still leaves the generator where drawing again would
-    monkeypatch.setattr(oracle_mod, "_DRAWS", {})
-    runs = []
-    for _ in range(2):
-        rng = random.Random(0)
-        first = oracle_mod._draws(2, rng, (2, None))
-        then = oracle_mod._draws(2, rng, after=first)
-        runs.append((first, then, rng.getstate()))
-    (first, then, state), (kept_first, kept_then, kept_state) = runs
-    assert kept_first is first and kept_then is then is first.then
-    assert kept_state == state
-    assert list(oracle_mod._DRAWS) == [(2, None)]
-    # they are the draws a generator in the first draws' end state makes
-    rng = random.Random()
-    rng.setstate(first.end)
-    drawn = oracle_mod._sample_schedules(Network(2, (0, 1, 2, 3)), rng)
-    assert [text for _, text in drawn] == [text for _, text in then.schedules]
+def test_chained_draws_leave_the_generator_where_drawing_does():
+    # the flow basins' draws of an every-set call start at the laws' end
+    # state: they are the draws a generator in that state makes, kept in
+    # the same cache, and a repeat finds both
+    _clear_draws()
+    first, end = oracle_mod._draws(2, None)
+    then, then_end = oracle_mod._draws(2, end)
+    assert then_end not in (end, None)
+    assert (then, then_end) == oracle_mod._draws.__wrapped__(2, end)
+    assert [text for _, text in then] != [text for _, text in first]
+    assert oracle_mod._draws(2, None) == (first, end)
+    assert oracle_mod._draws(2, end) == (then, then_end)
+    assert oracle_mod._draws.cache_info()[:2] == (2, 2)
