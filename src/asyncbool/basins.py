@@ -8,8 +8,9 @@ fair SCC not contained in A.  Each anchor lies in one SCC of the whole
 graph, and the closure of any part of an SCC is the closure of all of it,
 so without witnesses an answer is a union of the per-SCC closures the
 graph keeps (`graph._reaching`).  Past their cap, and whenever witnesses
-are asked for, the one backward BFS of `graph` (`_backward_closure`)
-answers from all the anchors at once.
+are asked for, one backward closure (`graph._backward_closure`) answers
+from all the anchors at once.  It and every shortest path here
+(`_bfs_path`) are the one breadth-first walk of `graph` (`graph._bfs`).
 
 Existential ("p") basins come with constructive witness schedules taken
 from the same BFS tree: its next-hop pointers give every member a
@@ -73,22 +74,15 @@ def _bfs_path(net: Network, start: int, goals, domain=None):
     state) or None."""
     if start in goals:
         return [], start
-    step = graph._successors(net)
-    parent = {start: start}
-    queue = [start]
-    for state in queue:  # the loop also visits states appended while it runs
-        for target in step(state):
-            if target in parent or domain is not None and target not in domain:
-                continue
-            parent[target] = state
-            if target in goals:
-                word, mu = [], target
-                while mu != start:
-                    word.append(mu ^ parent[mu])
-                    mu = parent[mu]
-                return word[::-1], target
-            queue.append(target)
-    return None
+    parent = graph._bfs(graph._successors(net), (start,), domain, goals)
+    end = mu = next(reversed(parent))
+    if end not in goals:
+        return None
+    word = []
+    while mu != start:
+        word.append(mu ^ parent[mu])
+        mu = parent[mu]
+    return word[::-1], end
 
 
 def covering_walk(net: Network, target: Iterable[int], anchor: int) -> list[int]:

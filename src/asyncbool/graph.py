@@ -32,11 +32,13 @@ nothing, as a single CLI query wants, nor does a p-invariance that a
 stuck member refutes; and on a network that a whole-graph pass has
 built, a walk enumerates no successor again.
 
-Every backward closure is one multi-source BFS over the predecessor
-tuples (`_backward_closure`), inside a domain or over every state; the
-witnesses read the next hops it keeps.  The backward closure of any part
-of an SCC is the closure of the whole SCC, so the graph also keeps that
-BFS's closures by SCC, filled as queries ask for them (`_reaching`): the
+One breadth-first walk, `_bfs`, answers every reach: forward through the
+successor door for `reachable_set` and basins' shortest paths, backward
+through the predecessor tuples for every backward closure
+(`_backward_closure`); the witnesses read their walks and next hops off
+the map of where it met each state.  The backward closure of any part
+of an SCC is the closure of the whole SCC, so the graph also keeps the
+closures by SCC, filled as queries ask for them (`_reaching`): the
 witness-free basins are unions of these.  The graph also keeps the
 covering cycle that basins builds for a whole fair SCC, by its least
 member (`_keep_cycle`).  The members and events kept are capped at
@@ -203,22 +205,30 @@ def _graph(net: Network) -> _Graph:
     return built
 
 
-def _backward_closure(net: Network, sources, domain=None) -> dict[int, int]:
-    """Multi-source BFS over reversed proper edges, restricted to `domain`
-    (default: every state).  Maps every state that reaches a source to its
-    next hop on a shortest path there; sources map to themselves.
-    Predecessors are visited in increasing order, which fixes the BFS tree."""
-    if domain is None:
-        domain = _STATE_SETS[net.n]
-    pred = _graph(net).pred
-    hop = {s: s for s in sources}
-    queue = list(hop)
+def _bfs(step, sources, domain=None, goals=()) -> dict[int, int]:
+    """The one breadth-first walk: from `sources` through the successor
+    door `step`, stepping only inside `domain` when given.  Maps each state
+    met to the state it was met from, in the order met (sources map to
+    themselves), and returns as soon as it meets a member of `goals`.  A
+    door's order fixes the BFS tree."""
+    parent = {s: s for s in sources}
+    queue = list(parent)
     for state in queue:  # the loop also visits states appended while it runs
-        for p in pred[state]:
-            if p not in hop and p in domain:
-                hop[p] = state
-                queue.append(p)
-    return hop
+        for target in step(state):
+            if target not in parent and (domain is None or target in domain):
+                parent[target] = state
+                if target in goals:
+                    return parent
+                queue.append(target)
+    return parent
+
+
+def _backward_closure(net: Network, sources, domain=None) -> dict[int, int]:
+    """Every state that reaches a source by proper edges inside `domain`
+    (default: every state), mapped to its next hop on a shortest path
+    there; sources map to themselves.  Predecessors are visited in
+    increasing order, which fixes the BFS tree."""
+    return _bfs(_graph(net).pred.__getitem__, sources, domain)
 
 
 # the per-SCC closures kept on a graph hold at most this many members per state
@@ -255,15 +265,7 @@ def reachable_set(net: Network, mu: int) -> frozenset[int]:
     """Forward closure of mu; the union of all orbits from mu."""
     _check_graph_cap(net)
     check_state(mu, net.n)
-    step = _successors(net)
-    seen = {mu}
-    stack = [mu]
-    while stack:
-        for target in step(stack.pop()):
-            if target not in seen:
-                seen.add(target)
-                stack.append(target)
-    return frozenset(seen)
+    return frozenset(_bfs(_successors(net), (mu,)))
 
 
 def is_n_invariant(net: Network, states: Iterable[int]) -> bool:

@@ -111,10 +111,14 @@ def _layers(start, depth: int, expand, fanout: int = 0, refuse=None, spent: int 
     successors.  Given a `fanout`, the most successors a node has, the
     nodes are bounded before each layer is built by `spent`, those of the
     earlier searches sharing a budget, plus those seen and fanout times
-    the layer before; `refuse(layer, bound)` raises if that is too many."""
+    the layer before; `refuse(layer, bound)` raises if that is too many.
+    The search stops at the first layer that met nothing new: no later
+    layer can, and its bound would be no larger than the one before."""
     seen = {start}
     frontier = {start}
     for layer in range(1, depth + 1):
+        if not frontier:
+            break
         if fanout:
             refuse(layer, spent + len(seen) + len(frontier) * fanout)
         frontier = {succ for node in frontier for succ in expand(node)}
@@ -146,21 +150,15 @@ def _images(net: Network, state: int) -> list[int]:
     return [(state & ~fire) | (image & fire) for fire in range(1 << net.n)]
 
 
-def _prefix_outcomes(
-    net: Network, mu: int, bounds: OracleBounds
-) -> set[tuple[int, frozenset[int]]]:
-    """Distinct (state, visited set) pairs after any prefix word within
+def _prefix_outcomes(net: Network, mu: int, bounds: OracleBounds) -> set[tuple[int, int]]:
+    """Distinct (state, visited mask) pairs after any prefix word within
     bounds; collapsing identical pairs is what keeps the sweep tractable."""
 
     def expand(node):
         state, visited = node
-        # most steps revisit a state; reusing its visited set skips a copy
-        return (
-            (s2, visited if s2 in visited else visited | {s2})
-            for s2 in _images(net, state)
-        )
+        return ((s2, visited | 1 << s2) for s2 in _images(net, state))
 
-    return _layers((mu, frozenset({mu})), bounds.max_prefix_len, expand)
+    return _layers((mu, 1 << mu), bounds.max_prefix_len, expand)
 
 
 def _word_runs(
@@ -215,8 +213,7 @@ def _word_runs(
     runs = {}
     for mu in states:
         pairs = set()
-        for state, visited in _prefix_outcomes(net, mu, bounds):
-            prefix = sum(1 << s for s in visited)
+        for state, prefix in _prefix_outcomes(net, mu, bounds):
             pairs.update((prefix | orbit, omega) for orbit, omega in loops[state])
         runs[mu] = tuple((members(orbit), members(omega)) for orbit, omega in sorted(pairs))
     return runs

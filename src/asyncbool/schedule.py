@@ -21,11 +21,10 @@ once and then passed on unchanged by `translate`, `restrict_after` and
 them again: `translate` and `restrict_after` build their result from
 parts that a shift or a cut keeps valid, and `_led_by` puts one checked
 event in front of parts already checked, so a chain of schedules each
-one event longer checks every event once.  A cut also carries its grid:
-`restrict_after` derives it in ints from its argument's, on the same
-denominator, where a tick k lies after t' iff k > floor(t' * den).
-`translate` adds d to each time as a Fraction and carries no grid; its
-result derives one on its first fold that needs times.
+one event longer checks every event once.  Both transforms work on the
+Fraction times and carry no grid: `translate` adds d to each time and
+`restrict_after` cuts at t' by bisection, and each result derives its
+grid on its first fold that needs times.
 """
 
 from __future__ import annotations
@@ -37,6 +36,7 @@ from functools import cached_property
 from fractions import Fraction
 from heapq import merge
 from itertools import chain, takewhile
+from operator import itemgetter
 from typing import Iterator
 
 from .core import DimensionError, Network, _check_dimension, check_state, full_mask
@@ -90,21 +90,18 @@ def _led_by(n: int, t, fire: int, prefix, cycle: _Cycle, period, cycle_start) ->
     """Schedule(n, ((t, fire),) + prefix, cycle, period, cycle_start) for
     parts a Schedule of this n already checked: only the new event is
     checked, its fire set against n and t against the first prefix time,
-    or cycle_start.  No grid is carried over: t may need a finer one."""
+    or cycle_start."""
     check_state(fire, n, "fire set")
     if not _rational(t) < (prefix[0][0] if prefix else cycle_start):
         raise ScheduleError(f"event at t={t} does not precede the schedule it leads")
     return _trusted(n, ((t, fire),) + prefix, cycle, period, cycle_start)
 
 
-def _trusted(n: int, prefix, cycle: _Cycle, period, cycle_start, grid=None) -> Schedule:
+def _trusted(n: int, prefix, cycle: _Cycle, period, cycle_start) -> Schedule:
     """A Schedule of parts that are already known to be valid together,
-    built without checking any of them again, with its `_grid` if the
-    caller derived it."""
+    built without checking any of them again."""
     out = object.__new__(Schedule)
     out.__dict__.update(n=n, prefix=prefix, cycle=cycle, period=period, cycle_start=cycle_start)
-    if grid is not None:
-        out.__dict__["_grid"] = grid
     return out
 
 
@@ -370,26 +367,17 @@ def restrict_after(rho: Schedule, t_prime: Fraction) -> Schedule:
     the cycle itself is untouched, so progressiveness is preserved.
     """
     _rational(t_prime)
-    den, ticks, start, offsets, span = rho._grid
-    # a tick lies after t_prime iff it lies after this one
-    cut = _ticks(t_prime, den)
     # the kept events are a tail of rho's, and the occurrence that t_prime
     # cuts ends before the next one starts, so every part stays valid
-    first = bisect_right(ticks, cut)
-    prefix, ticks = rho.prefix[first:], ticks[first:]
+    prefix = rho.prefix[bisect_right(rho.prefix, t_prime, key=itemgetter(0)):]
     new_start = rho.cycle_start
-    if start <= cut:
+    if new_start <= t_prime:
         # the first occurrence that starts strictly after t_prime
-        m_star = (cut - start) // span + 1
-        new_start = rho.cycle_start + m_star * rho.period
-        partial_base = new_start - rho.period
-        base = start + (m_star - 1) * span
-        skipped = bisect_right(offsets, cut - base)
-        prefix += tuple((partial_base + off, fire) for off, fire in rho.cycle[skipped:])
-        ticks += [base + off for off in offsets[skipped:]]
-        start = base + span
-    return _trusted(rho.n, prefix, rho.cycle, rho.period, new_start,
-                    (den, ticks, start, offsets, span))
+        new_start += ((t_prime - new_start) // rho.period + 1) * rho.period
+        base = new_start - rho.period
+        skipped = bisect_right(rho.cycle, t_prime - base, key=itemgetter(0))
+        prefix += tuple((base + off, fire) for off, fire in rho.cycle[skipped:])
+    return _trusted(rho.n, prefix, rho.cycle, rho.period, new_start)
 
 
 def flows_eventually_equal(net: Network, mu: int, rho: Schedule,

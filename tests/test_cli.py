@@ -178,6 +178,20 @@ def test_oracle_past_the_walk_budget_exits_2_with_one_line(tmp_path, capsys):
                         r" steps may make \d+: lower the bounds\n", err)
 
 
+def test_huge_oracle_bounds_stop_where_the_search_meets_nothing_new(net_file, capsys):
+    # bounds of 10**8 used to run one empty search layer per unit of bound
+    # and hang; the layered searches stop at the first layer that meets
+    # nothing new, so oracle answers as with the bounds it can fill
+    _, want, _ = run(capsys, "oracle", "--net", net_file, "--from", "00", "--bounds", "4,4")
+    t0 = time.monotonic()
+    code, out, _ = run(capsys, "oracle", "--net", net_file, "--from", "00",
+                       "--bounds", "100000000,4")
+    assert (code, out) == (0, want)
+    code, out, _ = run(capsys, "verify", "--net", net_file, "--bounds", "4,100000000")
+    assert code == 0 and out.splitlines()[-1] == "OK (0 failures)"
+    assert time.monotonic() - t0 < 10.0
+
+
 def test_verify_samples_state_sets_above_n3(tmp_path, capsys):
     # every nonempty state set of n=4 is 65535 sets: the CLI used to try
     # them all; it now samples a fixed number and says so

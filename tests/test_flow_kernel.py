@@ -202,10 +202,10 @@ def fraction_restrict_after(rho, t_prime):
 @given(grid_cases(), st.one_of(rationals, new_shifts), st.one_of(rationals, new_shifts),
        st.lists(st.builds(F, st.integers(-400, 400), st.integers(1, 35)), max_size=6))
 def test_transforms_on_the_int_grid_match_the_fraction_formulas(case, d, cut, times):
-    # restrict_after derives its result's grid from its argument's in ints
-    # and translate shifts the times, whose grid is derived when a fold
-    # needs it; a chain of them cuts on a derived grid.  The reference
-    # builds every time with Fractions and its grid afresh from those times.
+    # translate shifts the Fraction times and restrict_after cuts them by
+    # bisection; neither carries a grid, so each result derives its own
+    # when a fold needs it, and the counts are taken on those grids.  The
+    # reference filters every time with Fractions, one event at a time.
     net, mu, rho, probes = case
     moved, want_moved = translate(rho, d), fraction_translate(rho, d)
     pairs = [

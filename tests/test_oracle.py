@@ -130,7 +130,7 @@ def _fold(net: Network, state: int, fire: int) -> int:
 
 
 def test_prefix_outcomes_match_every_literal_prefix_word():
-    # the layered search keeps exactly the (state, visited set) pairs of
+    # the layered search keeps exactly the (state, visited mask) pairs of
     # the prefix words of length <= p, each folded on its own
     for net in _small_random_nets(11, 30):
         for p in range(4):
@@ -142,7 +142,7 @@ def test_prefix_outcomes_match_every_literal_prefix_word():
                         for fire in word:
                             state = _fold(net, state, fire)
                             visited.add(state)
-                        want.add((state, frozenset(visited)))
+                        want.add((state, sum(1 << s for s in visited)))
                 assert _prefix_outcomes(net, mu, OracleBounds(p, 1)) == want
 
 
@@ -458,6 +458,16 @@ def test_word_action_layer_refused_before_it_is_built(monkeypatch):
         _word_runs(DENSE3, OracleBounds(1, 3))
     with pytest.raises(CapExceededError, match="capped at 100"):
         verify_theorems(DENSE3, OracleBounds(0, 3))
+
+
+def test_layers_stop_at_the_first_layer_that_meets_nothing_new():
+    # a chain 0 -> 1 -> ... -> 5 with a loop at 5: layer 6 meets nothing
+    # new, and no layer past it is bounded or built, however deep the bound
+    bounded = []
+    nodes = oracle_mod._layers(0, 10**12, lambda k: (min(k + 1, 5),), 1,
+                               lambda layer, bound: bounded.append((layer, bound)))
+    assert nodes == set(range(6))
+    assert bounded == [(layer, layer + 1) for layer in range(1, 7)]
 
 
 def test_word_action_cap_refuses_eight_letters_on_the_dense_table():
