@@ -16,15 +16,20 @@ Existential ("p") basins come with constructive witness schedules taken
 from the same BFS tree: its next-hop pointers give every member a
 shortest walk to a source, its next hop's walk with one step in front,
 and one covering cycle per source is shared by every member that ends
-there.  The cycle of a source whose fair SCC is a whole SCC of the
-graph is kept on the graph, so later queries into that SCC reuse it.  A
-covering cycle is any closed walk through every state of the fair SCC:
-each coordinate unstable throughout a fair set takes both values inside
-it, so the walk fires it, and the cycle co-fires the coordinates stable
-where it stands.  A reported membership can always be replayed through
-the schedule module and checked against the claimed omega-limit
-relation.  Universal ("n") basins are decided by graph conditions alone
-and carry no witnesses.
+there.  The members of one BFS layer put their step at one time in front
+of schedules that share their first time, so that time is checked once
+per layer, each step's fire set once, and the witness is built from
+parts already checked.  The aligned witness of `witness_schedule` is
+built in one pass, behind the cut that `restrict_after` finds on the
+reference schedule's integer grid.  The cycle of a source whose fair
+SCC is a whole SCC of the graph is kept on the graph, so later queries
+into that SCC reuse it.  A covering cycle is any closed walk through
+every state of the fair SCC: each coordinate unstable throughout a fair
+set takes both values inside it, so the walk fires it, and the cycle
+co-fires the coordinates stable where it stands.  A reported membership
+can always be replayed through the schedule module and checked against
+the claimed omega-limit relation.  Universal ("n") basins are decided by
+graph conditions alone and carry no witnesses.
 """
 
 from __future__ import annotations
@@ -35,7 +40,7 @@ from typing import Iterable
 
 from . import graph
 from .core import Network, check_state, full_mask
-from .schedule import Schedule, _FlowRecord, _led_by, _run, omega_limit, restrict_after
+from .schedule import Schedule, _FlowRecord, _layer, _run, _trusted, omega_limit, restrict_after
 
 
 class NotAchievableError(ValueError):
@@ -207,11 +212,12 @@ def witness_schedule(
     word, end = found
     if align_to is None:
         return _walk_then_cycle(net.n, word, *_covering_cycle(net, target, end))
-    witness = tail
-    for k in reversed(range(len(word))):
-        witness = _led_by(tail.n, t2 - len(word) + k, word[k], witness.prefix,
-                          tail.cycle, tail.period, tail.cycle_start)
-    return witness
+    # the walk fires at t2 - L, ..., t2 - 1, one time unit apart: the
+    # last time is checked against the tail's first, each letter as it is
+    # placed, and the prefix is built in one pass
+    event = _layer(tail.n, t2 - 1, tail.prefix[0][0] if tail.prefix else tail.cycle_start)
+    walk = tuple(event(fire, len(word) - 1 - k) for k, fire in enumerate(word))
+    return _trusted(tail.n, walk + tail.prefix, tail.cycle, tail.period, tail.cycle_start)
 
 
 def basin_p(net: Network, attractor: Iterable[int], with_witnesses: bool = True) -> BasinResult:
@@ -230,8 +236,11 @@ def basin_p(net: Network, attractor: Iterable[int], with_witnesses: bool = True)
     # a member's word is its next hop's with one letter in front, fired
     # at times 0, 1, 2, ...; _backward_closure puts every next hop
     # first.  Each anchor's own witness carries its validated covering
-    # cycle, built or kept, and the members ending there share it.
+    # cycle, built or kept, and the members ending there share it.  Every
+    # first letter goes at 0 in front of a word or cycle starting at 1:
+    # one layer for all of them
     words: dict[int, tuple[int, ...]] = {}
+    event = _layer(net.n, 0, 1)
     for mu, nxt in hop.items():
         if mu == nxt:
             words[mu] = ()
@@ -239,8 +248,8 @@ def basin_p(net: Network, attractor: Iterable[int], with_witnesses: bool = True)
         else:
             words[mu] = (mu ^ nxt,) + words[nxt]
             ahead = witnesses[nxt]
-            witnesses[mu] = _led_by(net.n, 0, mu ^ nxt, tuple(enumerate(words[nxt], 1)),
-                                    ahead.cycle, ahead.period, len(words[mu]))
+            witnesses[mu] = _trusted(net.n, (event(mu ^ nxt),) + tuple(enumerate(words[nxt], 1)),
+                                     ahead.cycle, ahead.period, len(words[mu]))
     return BasinResult(frozenset(hop), witnesses)
 
 
@@ -274,18 +283,23 @@ def orbit_basin_p(
         return BasinResult(graph._reaching(net, [values[tail]])[0])
     # the BFS tree toward the splice state gives every member its walk
     # there; a member at depth d fires its first letter at t2 - d, in front
-    # of its next hop's witness; _backward_closure puts every next hop first
+    # of its next hop's witness, whose prefix is d - 1 events longer than
+    # the tail's; _backward_closure puts every next hop first
     _, seg_state, t2, tail = _splicer(net, mu, rho)
     hop = graph._backward_closure(net, [seg_state])
-    # the BFS visits depths in order, so times[d] = t2 - d is made once
-    witnesses, depth, times = {seg_state: tail}, {seg_state: 0}, [t2]
+    n, cycle, period, start = tail.n, tail.cycle, tail.period, tail.cycle_start
+    # the BFS visits depths in order, and a member's depth changes only
+    # with its next hop's prefix length: each layer's time is made and
+    # checked once, at its first member
+    witnesses, width, event = {seg_state: tail}, None, None
     for mu2, nxt in hop.items():
         if mu2 != nxt:
-            d = depth[mu2] = depth[nxt] + 1
-            if d == len(times):
-                times.append(t2 - d)
-            witnesses[mu2] = _led_by(tail.n, times[d], mu2 ^ nxt, witnesses[nxt].prefix,
-                                     tail.cycle, tail.period, tail.cycle_start)
+            ahead = witnesses[nxt].prefix
+            if len(ahead) != width:
+                width = len(ahead)
+                event = _layer(n, t2 - (width - len(tail.prefix) + 1),
+                               ahead[0][0] if ahead else start)
+            witnesses[mu2] = _trusted(n, (event(mu2 ^ nxt),) + ahead, cycle, period, start)
     return BasinResult(frozenset(hop), witnesses)
 
 

@@ -19,12 +19,14 @@ last over one pass of both loops, not their lcm.  A cycle is validated
 once and then passed on unchanged by `translate`, `restrict_after` and
 `dataclasses.replace`.  Checked parts are passed on without checking
 them again: `translate` and `restrict_after` build their result from
-parts that a shift or a cut keeps valid, and `_led_by` puts one checked
-event in front of parts already checked, so a chain of schedules each
-one event longer checks every event once.  Both transforms work on the
-Fraction times and carry no grid: `translate` adds d to each time and
-`restrict_after` cuts at t' by bisection, and each result derives its
-grid on its first fold that needs times.
+parts that a shift or a cut keeps valid, and `_layer` checks the time
+of a layer of events once against the first time of the parts they
+lead, and each fire set as its event is made, so the members of one
+BFS layer of witnesses pay one time check between them.  `translate`
+adds d to each Fraction time; `restrict_after` cuts on the grid, with
+int bisection and divmod, and builds only the result's times as
+Fractions.  Neither result carries a grid: each derives its own on its
+first fold that needs times.
 """
 
 from __future__ import annotations
@@ -36,7 +38,6 @@ from functools import cached_property
 from fractions import Fraction
 from heapq import merge
 from itertools import chain, takewhile
-from operator import itemgetter
 from typing import Iterator
 
 from .core import DimensionError, Network, _check_dimension, check_state, full_mask
@@ -86,22 +87,36 @@ def _validated_cycle(cycle, n: int, period: Fraction) -> _Cycle:
     return out
 
 
-def _led_by(n: int, t, fire: int, prefix, cycle: _Cycle, period, cycle_start) -> Schedule:
-    """Schedule(n, ((t, fire),) + prefix, cycle, period, cycle_start) for
-    parts a Schedule of this n already checked: only the new event is
-    checked, its fire set against n and t against the first prefix time,
-    or cycle_start."""
-    check_state(fire, n, "fire set")
-    if not _rational(t) < (prefix[0][0] if prefix else cycle_start):
+def _layer(n: int, t, first):
+    """The maker of one layer of leading events: events put in front of
+    parts that a Schedule of this n already checked, whose first event
+    time, or cycle start when they have no prefix, is `first`.  The
+    layer's time t is checked against `first` here, once, and each fire
+    set against n as its event is made.  `event(fire)` is (t, fire);
+    `event(fire, early)`, for a count `early`, is the event that many time
+    units before t, which precedes `first` too."""
+    if not _rational(t) < first:
         raise ScheduleError(f"event at t={t} does not precede the schedule it leads")
-    return _trusted(n, ((t, fire),) + prefix, cycle, period, cycle_start)
+
+    def event(fire: int, early: int = 0) -> tuple:
+        check_state(fire, n, "fire set")
+        return (t - early if early else t, fire)
+
+    return event
 
 
 def _trusted(n: int, prefix, cycle: _Cycle, period, cycle_start) -> Schedule:
     """A Schedule of parts that are already known to be valid together,
     built without checking any of them again."""
     out = object.__new__(Schedule)
-    out.__dict__.update(n=n, prefix=prefix, cycle=cycle, period=period, cycle_start=cycle_start)
+    # one item store per field: cheaper than update() with keywords, and a
+    # frozen dataclass refuses setattr
+    fields = out.__dict__
+    fields["n"] = n
+    fields["prefix"] = prefix
+    fields["cycle"] = cycle
+    fields["period"] = period
+    fields["cycle_start"] = cycle_start
     return out
 
 
@@ -364,20 +379,24 @@ def restrict_after(rho: Schedule, t_prime: Fraction) -> Schedule:
     """Drop every event at a time <= t_prime.
 
     Cycle occurrences cut in half by t_prime are moved into the prefix;
-    the cycle itself is untouched, so progressiveness is preserved.
+    the cycle itself is untouched, so progressiveness is preserved.  The
+    cut is found on rho's integer grid; only the result's times are
+    Fractions, and the result carries no grid.
     """
-    _rational(t_prime)
+    den, prefix, start, offsets, span = rho._grid
+    tick = _ticks(_rational(t_prime), den)
     # the kept events are a tail of rho's, and the occurrence that t_prime
     # cuts ends before the next one starts, so every part stays valid
-    prefix = rho.prefix[bisect_right(rho.prefix, t_prime, key=itemgetter(0)):]
+    kept = rho.prefix[bisect_right(prefix, tick):]
     new_start = rho.cycle_start
-    if new_start <= t_prime:
-        # the first occurrence that starts strictly after t_prime
-        new_start += ((t_prime - new_start) // rho.period + 1) * rho.period
-        base = new_start - rho.period
-        skipped = bisect_right(rho.cycle, t_prime - base, key=itemgetter(0))
-        prefix += tuple((base + off, fire) for off, fire in rho.cycle[skipped:])
-    return _trusted(rho.n, prefix, rho.cycle, rho.period, new_start)
+    if start <= tick:
+        # t_prime falls rem ticks into occurrence `whole`, whose offsets
+        # up to rem are dropped
+        whole, rem = divmod(tick - start, span)
+        base = new_start + whole * rho.period
+        new_start = base + rho.period
+        kept += tuple((base + off, fire) for off, fire in rho.cycle[bisect_right(offsets, rem):])
+    return _trusted(rho.n, kept, rho.cycle, rho.period, new_start)
 
 
 def flows_eventually_equal(net: Network, mu: int, rho: Schedule,

@@ -38,6 +38,10 @@ from asyncbool import (
 )
 from asyncbool import basins as basins_mod
 from asyncbool import graph
+from asyncbool import schedule as schedule_mod
+from asyncbool.oracle import _draws
+from tests.test_closures import ref_basin_p_witnesses, ref_orbit_basin_p_witnesses
+from tests.test_reaching import chain_table, dense_table, sparse_table
 
 
 def test_point_basins_of_net1(net1):
@@ -288,6 +292,85 @@ def test_witness_schedule_matches_the_up_front_achievability_test(case):
     got = _witness_or_refusal_type(net, mu, target, align_to)
     want = _rendered_or_refused(lambda: parent_witness_schedule(net, mu, target, align_to))
     assert got == want
+
+
+# --- witness trees and aligned walks, checked by layer ------------------------
+
+
+@st.composite
+def witness_tree_cases(draw):
+    """A dense, sparse or chain table with n <= 6; a flow from a drawn state
+    under synchronous(n) or one of the rational schedules of oracle's
+    draws; a target holding a fair SCC; and start states for aligned
+    witnesses."""
+    n = draw(st.integers(1, 6))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    make = draw(st.sampled_from([dense_table, sparse_table, chain_table]))
+    net = Network(n, make(n, rng))
+    states = list(net.states())
+    rho = draw(st.sampled_from([rho for rho, _ in _draws(n, rng.getstate())[0]]))
+    a = draw(st.sampled_from(fair_sccs(net))).union(
+        draw(st.lists(st.sampled_from(states), max_size=4)))
+    starts = draw(st.lists(st.sampled_from(states), min_size=1, max_size=8, unique=True))
+    return net, a, draw(st.sampled_from(states)), rho, starts
+
+
+@settings(max_examples=150, deadline=None)
+@given(witness_tree_cases())
+def test_witnesses_equal_the_checked_constructor_and_replay(case):
+    # witnesses are built from parts checked once per layer: each must be
+    # one the checking constructor accepts, equal the per-member reference
+    # to the type of every time, and replay
+    net, a, mu, rho, starts = case
+    omega = omega_limit(net, mu, rho)
+    orbit = orbit_basin_p(net, mu, rho)
+    aligned = [s for s in starts if s in orbit]
+    for s in set(starts) - set(aligned):
+        with pytest.raises(NotAchievableError):
+            witness_schedule(net, s, omega, align_to=(mu, rho))
+
+    def joins(s, w):
+        return flows_eventually_equal(net, s, w, mu, rho)[0]
+
+    for got, want, replays in (
+        (basin_p(net, a).witnesses, ref_basin_p_witnesses(net, a),
+         lambda s, w: omega_limit(net, s, w) <= a),
+        (orbit.witnesses, ref_orbit_basin_p_witnesses(net, mu, rho), joins),
+        (omega_basin_p(net, mu, rho).witnesses, ref_basin_p_witnesses(net, omega),
+         lambda s, w: omega_limit(net, s, w) == omega),
+        ({s: witness_schedule(net, s, omega, align_to=(mu, rho)) for s in aligned},
+         {s: parent_witness_schedule(net, s, omega, (mu, rho)) for s in aligned}, joins),
+    ):
+        assert list(got) == list(want)
+        for s, w in got.items():
+            assert w == Schedule(w.n, w.prefix, tuple(w.cycle), w.period, w.cycle_start)
+            assert repr(w) == repr(want[s])
+            assert replays(s, w), s
+
+
+def test_aligned_witness_is_built_in_one_pass(monkeypatch):
+    # 1 000 steps back along the n = 10 Gray-code cycle from the state the
+    # synchronous flow of 0 holds at its loop entry: one witness schedule,
+    # not one per letter, besides the tail cut off the reference
+    net, rho = gray_cycle(10), synchronous(10)
+    gray = [i ^ (i >> 1) for i in range(1 << 10)]
+    omega = frozenset(net.states())
+    seg_state = basins_mod._splicer(net, 0, rho)[1]
+    start = gray[(gray.index(seg_state) - 1000) % (1 << 10)]
+    built = []
+
+    def counting(*parts):
+        built.append(parts)
+        return trusted(*parts)
+
+    trusted = schedule_mod._trusted
+    monkeypatch.setattr(schedule_mod, "_trusted", counting)
+    monkeypatch.setattr(basins_mod, "_trusted", counting)
+    witness = witness_schedule(net, start, omega, align_to=(0, rho))
+    monkeypatch.undo()
+    assert len(built) == 2
+    assert len(witness.prefix) == 1000
+    assert repr(witness) == repr(parent_witness_schedule(net, start, omega, (0, rho)))
 
 
 # --- covering walks and omega n-basins against their per-step references ----

@@ -18,7 +18,7 @@ from asyncbool import (
     synchronous,
     translate,
 )
-from asyncbool.schedule import _led_by
+from asyncbool.schedule import _layer, _trusted
 
 F = Fraction
 
@@ -155,7 +155,10 @@ def test_restrict_after_drops_past_events():
 
 
 def _lead(t, fire, rest):
-    return _led_by(rest.n, t, fire, rest.prefix, rest.cycle, rest.period, rest.cycle_start)
+    """rest with one event at time t in front, made by a layer of its own."""
+    first = rest.prefix[0][0] if rest.prefix else rest.cycle_start
+    event = _layer(rest.n, t, first)(fire)
+    return _trusted(rest.n, (event,) + rest.prefix, rest.cycle, rest.period, rest.cycle_start)
 
 
 def test_leading_event_is_checked():
@@ -176,6 +179,15 @@ def test_leading_event_is_checked():
         _lead(0.5, 0b01, rho)
     led = _lead(F(-1, 3), 0b10, _lead(0, 0b01, no_prefix))
     assert led == mk(2, [(F(-1, 3), 0b10), (0, 0b01)], [(0, 0b11)], 1, 2)
+    # a layer's time is checked once against the layer before it, at 1
+    # here, and every fire set as its event is made, `early` units before
+    event = _layer(2, F(1, 2), 1)
+    assert [event(0b01), event(0b10, 2)] == [(F(1, 2), 0b01), (F(-3, 2), 0b10)]
+    with pytest.raises(DimensionError):
+        event(0b100)
+    for t in (1, F(3, 2)):
+        with pytest.raises(ScheduleError, match="does not precede"):
+            _layer(2, t, 1)
 
 
 def test_leading_event_derives_its_own_grid(net1):
